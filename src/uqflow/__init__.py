@@ -88,9 +88,6 @@ from .powerflow import (
     QuantityOfInterest,
     StateVector,
     StochasticPerturbation,
-    apply_perturbation,
-    assemble_ybus,
-    fixed_problem,
     initial_state,
     parametric_problem,
     qoi_sampler,
@@ -153,8 +150,6 @@ __all__ = [
     "UqflowError",
     "admissible_indices",
     "admissible_region_search",
-    "apply_perturbation",
-    "assemble_ybus",
     "bound_constants",
     "build_plan",
     "build_surrogate",
@@ -170,7 +165,6 @@ __all__ = [
     "estimate_jacobian_lipschitz",
     "estimate_perturbation_norms",
     "evaluate_surrogate",
-    "fixed_problem",
     "gauss_nodes",
     "initial_state",
     "interpolate_1d",

@@ -20,11 +20,14 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -36,9 +39,9 @@ from .analyticity import (
     mtilde_bound,
 )
 from .case_io import load_case, serialize_case, to_network
-from .errors import CaseValidationError, UqflowError
+from .errors import CacheMismatchError, CaseValidationError, UqflowError
 from .moments import default_orders, moment_estimates, quadrature_plan, uniform_model
-from .newton import NewtonProblem, kantorovich_certificate
+from .newton import NewtonProblem, kantorovich_certificate, kantorovich_t_star
 from .powerflow import (
     AdmittanceTerm,
     LoadTerm,
@@ -143,7 +146,6 @@ class ExperimentConfig:
     branches: tuple[int, ...] | None
     seed: int
     tol: float
-    workers: int
     output: str | None
     cache_dir: str | None
 
@@ -159,14 +161,21 @@ class ExperimentConfig:
             )
         if self.study not in ("load", "admittance"):
             raise UqflowError(f"unknown study {self.study!r} (expected load or admittance)")
-        if self.workers < 1:
-            raise UqflowError(f"workers must be >= 1, got {self.workers}")
+
+
+_CONFIG_KEYS = (
+    "case", "rule", "family", "levels", "ref_level", "dims", "qoi", "study",
+    "coefficient", "load_buses", "branches", "seed", "tol", "out", "cache",
+)
 
 
 def _experiment_config(args: argparse.Namespace, need_reference: bool) -> ExperimentConfig:
     config = {}
     if args.config is not None:
         config = parse_config_text(Path(args.config).read_text())
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise UqflowError(f"{args.config}: unknown config key {key!r}")
 
     def pick(flag_value, key: str, default, convert):
         if flag_value is not None:
@@ -200,7 +209,6 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
         branches=pick(None, "branches", None, _parse_int_list),
         seed=pick(args.seed, "seed", 0, int),
         tol=pick(args.tol, "tol", 1e-12, float),
-        workers=pick(args.workers, "workers", 1, int),
         output=pick(args.out, "out", None, str),
         cache_dir=pick(args.cache, "cache", None, str),
     )
@@ -280,7 +288,9 @@ class LevelResult:
     wall_ms: float
 
 
-def _memoized(sample, memo: dict[bytes, float]):
+def _memoized(sample):
+    memo: dict[bytes, float] = {}
+
     def wrapped(q: np.ndarray) -> float:
         key = np.asarray(q, dtype=float).tobytes()
         if key not in memo:
@@ -290,12 +300,22 @@ def _memoized(sample, memo: dict[bytes, float]):
     return wrapped
 
 
+def _write_atomically(path: Path, text: str) -> None:
+    """Write through a temporary file in the same directory, so that a reader
+    never sees a partly written entry and concurrent writers do not mix."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _level_result(
     cfg: ExperimentConfig,
-    net: PowerNetwork,
-    pert: StochasticPerturbation,
+    sample: Callable[[np.ndarray], float],
     w: int,
-    memo: dict[bytes, float],
     case_digest: str,
 ) -> LevelResult:
     start = time.perf_counter()
@@ -304,14 +324,14 @@ def _level_result(
     cache_path = None
     if cfg.cache_dir is not None:
         cache_path = Path(cfg.cache_dir) / f"{_cache_key(case_digest, cfg, w)}.json"
-        if cache_path.exists():
+        try:
             surrogate = surrogate_from_json(cache_path.read_text())
+        except (FileNotFoundError, json.JSONDecodeError, KeyError, CacheMismatchError):
+            pass  # a missing, unreadable or stale entry is a miss, written below
     if surrogate is None:
-        sampler = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol), memo)
-        surrogate = build_surrogate(plan, sampler, workers=cfg.workers)
+        surrogate = build_surrogate(plan, sample)
         if cache_path is not None:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(surrogate_to_json(surrogate))
+            _write_atomically(cache_path, surrogate_to_json(surrogate))
     model = uniform_model(cfg.dims)
     q_plan = quadrature_plan(model, default_orders(cfg.rule, w, cfg.dims))
     est = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), model, q_plan)
@@ -410,10 +430,10 @@ def cmd_uq_moments(args: argparse.Namespace) -> int:
     _require_qoi_bus(net, cfg.qoi)
     pert = _study_perturbation(net, cfg)
     digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-    memo: dict[bytes, float] = {}
+    sample = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol))
     rows = []
     for w in cfg.levels:
-        r = _level_result(cfg, net, pert, w, memo, digest)
+        r = _level_result(cfg, sample, w, digest)
         rows.append([str(r.w), str(r.knots), _fmt(r.mean), _fmt(r.variance), f"{r.wall_ms:.3f}"])
     _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, cfg.output)
     return 0
@@ -425,13 +445,13 @@ def cmd_uq_convergence(args: argparse.Namespace) -> int:
     _require_qoi_bus(net, cfg.qoi)
     pert = _study_perturbation(net, cfg)
     digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-    memo: dict[bytes, float] = {}
+    sample = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol))
     # The reference level runs first: with nested node families every lower
     # level then reuses its solves through the memo.
-    reference = _level_result(cfg, net, pert, cfg.reference_level, memo, digest)
+    reference = _level_result(cfg, sample, cfg.reference_level, digest)
     rows = []
     for w in cfg.levels:
-        r = _level_result(cfg, net, pert, w, memo, digest)
+        r = _level_result(cfg, sample, w, digest)
         rows.append(
             [
                 str(r.w),
@@ -450,12 +470,6 @@ def cmd_uq_convergence(args: argparse.Namespace) -> int:
         cfg.output,
     )
     return 0
-
-
-def _t_star_extended(h_e: float, delta_e: float) -> float:
-    if h_e == 0.0:
-        return delta_e
-    return (2.0 / h_e) * (1.0 - math.sqrt(1.0 - h_e)) * delta_e
 
 
 def _certificate_lines(cert, label: str) -> list[str]:
@@ -541,7 +555,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
             branches=None,
             seed=seed,
             tol=args.tol if args.tol is not None else 1e-12,
-            workers=1,
             output=None,
             cache_dir=None,
         )
@@ -596,7 +609,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     h_e = 2.0 * kappa_e * cert.lipschitz * delta_e
     lines.append(f"h_e: {_fmt(h_e)}")
     if h_e <= 1.0:
-        t_star_e = _t_star_extended(h_e, delta_e)
+        t_star_e = kantorovich_t_star(h_e, delta_e)
         lines.append(f"t_star_e: {_fmt(t_star_e)}")
         if m_tilde is None:
             m_tilde = mtilde_bound(t_star_e, search_x0)
@@ -635,7 +648,6 @@ def _add_common_study_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--coefficient", type=float, help="perturbation coefficient (default 0.5)")
     sub.add_argument("--seed", type=int, help="random seed for sampled estimates")
     sub.add_argument("--tol", type=float, help="knot-solve mismatch tolerance (default 1e-12)")
-    sub.add_argument("--workers", type=int, help="concurrent knot solves (default 1)")
     sub.add_argument("--cache", help="directory for surrogate JSON caching")
     sub.add_argument("--out", help="output file (default stdout)")
 

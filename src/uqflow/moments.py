@@ -1,11 +1,10 @@
 """Moments of a surrogate (or any batch-evaluable map) under a product
 density, plus a seeded Monte Carlo oracle for cross-checks.
 
-Expectations are tensor Gauss sums built for the proposal density rho_hat;
-a ratio callable reweights to the true density rho when the two differ
-(importance form: E[u] = sum_k w_k u(q_k) rho(q_k)/rho_hat(q_k)). All
-accumulations run over the deterministic tensor ordering with numpy pairwise
-summation, so results do not depend on worker scheduling upstream.
+Expectations are tensor Gauss sums built for the product density
+(E[u] = sum_k w_k u(q_k), weights summing to one). All accumulations run
+over the deterministic tensor ordering with numpy pairwise summation, so
+results do not depend on the order in which knots were solved upstream.
 """
 
 from __future__ import annotations
@@ -23,14 +22,9 @@ from .sparse_grid import GridRule, Surrogate, evaluate_surrogate
 
 @dataclass
 class DensityModel:
-    """Per-dimension proposal densities and an optional reweighting ratio.
-
-    ratio maps a (P, dims) batch of points to rho/rho_hat values (P,);
-    omitted means the proposal is the true density.
-    """
+    """Per-dimension densities of the parameters, taken as independent."""
 
     densities: list[Density1D]
-    ratio: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def dims(self) -> int:
@@ -96,13 +90,6 @@ def _as_values(target, pts: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _effective_weights(model: DensityModel, plan: QuadraturePlan) -> tuple[np.ndarray, np.ndarray]:
-    pts, wts = plan.tensor
-    if model.ratio is not None:
-        wts = wts * np.asarray(model.ratio(pts), dtype=float)
-    return pts, wts
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     mean: float | np.ndarray
@@ -111,27 +98,24 @@ class MomentEstimate:
 
 
 def expectation(target, model: DensityModel, plan: QuadraturePlan):
-    pts, wts = _effective_weights(model, plan)
+    pts, wts = plan.tensor
     return wts @ _as_values(target, pts)
 
 
 def moment_estimates(target, model: DensityModel, plan: QuadraturePlan) -> MomentEstimate:
-    """Mean E[S r] and the variance in shifted-data form.
+    """Mean E[S] and the variance in shifted-data form.
 
     The variance is taken from the deviations D = S - S(q_0) from the first
-    sample (column by column for a vector-valued target) as E[D^2 r] - E[D r]^2
-    (Chan, Golub & LeVeque, Am. Stat. 1983). With effective weights that sum
-    to one this equals E[S^2 r] - E[S r]^2 in exact arithmetic, but it does not
-    subtract two O(mean^2) numbers, so a constant target has exactly zero
-    variance. The weights sum to one when ratio is None. With a ratio they sum
-    to one only up to quadrature error, the value then depends on the shift at
-    that order, and which variance (self-normalised or not) is meant for that
-    path is not specified.
+    sample (column by column for a vector-valued target) as E[D^2] - E[D]^2
+    (Chan, Golub & LeVeque, Am. Stat. 1983). The Gauss weights of a
+    probability density sum to one, so this equals E[S^2] - E[S]^2 in exact
+    arithmetic, but it does not subtract two O(mean^2) numbers, so a constant
+    target has exactly zero variance.
 
     Quadrature error can push the raw variance a hair negative; the clamped
     value is what downstream consumers use, the raw value stays visible here.
     """
-    pts, wts = _effective_weights(model, plan)
+    pts, wts = plan.tensor
     vals = _as_values(target, pts)
     mean = wts @ vals
     dev = vals - vals[0]

@@ -152,6 +152,18 @@ def estimate_jacobian_lipschitz(
     return best
 
 
+def kantorovich_t_star(h: float, delta: float) -> float:
+    """Radius t* = (2/h)(1 - sqrt(1-h)) delta of the ball holding the iterates.
+
+    t* -> delta as h -> 0 and is NaN when h > 1 (no guarantee).
+    """
+    if h > 1.0:
+        return math.nan
+    if h == 0.0:
+        return delta
+    return (2.0 / h) * (1.0 - math.sqrt(1.0 - h)) * delta
+
+
 def kantorovich_certificate(
     problem: NewtonProblem,
     x0: np.ndarray,
@@ -177,20 +189,13 @@ def kantorovich_certificate(
         else estimate_jacobian_lipschitz(problem, x0, params, radius, probe_count, seed)
     )
     h = 2.0 * kappa * lam * delta
-    satisfied = h <= 1.0
-    if not satisfied:
-        t_star = math.nan
-    elif h == 0.0:
-        t_star = delta
-    else:
-        t_star = (2.0 / h) * (1.0 - math.sqrt(1.0 - h)) * delta
     return KantorovichCertificate(
         kappa=kappa,
         delta=delta,
         lipschitz=lam,
         h=h,
-        t_star=t_star,
-        satisfied=satisfied,
+        t_star=kantorovich_t_star(h, delta),
+        satisfied=h <= 1.0,
         radius=radius,
         probe_count=probe_count,
         seed=seed,

@@ -16,13 +16,13 @@ internal arrays are 0-based.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Literal
 
 import numpy as np
 
-from .errors import CaseValidationError, NonphysicalStateError
+from .errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
 from .newton import NewtonProblem, NewtonTrace, solve, solve_complexified
 
 BusKind = Literal["slack", "pv", "pq"]
@@ -112,14 +112,6 @@ class PowerNetwork:
     def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
         return gb_matrices(self)
 
-    @cached_property
-    def p_sched_nominal(self) -> np.ndarray:
-        return np.array([b.p_gen - b.p_load for b in self.buses])
-
-    @cached_property
-    def q_sched_nominal(self) -> np.ndarray:
-        return np.array([b.q_gen - b.q_load for b in self.buses])
-
 
 @dataclass
 class StateVector:
@@ -172,11 +164,6 @@ def gb_matrices(
         G[k, k] += bus.gs
         B[k, k] += bus.bs
     return G, B
-
-
-def assemble_ybus(net: PowerNetwork) -> np.ndarray:
-    G, B = gb_matrices(net)
-    return G + 1j * B
 
 
 # --- injections, mismatch, Jacobian ---------------------------------------------
@@ -253,37 +240,6 @@ def _jacobian_matrix(net, G, B, theta, v):
     )
 
 
-def residual(net: PowerNetwork, state: StateVector) -> np.ndarray:
-    """Power mismatch [dP at non-slack; dQ at pq], per-unit."""
-    G, B = net.gb_nominal
-    return _mismatch(
-        net, G, B, state.theta, state.v, net.p_sched_nominal, net.q_sched_nominal
-    )
-
-
-def jacobian(net: PowerNetwork, state: StateVector) -> np.ndarray:
-    """Mismatch Jacobian wrt [theta at non-slack; V at pq]."""
-    G, B = net.gb_nominal
-    return _jacobian_matrix(net, G, B, state.theta, state.v)
-
-
-def fixed_problem(net: PowerNetwork) -> NewtonProblem:
-    """NewtonProblem over the packed unknown vector at nominal parameters."""
-    G, B = net.gb_nominal
-    ps = net.p_sched_nominal
-    qs = net.q_sched_nominal
-
-    def res(u, _params):
-        theta, v = _expand_state(net, np.asarray(u))
-        return _mismatch(net, G, B, theta, v, ps, qs)
-
-    def jac(u, _params):
-        theta, v = _expand_state(net, np.asarray(u))
-        return _jacobian_matrix(net, G, B, theta, v)
-
-    return NewtonProblem(residual=res, jacobian=jac)
-
-
 def initial_state(net: PowerNetwork, init: str = "flat") -> StateVector:
     """flat: slack angle everywhere, 1.0 pu at pq buses; from-case: stored
     operating point."""
@@ -313,9 +269,9 @@ def solve_power_flow(
     tol: float = 1e-10,
     max_iter: int = 20,
 ) -> PowerFlowResult:
-    problem = fixed_problem(net)
+    problem = parametric_problem(net, StochasticPerturbation(dims=0))
     u0 = _pack_state(net, initial_state(net, init))
-    trace = solve(problem, u0, None, tol=tol, max_iter=max_iter)
+    trace = solve(problem, u0, np.zeros(0), tol=tol, max_iter=max_iter)
     theta, v = _expand_state(net, trace.x)
     G, B = net.gb_nominal
     p, q = _injections(G, B, v, theta)
@@ -387,11 +343,18 @@ class StochasticPerturbation:
     admittance_terms: tuple[AdmittanceTerm, ...] = ()
 
     def validate(self, net: PowerNetwork) -> None:
+        """Reject terms on unknown buses or branches, dims out of range, and
+        two terms on one bus or branch (their scalings would add up)."""
+        buses: set[int] = set()
         for t in self.load_terms:
             if t.bus not in net.position:
                 raise CaseValidationError(f"load term references unknown bus {t.bus}")
             if not (0 <= t.p_dim < self.dims and 0 <= t.q_dim < self.dims):
                 raise CaseValidationError(f"load term on bus {t.bus} uses a dim out of range")
+            if t.bus in buses:
+                raise CaseValidationError(f"two load terms target bus {t.bus}")
+            buses.add(t.bus)
+        branches: set[int] = set()
         for t in self.admittance_terms:
             if not (0 <= t.branch < len(net.branches)):
                 raise CaseValidationError(f"admittance term references branch {t.branch}")
@@ -399,86 +362,70 @@ class StochasticPerturbation:
                 raise CaseValidationError(
                     f"admittance term on branch {t.branch} uses a dim out of range"
                 )
+            if t.branch in branches:
+                br = net.branches[t.branch]
+                raise CaseValidationError(
+                    f"two admittance terms target branch {t.branch} "
+                    f"({br.from_bus}-{br.to_bus})"
+                )
+            branches.add(t.branch)
 
 
-def _branch_scales(pert: StochasticPerturbation, nbranch: int, q: np.ndarray):
-    dtype = np.result_type(float, q.dtype)
-    sg = np.ones(nbranch, dtype=dtype)
-    sb = np.ones(nbranch, dtype=dtype)
-    for t in pert.admittance_terms:
-        sg[t.branch] = 1.0 + t.c_g * q[t.g_dim]
-        sb[t.branch] = 1.0 + t.c_b * q[t.b_dim]
-    return sg, sb
+def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
+    """Build q -> (G, B, P_sched, Q_sched) once per network and perturbation.
 
-
-def _scheduled(net: PowerNetwork, pert: StochasticPerturbation, q: np.ndarray):
-    dtype = np.result_type(float, q.dtype)
-    ps = net.p_sched_nominal.astype(dtype)
-    qs = net.q_sched_nominal.astype(dtype)
+    All four are affine in q: G(q) = G0 + sum_k q_k G_k (the same for B),
+    with one slope G_k, B_k per dimension taken from gb_matrices differences
+    of the admittance terms, and P_sched(q) = p_gen - p_load (1 + S_p q) with
+    one row of load coefficients per bus (the same for Q). Without admittance
+    terms G and B are the nominal matrices themselves. q may be complex.
+    """
+    pert.validate(net)
+    G0, B0 = net.gb_nominal
+    dG = dB = None
+    if pert.admittance_terms:
+        dG = np.zeros((pert.dims, net.n, net.n))
+        dB = np.zeros((pert.dims, net.n, net.n))
+        for t in pert.admittance_terms:
+            bumped = np.ones(len(net.branches))
+            bumped[t.branch] = 2.0
+            G1, B1 = gb_matrices(net, g_scale=bumped)
+            dG[t.g_dim] += t.c_g * (G1 - G0)
+            dB[t.g_dim] += t.c_g * (B1 - B0)
+            G1, B1 = gb_matrices(net, b_scale=bumped)
+            dG[t.b_dim] += t.c_b * (G1 - G0)
+            dB[t.b_dim] += t.c_b * (B1 - B0)
+    load_p = np.zeros((net.n, pert.dims))
+    load_q = np.zeros((net.n, pert.dims))
     for t in pert.load_terms:
         k = net.position[t.bus]
-        bus = net.buses[k]
-        ps[k] = bus.p_gen - bus.p_load * (1.0 + t.c_p * q[t.p_dim])
-        qs[k] = bus.q_gen - bus.q_load * (1.0 + t.c_q * q[t.q_dim])
-    return ps, qs
+        load_p[k, t.p_dim] = t.c_p
+        load_q[k, t.q_dim] = t.c_q
+    p_gen = np.array([b.p_gen for b in net.buses])
+    p_load = np.array([b.p_load for b in net.buses])
+    q_gen = np.array([b.q_gen for b in net.buses])
+    q_load = np.array([b.q_load for b in net.buses])
 
+    def parts(q):
+        q = np.atleast_1d(np.asarray(q))
+        G, B = G0, B0
+        if dG is not None:
+            G = G0 + np.tensordot(q, dG, axes=1)
+            B = B0 + np.tensordot(q, dB, axes=1)
+        ps = p_gen - p_load * (1.0 + load_p @ q)
+        qs = q_gen - q_load * (1.0 + load_q @ q)
+        return G, B, ps, qs
 
-def apply_perturbation(
-    net: PowerNetwork, pert: StochasticPerturbation, q: np.ndarray
-) -> PowerNetwork:
-    """Materialize the perturbed network at a real parameter point.
-
-    q = 0 returns a network bitwise identical to the nominal one: load factors
-    multiply by exactly 1.0 and unscaled branches are reused as-is. Scaled
-    branches get r, x recomputed from the scaled conductance/susceptance pair.
-    """
-    q = np.asarray(q, dtype=float)
-    pert.validate(net)
-    sg, sb = _branch_scales(pert, len(net.branches), q)
-    branches = []
-    for k, br in enumerate(net.branches):
-        if sg[k] == 1.0 and sb[k] == 1.0:
-            branches.append(br)
-            continue
-        g, b = br.series_gb()
-        g *= sg[k]
-        b *= sb[k]
-        y2 = g * g + b * b
-        branches.append(replace(br, r=g / y2, x=-b / y2))
-    buses = []
-    scale_p = {t.bus: (t.c_p, t.p_dim) for t in pert.load_terms}
-    scale_q = {t.bus: (t.c_q, t.q_dim) for t in pert.load_terms}
-    for bus in net.buses:
-        if bus.id in scale_p:
-            cp, pd = scale_p[bus.id]
-            cq, qd = scale_q[bus.id]
-            buses.append(
-                replace(
-                    bus,
-                    p_load=bus.p_load * (1.0 + cp * q[pd]),
-                    q_load=bus.q_load * (1.0 + cq * q[qd]),
-                )
-            )
-        else:
-            buses.append(bus)
-    return replace(net, buses=tuple(buses), branches=tuple(branches))
+    return parts
 
 
 def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> NewtonProblem:
     """NewtonProblem over (packed state, parameter row q), dtype-generic.
 
     Complex q (or complex state) evaluates the analytic extension, which is
-    exactly what solve_complexified needs; real inputs reproduce the fixed
-    problem at apply_perturbation(net, pert, q).
+    exactly what solve_complexified needs.
     """
-    pert.validate(net)
-
-    def parts(q):
-        q = np.atleast_1d(np.asarray(q))
-        sg, sb = _branch_scales(pert, len(net.branches), q)
-        G, B = gb_matrices(net, sg, sb)
-        ps, qs = _scheduled(net, pert, q)
-        return G, B, ps, qs
+    parts = _affine_parts(net, pert)
 
     def res(u, q):
         G, B, ps, qs = parts(q)
@@ -515,8 +462,9 @@ def qoi_sampler(
         q_arr = np.asarray(q, dtype=float)
         try:
             trace = solve(problem, u0, q_arr, tol=tol, max_iter=max_iter)
-        except NonphysicalStateError as exc:
-            raise NonphysicalStateError(f"{exc} at q={q_arr.tolist()}") from None
+        except (NonphysicalStateError, SingularJacobianError) as exc:
+            exc.args = (f"{exc} at q={q_arr.tolist()}",)
+            raise
         if not trace.converged:
             raise NonphysicalStateError(
                 f"power flow did not converge at q={q_arr.tolist()} "

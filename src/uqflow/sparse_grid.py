@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Literal
@@ -250,31 +249,9 @@ class Surrogate:
         return self._tensors
 
 
-def build_surrogate(
-    plan: SparseGridPlan,
-    f: Callable,
-    vectorized: bool = False,
-    workers: int = 1,
-) -> Surrogate:
-    """Evaluate f once per knot and wrap the values.
-
-    vectorized=True calls f on the whole (n_knots, dims) block; otherwise f
-    is called per knot row, optionally across a thread pool. Results are
-    assembled by knot position, so the worker count never changes the output.
-    """
-    if vectorized:
-        raw = np.asarray(f(plan.knots))
-        if raw.shape[0] != plan.n_knots:
-            raise ValueError(
-                f"vectorized model returned {raw.shape[0]} rows "
-                f"for {plan.n_knots} knots"
-            )
-        rows = list(raw)
-    elif workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(f, [plan.knots[k] for k in range(plan.n_knots)]))
-    else:
-        rows = [f(plan.knots[k]) for k in range(plan.n_knots)]
+def build_surrogate(plan: SparseGridPlan, f: Callable) -> Surrogate:
+    """Evaluate f once per knot row, in knot order, and wrap the values."""
+    rows = [f(plan.knots[k]) for k in range(plan.n_knots)]
 
     first = np.atleast_1d(np.asarray(rows[0], dtype=float))
     scalar = first.size == 1 and np.ndim(rows[0]) == 0

@@ -76,6 +76,25 @@ def test_bad_config_value_names_the_key(tmp_path, capsys):
     assert "config key 'dims'" in capsys.readouterr().err
 
 
+def test_unknown_config_key_is_named(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    for line, key in (("load_bus = 3,4", "load_bus"), ("workers = 1", "workers")):
+        cfg.write_text(f"case = bundled:demo3\n{line}\n")
+        assert main(["uq-moments", "--config", str(cfg), "--levels", "0"]) == 1
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_duplicate_perturbation_target_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    args = ["uq-moments", "--case", "bundled:case39", "--dims", "2", "--levels", "0"]
+    cfg.write_text("load_buses = 3,3\n")
+    assert main(args + ["--config", str(cfg)]) == 1
+    assert "two load terms target bus 3" in capsys.readouterr().err
+    cfg.write_text("branches = 2,2\n")
+    assert main(args + ["--config", str(cfg), "--study", "admittance"]) == 1
+    assert "two admittance terms target branch 1" in capsys.readouterr().err
+
+
 def test_parse_case_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "canon.m"
     assert main(["parse-case", "--case", "bundled:case39", "--out", str(out_file)]) == 0
@@ -194,6 +213,34 @@ def test_surrogate_cache_roundtrip(tmp_path):
     stamps = [p.stat().st_mtime_ns for p in cached]
     assert main(args + ["--out", str(out2)]) == 0
     assert [p.stat().st_mtime_ns for p in sorted(cache.glob("*.json"))] == stamps
+    first = [r[:-1] for r in _csv_rows(out1.read_text(), "uq-moments")]
+    second = [r[:-1] for r in _csv_rows(out2.read_text(), "uq-moments")]
+    assert first == second
+
+
+def test_truncated_cache_entry_is_recomputed(tmp_path):
+    cache = tmp_path / "cache"
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = [
+        "uq-moments",
+        "--case",
+        "bundled:demo-3bus",
+        "--dims",
+        "1",
+        "--qoi",
+        "voltage:3",
+        "--levels",
+        "1,2",
+        "--cache",
+        str(cache),
+    ]
+    assert main(args + ["--out", str(out1)]) == 0
+    entry = sorted(cache.glob("*.json"))[0]
+    text = entry.read_text()
+    entry.write_text(text[: len(text) // 2])
+    assert main(args + ["--out", str(out2)]) == 0
+    assert entry.read_text() == text
+    assert not list(cache.glob("*.tmp"))
     first = [r[:-1] for r in _csv_rows(out1.read_text(), "uq-moments")]
     second = [r[:-1] for r in _csv_rows(out2.read_text(), "uq-moments")]
     assert first == second

@@ -1,18 +1,24 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
-from uqflow.errors import NonphysicalStateError
+from uqflow.errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
 from uqflow.powerflow import (
     AdmittanceTerm,
     LoadTerm,
     QuantityOfInterest,
     StochasticPerturbation,
+    _affine_parts,
     _pack_state,
+    gb_matrices,
     initial_state,
     parametric_problem,
     qoi_sampler,
@@ -121,6 +127,99 @@ def test_perturbation_validation(demo):
         ).validate(demo)
 
 
+def test_perturbation_rejects_duplicate_targets(case39):
+    with pytest.raises(CaseValidationError, match="two load terms target bus 3"):
+        StochasticPerturbation(
+            dims=2,
+            load_terms=(
+                LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),
+                LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=1, q_dim=1),
+            ),
+        ).validate(case39)
+    with pytest.raises(CaseValidationError, match=r"two admittance terms target branch 1 \(1-39\)"):
+        StochasticPerturbation(
+            dims=2,
+            admittance_terms=(
+                AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),
+                AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=1, b_dim=1),
+            ),
+        ).validate(case39)
+
+
+@pytest.fixture(scope="module")
+def case39_shifted(case39):
+    # case39 has no phase shifter; without one G would not depend on the
+    # series susceptance nor B on the series conductance.
+    branches = list(case39.branches)
+    branches[20] = dataclasses.replace(branches[20], phase=0.1)
+    return dataclasses.replace(case39, branches=tuple(branches))
+
+
+# case39 PQ buses with nonzero load, and branch rows that include
+# off-nominal taps (4, 13, 20, the last also phase-shifted) next to plain lines.
+_LOAD_BUSES = (1, 3, 4, 7, 8, 15, 20, 29)
+_BRANCHES = (0, 1, 4, 9, 13, 20, 30, 45)
+
+
+@st.composite
+def _perturbation_and_point(draw):
+    dims = draw(st.integers(1, 4))
+    dim = st.integers(0, dims - 1)
+    coef = st.floats(-0.8, 0.8)
+    buses = draw(st.lists(st.sampled_from(_LOAD_BUSES), max_size=3, unique=True))
+    rows = draw(st.lists(st.sampled_from(_BRANCHES), min_size=1, max_size=3, unique=True))
+    pert = StochasticPerturbation(
+        dims=dims,
+        load_terms=tuple(
+            LoadTerm(bus=b, c_p=draw(coef), c_q=draw(coef), p_dim=draw(dim), q_dim=draw(dim))
+            for b in buses
+        ),
+        admittance_terms=tuple(
+            AdmittanceTerm(branch=r, c_g=draw(coef), c_b=draw(coef), g_dim=draw(dim), b_dim=draw(dim))
+            for r in rows
+        ),
+    )
+    part = st.floats(-1.0, 1.0)
+    q = np.array([draw(part) for _ in range(dims)])
+    if draw(st.booleans()):
+        q = q + 1j * np.array([draw(part) for _ in range(dims)])
+    return pert, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbation_and_point())
+def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
+    """The affine G, B and schedules equal a per-point assembly of the
+    scaled branches and loads, for real and complex q."""
+    net, (pert, q) = case39_shifted, drawn
+    G, B, ps, qs = _affine_parts(net, pert)(q)
+
+    sg = np.ones(len(net.branches), dtype=q.dtype)
+    sb = np.ones(len(net.branches), dtype=q.dtype)
+    for t in pert.admittance_terms:
+        sg[t.branch] = 1.0 + t.c_g * q[t.g_dim]
+        sb[t.branch] = 1.0 + t.c_b * q[t.b_dim]
+    G_ref, B_ref = gb_matrices(net, sg, sb)
+    ps_ref = np.array([b.p_gen - b.p_load for b in net.buses], dtype=q.dtype)
+    qs_ref = np.array([b.q_gen - b.q_load for b in net.buses], dtype=q.dtype)
+    for t in pert.load_terms:
+        k = net.position[t.bus]
+        bus = net.buses[k]
+        ps_ref[k] = bus.p_gen - bus.p_load * (1.0 + t.c_p * q[t.p_dim])
+        qs_ref[k] = bus.q_gen - bus.q_load * (1.0 + t.c_q * q[t.q_dim])
+
+    for got, ref in ((G, G_ref), (B, B_ref), (ps, ps_ref), (qs, qs_ref)):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_load_study_keeps_nominal_admittances(case39):
+    pert = StochasticPerturbation(
+        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
+    )
+    G, B, _, _ = _affine_parts(case39, pert)(np.array([0.3 + 0.2j]))
+    assert G is case39.gb_nominal[0] and B is case39.gb_nominal[1]
+
+
 def test_load_term_shifts_schedule(demo):
     pert = StochasticPerturbation(
         dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
@@ -160,6 +259,20 @@ def test_qoi_sampler_reports_offending_point(demo):
     sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"))
     with pytest.raises(NonphysicalStateError, match=r"q=\[1\.0\]"):
         sample(np.array([1.0]))
+
+
+def test_qoi_sampler_names_point_of_singular_jacobian(demo, monkeypatch):
+    def singular(*args, **kwargs):
+        raise SingularJacobianError(2, 0.0, 1.0)
+
+    pert = StochasticPerturbation(
+        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
+    )
+    sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"))
+    monkeypatch.setattr(uqflow.powerflow, "solve", singular)
+    with pytest.raises(SingularJacobianError, match=r"iteration 2.* at q=\[0\.25\]") as exc:
+        sample(np.array([0.25]))
+    assert exc.value.iteration == 2
 
 
 def test_complexified_solve_real_limit(demo):

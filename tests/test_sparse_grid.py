@@ -162,18 +162,6 @@ def test_vector_valued_surrogate():
     np.testing.assert_allclose(got[:, 2], 1.0, atol=1e-12)
 
 
-def test_vectorized_and_worker_builds_agree():
-    plan = build_plan(SMOLYAK, 3, 2)
-    f_scalar = lambda q: math.cos(q[0] + 0.5 * q[1])
-    f_vec = lambda pts: np.cos(pts[:, 0] + 0.5 * pts[:, 1])
-    base = build_surrogate(plan, f_scalar)
-    vec = build_surrogate(plan, f_vec, vectorized=True)
-    par = build_surrogate(plan, f_scalar, workers=2)
-    pts = np.random.default_rng(8).uniform(-1.0, 1.0, (30, 2))
-    np.testing.assert_allclose(evaluate_surrogate(vec, pts), evaluate_surrogate(base, pts), atol=1e-14)
-    np.testing.assert_allclose(evaluate_surrogate(par, pts), evaluate_surrogate(base, pts), atol=1e-14)
-
-
 def test_surrogate_json_roundtrip():
     plan = build_plan(SMOLYAK, 2, 2)
     surrogate = build_surrogate(plan, lambda q: math.exp(q[0] - q[1]))
