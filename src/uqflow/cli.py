@@ -150,8 +150,6 @@ class ExperimentConfig:
     cache_dir: str | None
 
     def __post_init__(self) -> None:
-        if self.dims < 1:
-            raise UqflowError(f"dims must be >= 1, got {self.dims}")
         if any(w < 0 for w in self.levels):
             raise UqflowError(f"levels must be >= 0, got {self.levels}")
         if self.reference_level is not None and max(self.levels) >= self.reference_level:
@@ -159,8 +157,6 @@ class ExperimentConfig:
                 f"max(levels) = {max(self.levels)} must stay below the reference "
                 f"level {self.reference_level}"
             )
-        if self.study not in ("load", "admittance"):
-            raise UqflowError(f"unknown study {self.study!r} (expected load or admittance)")
 
 
 _CONFIG_KEYS = (
@@ -214,8 +210,15 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
     )
 
 
-def _study_perturbation(net: PowerNetwork, cfg: ExperimentConfig) -> StochasticPerturbation:
-    """Build the perturbation model a study config describes.
+def _study_perturbation(
+    net: PowerNetwork,
+    study: str,
+    dims: int,
+    coefficient: float,
+    load_buses: tuple[int, ...] | None = None,
+    branches: tuple[int, ...] | None = None,
+) -> StochasticPerturbation:
+    """Build the perturbation model of a study.
 
     Load study: each parameter dimension scales one load bus's P and Q
     together (explicit ``load_buses`` list, or the first ``dims`` PQ buses
@@ -224,39 +227,43 @@ def _study_perturbation(net: PowerNetwork, cfg: ExperimentConfig) -> StochasticP
     conductance and susceptance together (explicit ``branches`` list of
     1-based table rows, or the first ``dims`` rows).
     """
-    c = cfg.coefficient
-    if cfg.study == "load":
-        if cfg.load_buses is not None:
-            buses = list(cfg.load_buses)
+    if dims < 1:
+        raise UqflowError(f"dims must be >= 1, got {dims}")
+    c = coefficient
+    if study == "load":
+        if load_buses is not None:
+            buses = list(load_buses)
         else:
             buses = [
                 b.id
                 for b in net.buses
                 if b.kind == "pq" and (b.p_load != 0.0 or b.q_load != 0.0)
-            ][: cfg.dims]
-        if len(buses) != cfg.dims:
+            ][:dims]
+        if len(buses) != dims:
             raise CaseValidationError(
-                f"load study needs {cfg.dims} target buses, have {len(buses)} "
+                f"load study needs {dims} target buses, have {len(buses)} "
                 f"(case offers too few nonzero-load PQ buses?)"
             )
         terms = tuple(
             LoadTerm(bus=bus, c_p=c, c_q=c, p_dim=k, q_dim=k) for k, bus in enumerate(buses)
         )
-        pert = StochasticPerturbation(dims=cfg.dims, load_terms=terms)
-    else:
-        if cfg.branches is not None:
-            rows = [r - 1 for r in cfg.branches]
+        pert = StochasticPerturbation(dims=dims, load_terms=terms)
+    elif study == "admittance":
+        if branches is not None:
+            rows = [r - 1 for r in branches]
         else:
-            rows = list(range(min(cfg.dims, len(net.branches))))
-        if len(rows) != cfg.dims:
+            rows = list(range(min(dims, len(net.branches))))
+        if len(rows) != dims:
             raise CaseValidationError(
-                f"admittance study needs {cfg.dims} branches, have {len(rows)}"
+                f"admittance study needs {dims} branches, have {len(rows)}"
             )
         terms = tuple(
             AdmittanceTerm(branch=row, c_g=c, c_b=c, g_dim=k, b_dim=k)
             for k, row in enumerate(rows)
         )
-        pert = StochasticPerturbation(dims=cfg.dims, admittance_terms=terms)
+        pert = StochasticPerturbation(dims=dims, admittance_terms=terms)
+    else:
+        raise UqflowError(f"unknown study {study!r} (expected load or admittance)")
     pert.validate(net)
     return pert
 
@@ -428,7 +435,9 @@ def cmd_uq_moments(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args, need_reference=False)
     case, net = _load_network(cfg.case)
     _require_qoi_bus(net, cfg.qoi)
-    pert = _study_perturbation(net, cfg)
+    pert = _study_perturbation(
+        net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
+    )
     digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
     sample = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol))
     rows = []
@@ -443,7 +452,9 @@ def cmd_uq_convergence(args: argparse.Namespace) -> int:
     cfg = _experiment_config(args, need_reference=True)
     case, net = _load_network(cfg.case)
     _require_qoi_bus(net, cfg.qoi)
-    pert = _study_perturbation(net, cfg)
+    pert = _study_perturbation(
+        net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
+    )
     digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
     sample = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol))
     # The reference level runs first: with nested node families every lower
@@ -542,23 +553,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise UqflowError("certify needs --case or --scalar-demo")
         dims = args.dims if args.dims is not None else 2
         case, net = _load_network(args.case)
-        study_cfg = ExperimentConfig(
-            case=args.case,
-            rule=rule,
-            levels=levels,
-            reference_level=None,
-            dims=dims,
-            qoi=_parse_qoi(args.qoi or "voltage:22"),
-            study=args.study or "load",
-            coefficient=args.coefficient if args.coefficient is not None else 0.5,
-            load_buses=None,
-            branches=None,
-            seed=seed,
-            tol=args.tol if args.tol is not None else 1e-12,
-            output=None,
-            cache_dir=None,
-        )
-        pert = _study_perturbation(net, study_cfg)
+        pert = _study_perturbation(net, args.study, dims, args.coefficient)
         problem = parametric_problem(net, pert)
         x0 = _pack_state(net, initial_state(net, "flat"))
         cert = kantorovich_certificate(
@@ -571,7 +566,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             seed=seed,
         )
         lines = _certificate_lines(
-            cert, f"{case.name} ({study_cfg.study} study, {dims} dims) from flat start"
+            cert, f"{case.name} ({args.study} study, {dims} dims) from flat start"
         )
         search_problem, search_x0 = problem, x0
 
@@ -600,7 +595,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
             delta_e=delta_e,
             dims=dims,
             sigma_cap=args.sigma_cap,
-            sample_count=args.samples,
             seed=seed,
         )
         lines.append("region: certified by boundary-probe bisection")
@@ -695,10 +689,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--family", choices=["cc", "gauss"])
     p_cert.add_argument("--levels", type=_levels_argument, help="levels for the bound schedule")
     p_cert.add_argument("--dims", type=int)
-    p_cert.add_argument("--qoi")
-    p_cert.add_argument("--study", choices=["load", "admittance"])
-    p_cert.add_argument("--coefficient", type=float)
-    p_cert.add_argument("--tol", type=float)
+    ignored = "ignored; accepted so study command lines still parse"
+    p_cert.add_argument("--qoi", help=ignored)
+    p_cert.add_argument("--study", choices=["load", "admittance"], default="load")
+    p_cert.add_argument("--coefficient", type=float, default=0.5)
+    p_cert.add_argument("--tol", type=float, help=ignored)
     p_cert.add_argument("--seed", type=int)
     p_cert.add_argument("--lipschitz", type=float, help="exact Lipschitz constant, skips sampling")
     p_cert.add_argument("--radius", type=float, default=1.0, help="Lipschitz probe ball radius")
@@ -706,7 +701,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--kappa-e", dest="kappa_e", type=float, help="target extended kappa")
     p_cert.add_argument("--delta-e", dest="delta_e", type=float, help="target extended delta")
     p_cert.add_argument("--sigma-cap", dest="sigma_cap", type=float, default=2.0)
-    p_cert.add_argument("--samples", type=int, default=32, help="random t-probes per estimate")
+    p_cert.add_argument(
+        "--samples",
+        type=int,
+        help="ignored: the region search uses the exact parameter slopes",
+    )
     p_cert.add_argument(
         "--sigma-hat",
         dest="sigma_hat",

@@ -87,15 +87,14 @@ def clenshaw_curtis_nodes(count: int) -> np.ndarray:
 class Density1D:
     """Probability density on [-1, 1].
 
-    pdf must be vectorized and integrate to 1. recurrence, if given, returns
-    the first n monic three-term coefficients (a, b) of the orthogonal
-    polynomials for this weight, with b[0] the total mass; densities without
-    a closed form get them from a Stieltjes pass over a fine reference grid.
+    pdf must be vectorized and integrate to 1. recurrence returns the first n
+    monic three-term coefficients (a, b) of the orthogonal polynomials for
+    this weight, with b[0] the total mass.
     """
 
     pdf: Callable[[np.ndarray], np.ndarray]
+    recurrence: Callable[[int], tuple[np.ndarray, np.ndarray]]
     name: str = "custom"
-    recurrence: Callable[[int], tuple[np.ndarray, np.ndarray]] | None = None
 
 
 def _uniform_pdf(x: np.ndarray) -> np.ndarray:
@@ -113,28 +112,6 @@ def _uniform_recurrence(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def uniform_density() -> Density1D:
     return Density1D(pdf=_uniform_pdf, name="uniform", recurrence=_uniform_recurrence)
-
-
-def _stieltjes_recurrence(
-    pdf: Callable[[np.ndarray], np.ndarray], n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    # Discretized Stieltjes on a Gauss-Legendre reference grid dense enough
-    # that the first n coefficients are converged for analytic densities.
-    rx, rw = np.polynomial.legendre.leggauss(max(8 * n + 64, 256))
-    w = rw * pdf(rx)
-    a = np.zeros(n)
-    b = np.zeros(n)
-    b[0] = w.sum()
-    p_prev = np.zeros_like(rx)
-    p_cur = np.ones_like(rx)
-    for k in range(n):
-        norm_k = w @ (p_cur * p_cur)
-        a[k] = (w @ (rx * p_cur * p_cur)) / norm_k
-        p_next = (rx - a[k]) * p_cur - (b[k] if k > 0 else 0.0) * p_prev
-        if k + 1 < n:
-            b[k + 1] = (w @ (p_next * p_next)) / norm_k
-        p_prev, p_cur = p_cur, p_next
-    return a, b
 
 
 def _monic_eval(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: int):
@@ -166,10 +143,7 @@ def gauss_nodes(
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     density = density or uniform_density()
-    if density.recurrence is not None:
-        a, b = density.recurrence(count + 1)
-    else:
-        a, b = _stieltjes_recurrence(density.pdf, count + 1)
+    a, b = density.recurrence(count + 1)
     # Jacobi-matrix eigenvalues seed Newton; the refinement below is what
     # carries the accuracy contract.
     x = np.array([a[0]]) if count == 1 else eigh_tridiagonal(

@@ -112,6 +112,19 @@ class PowerNetwork:
     def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
         return gb_matrices(self)
 
+    @cached_property
+    def setpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-bus (theta, V) with the slack angle and PV/slack magnitudes set
+        and zeros where the unknowns go."""
+        theta = np.array([b.theta0 if b.kind == "slack" else 0.0 for b in self.buses])
+        v = np.array([b.v_set if b.kind != "pq" else 0.0 for b in self.buses])
+        return theta, v
+
+    @cached_property
+    def jacobian_index(self) -> np.ndarray:
+        """Rows/columns of the unknowns in the full [theta; V] Jacobian."""
+        return np.concatenate([self.non_slack, self.n + self.pq])
+
 
 @dataclass
 class StateVector:
@@ -182,11 +195,9 @@ def _injections(G, B, v, theta):
 
 def _expand_state(net: PowerNetwork, u: np.ndarray):
     # Unknowns are [theta at non-slack; V at pq]; the rest are setpoints.
-    theta = np.zeros(net.n, dtype=u.dtype)
-    v = np.zeros(net.n, dtype=u.dtype)
-    for k, bus in enumerate(net.buses):
-        theta[k] = bus.theta0 if bus.kind == "slack" else 0.0
-        v[k] = bus.v_set if bus.kind != "pq" else 0.0
+    theta0, v0 = net.setpoints
+    theta = theta0.astype(u.dtype)
+    v = v0.astype(u.dtype)
     nn = len(net.non_slack)
     theta[net.non_slack] = u[:nn]
     v[net.pq] = u[nn:]
@@ -230,14 +241,8 @@ def _jacobian_matrix(net, G, B, theta, v):
     l_ = v[:, None] * c  # dQ/dV off-diagonal
     np.fill_diagonal(l_, q / v - bkk * v)
 
-    ns = net.non_slack
-    pq = net.pq
-    return np.block(
-        [
-            [h[np.ix_(ns, ns)], n_[np.ix_(ns, pq)]],
-            [j_[np.ix_(pq, ns)], l_[np.ix_(pq, pq)]],
-        ]
-    )
+    idx = net.jacobian_index
+    return np.block([[h, n_], [j_, l_]])[np.ix_(idx, idx)]
 
 
 def initial_state(net: PowerNetwork, init: str = "flat") -> StateVector:

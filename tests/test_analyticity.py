@@ -89,6 +89,19 @@ def test_perturbation_norms_monotone_in_direction():
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
+def test_perturbation_norms_reject_a_non_affine_problem():
+    # x^2 - p^2 bends in p: at g = 0.5i the residual is 2.5, while the unit
+    # slope from p = 0 predicts 2.25 - 0.5i
+    squared = NewtonProblem(
+        residual=lambda x, p: np.array([x[0] ** 2 - p[0] ** 2]),
+        jacobian=lambda x, p: np.array(
+            [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
+        ),
+    )
+    with pytest.raises(InfeasibleRegionError, match=r"not affine.*g = \[0\.5j\]"):
+        estimate_perturbation_norms(squared, X0, np.array([0.0]), np.array([0.5j]))
+
+
 def test_certifies_thresholds():
     est = estimate_perturbation_norms(SHIFTED, X0, np.array([2.0]), np.array([0.1j]))
     assert est.certifies(kappa_e=2 * KAPPA, delta_e=3 * DELTA)

@@ -307,6 +307,20 @@ def test_certify_scalar_demo(capsys):
     assert "bound w=1" in out and "bound w=2" in out
 
 
+@pytest.mark.parametrize(
+    ("study", "dims", "sigma_hat"),
+    [
+        ("load", 1, "0.96337890625"),
+        ("load", 2, "0.356201171875, 0.356201171875"),
+        ("admittance", 1, "0.01326751708984375"),
+    ],
+)
+def test_certify_region_search_on_case39(capsys, study, dims, sigma_hat):
+    argv = ["certify", "--case", "bundled:case39", "--study", study, "--dims", str(dims)]
+    assert main(argv) == 0
+    assert f"sigma_hat: {sigma_hat}\n" in capsys.readouterr().out
+
+
 def test_certify_case_with_supplied_region(capsys):
     code = main(
         [
