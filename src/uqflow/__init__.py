@@ -104,6 +104,7 @@ from .sparse_grid import (
     build_plan,
     build_surrogate,
     combination_coefficients,
+    evaluate_on_grid,
     evaluate_surrogate,
     polynomial_space,
     surrogate_from_json,
@@ -164,6 +165,7 @@ __all__ = [
     "ellipse_contains",
     "estimate_jacobian_lipschitz",
     "estimate_perturbation_norms",
+    "evaluate_on_grid",
     "evaluate_surrogate",
     "gauss_nodes",
     "initial_state",

@@ -58,7 +58,6 @@ from .sparse_grid import (
     GridRule,
     build_plan,
     build_surrogate,
-    evaluate_surrogate,
     polynomial_space,
     surrogate_from_json,
     surrogate_to_json,
@@ -332,7 +331,7 @@ def _level_result(
     if cfg.cache_dir is not None:
         cache_path = Path(cfg.cache_dir) / f"{_cache_key(case_digest, cfg, w)}.json"
         try:
-            surrogate = surrogate_from_json(cache_path.read_text())
+            surrogate = surrogate_from_json(cache_path.read_text(), plan)
         except (FileNotFoundError, json.JSONDecodeError, KeyError, CacheMismatchError):
             pass  # a missing, unreadable or stale entry is a miss, written below
     if surrogate is None:
@@ -341,7 +340,7 @@ def _level_result(
             _write_atomically(cache_path, surrogate_to_json(surrogate))
     model = uniform_model(cfg.dims)
     q_plan = quadrature_plan(model, default_orders(cfg.rule, w, cfg.dims))
-    est = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), model, q_plan)
+    est = moment_estimates(surrogate, model, q_plan)
     wall_ms = (time.perf_counter() - start) * 1e3
     return LevelResult(
         w=w,

@@ -2,7 +2,9 @@
 density, plus a seeded Monte Carlo oracle for cross-checks.
 
 Expectations are tensor Gauss sums built for the product density
-(E[u] = sum_k w_k u(q_k), weights summing to one). All accumulations run
+(E[u] = sum_k w_k u(q_k), weights summing to one). A Surrogate target is
+evaluated on the whole grid axis by axis (sparse_grid.evaluate_on_grid); any
+other target is called on the (P, dims) point array. All accumulations run
 over the deterministic tensor ordering with numpy pairwise summation, so
 results do not depend on the order in which knots were solved upstream.
 """
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .nodes1d import Density1D, gauss_nodes, uniform_density
-from .sparse_grid import GridRule, Surrogate, evaluate_surrogate
+from .sparse_grid import GridRule, Surrogate, evaluate_on_grid
 
 
 @dataclass
@@ -51,14 +53,18 @@ class QuadraturePlan:
         return math.prod(len(n) for n in self.nodes)
 
     @cached_property
-    def tensor(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flattened tensor grid: points (P, dims) and weights (P,)."""
+    def points(self) -> np.ndarray:
+        """Flattened tensor grid (P, dims), in C order."""
         grids = np.meshgrid(*self.nodes, indexing="ij")
-        pts = np.column_stack([g.ravel() for g in grids])
+        return np.column_stack([g.ravel() for g in grids])
+
+    @cached_property
+    def point_weights(self) -> np.ndarray:
+        """Product weights (P,), in the order of points."""
         wts = np.ones(1)
         for w in self.weights:
             wts = np.multiply.outer(wts, w).ravel()
-        return pts, wts
+        return wts
 
 
 def quadrature_plan(model: DensityModel, orders: list[int]) -> QuadraturePlan:
@@ -71,19 +77,24 @@ def quadrature_plan(model: DensityModel, orders: list[int]) -> QuadraturePlan:
 
 
 def default_orders(rule: GridRule, w: int, dims: int) -> list[int]:
-    """Per-dimension Gauss order that integrates the surrogate's square.
+    """Per-dimension Gauss order that integrates the surrogate itself exactly.
 
-    The largest 1D degree the plan can carry is 2^w (doubling) or w (linear);
-    ceil(maxdeg / 2) + 1 Gauss points integrate products of two such factors
-    exactly, so surrogate means and raw second moments are quadrature-exact.
+    The largest 1D degree the plan can carry is 2^w (doubling) or w (linear),
+    and ceil(maxdeg / 2) + 1 Gauss points are exact to degree
+    2 ceil(maxdeg / 2) + 1 >= maxdeg, so surrogate means are quadrature-exact.
+    The surrogate's square (degree 2 maxdeg) is not integrated exactly once
+    maxdeg >= 2 (doubling w >= 1, linear w >= 2): the variance carries
+    quadrature error, e.g. a 1D w=1 smolyak surrogate of q^2 gets variance 0
+    against the exact 4/45.
     """
     max_degree = 2**w if rule.growth == "doubling" else w
     return [max_degree // 2 + (max_degree % 2) + 1] * dims
 
 
-def _as_values(target, pts: np.ndarray) -> np.ndarray:
+def _as_values(target, plan: QuadraturePlan) -> np.ndarray:
     if isinstance(target, Surrogate):
-        return np.asarray(evaluate_surrogate(target, pts))
+        return evaluate_on_grid(target, plan.nodes)
+    pts = plan.points
     vals = np.asarray(target(pts), dtype=float)
     if vals.shape[0] != pts.shape[0]:
         raise ValueError("target must map (P, dims) batches to P rows")
@@ -98,8 +109,7 @@ class MomentEstimate:
 
 
 def expectation(target, model: DensityModel, plan: QuadraturePlan):
-    pts, wts = plan.tensor
-    return wts @ _as_values(target, pts)
+    return plan.point_weights @ _as_values(target, plan)
 
 
 def moment_estimates(target, model: DensityModel, plan: QuadraturePlan) -> MomentEstimate:
@@ -115,8 +125,8 @@ def moment_estimates(target, model: DensityModel, plan: QuadraturePlan) -> Momen
     Quadrature error can push the raw variance a hair negative; the clamped
     value is what downstream consumers use, the raw value stays visible here.
     """
-    pts, wts = plan.tensor
-    vals = _as_values(target, pts)
+    wts = plan.point_weights
+    vals = _as_values(target, plan)
     mean = wts @ vals
     dev = vals - vals[0]
     raw = wts @ (dev * dev) - (wts @ dev) ** 2

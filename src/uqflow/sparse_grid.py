@@ -294,6 +294,36 @@ def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
     return out[0] if single else out
 
 
+def evaluate_on_grid(surrogate: Surrogate, axes) -> np.ndarray:
+    """Evaluate the interpolant on the tensor grid axes[0] x ... x axes[-1].
+
+    Each term's value tensor is contracted with one (len(axes[d]), count)
+    basis matrix per axis, so the cost grows with the grid size times the
+    term's counts rather than with the points times the term's full tensor.
+    Rows come in C order (meshgrid(indexing="ij").ravel()), shaped (P,) or
+    (P, n_out) as evaluate_surrogate returns for the flattened grid.
+    """
+    plan = surrogate.plan
+    if len(axes) != plan.dims:
+        raise ValueError(f"got {len(axes)} axes, plan wants {plan.dims}")
+    bases = {}
+    out = np.zeros((surrogate.n_out, *map(len, axes)))
+    for term, tensor in zip(plan.terms, surrogate.term_tensors()):
+        # Contracting the leading axis appends the grid axis at the end, so
+        # after every axis the layout is (n_out, len(axes[0]), ...).
+        for dim, count in enumerate(term.counts):
+            if (dim, count) not in bases:
+                nodes, bw, _ = plan.node_sets[count]
+                bases[dim, count] = barycentric_basis(nodes, bw, axes[dim])
+            tensor = np.tensordot(tensor, bases[dim, count], axes=(0, 1))
+        # In place: tensor is a new tensordot result here, and a fresh
+        # temporary per term costs as much as the contractions on large grids.
+        tensor *= term.coefficient
+        out += tensor
+    out = out.reshape(surrogate.n_out, -1).T
+    return out[:, 0] if surrogate.scalar else out
+
+
 # --- polynomial exactness sets ----------------------------------------------
 
 
@@ -375,12 +405,13 @@ def surrogate_to_json(surrogate: Surrogate) -> str:
     return json.dumps(payload)
 
 
-def surrogate_from_json(text: str) -> Surrogate:
+def surrogate_from_json(text: str, plan: SparseGridPlan | None = None) -> Surrogate:
     """Rebuild a surrogate, re-deriving the plan and checking it bitwise.
 
-    The plan is reconstructed from (rule, w, dims) and compared against the
-    stored knots and keys, so a cache written by a different build can never
-    be silently reused.
+    The plan is reconstructed from (rule, w, dims), or taken from the caller
+    when it already built one for the same (rule, w, dims), and compared
+    against the stored knots and keys, so a cache written by a different
+    build can never be silently reused.
     """
     payload = json.loads(text)
     if payload.get("format") != _SURROGATE_FORMAT:
@@ -388,7 +419,10 @@ def surrogate_from_json(text: str) -> Surrogate:
             f"unexpected format tag {payload.get('format')!r}"
         )
     rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
-    plan = build_plan(rule, payload["w"], payload["dims"])
+    if plan is None:
+        plan = build_plan(rule, payload["w"], payload["dims"])
+    elif (plan.rule, plan.w, plan.dims) != (rule, payload["w"], payload["dims"]):
+        raise CacheMismatchError("cached surrogate was built for another plan")
     stored_knots = np.asarray(payload["knots"], dtype=float).reshape(-1, plan.dims)
     stored_keys = [
         tuple(_key_from_text(t) for t in combo) for combo in payload["keys"]

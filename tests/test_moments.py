@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqflow.moments import (
     default_orders,
@@ -10,7 +12,7 @@ from uqflow.moments import (
     quadrature_plan,
     uniform_model,
 )
-from uqflow.sparse_grid import GridRule
+from uqflow.sparse_grid import GridRule, build_plan, build_surrogate, polynomial_space
 
 
 def test_uniform_linear_moments():
@@ -66,8 +68,33 @@ def test_surrogate_and_callable_targets_agree():
     wrapped = moment_estimates(
         lambda pts: evaluate_surrogate(surrogate, pts), model, plan
     )
+    # The Surrogate target is contracted axis by axis on the grid, the callable
+    # point by point: the same Gauss sums in two summation orders.
     assert direct.mean == wrapped.mean
-    assert direct.variance == wrapped.variance
+    assert abs(direct.variance - wrapped.variance) <= 1e-15 * abs(wrapped.variance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["smolyak", "td", "hc"]),
+    family=st.sampled_from(["clenshaw_curtis", "gauss_legendre"]),
+    dims=st.integers(1, 3),
+    w=st.integers(0, 3),
+    pick=st.integers(0, 2**32 - 1),
+)
+def test_tensor_rule_mean_is_exact_on_polynomial_space(kind, family, dims, w, pick):
+    """A surrogate of a monomial the plan reproduces gets the exact mean
+    prod_d E[q^p_d] (1 / (p_d + 1) for even p_d, else 0) at default_orders."""
+    rule = GridRule(kind, family)
+    space = polynomial_space(rule, w, dims)
+    powers = space[pick % len(space)]
+    surrogate = build_surrogate(
+        build_plan(rule, w, dims), lambda q: float(np.prod(q**powers))
+    )
+    model = uniform_model(dims)
+    est = moment_estimates(surrogate, model, quadrature_plan(model, default_orders(rule, w, dims)))
+    exact = np.prod([0.0 if p % 2 else 1.0 / (p + 1) for p in powers])
+    assert est.mean == pytest.approx(exact, abs=1e-14)
 
 
 def test_default_orders_track_level():

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from uqflow.errors import CacheMismatchError
+from uqflow.moments import quadrature_plan, uniform_model
 from uqflow.sparse_grid import (
     GridRule,
+    Surrogate,
     admissible_indices,
     build_plan,
     build_surrogate,
     combination_coefficients,
+    evaluate_on_grid,
     evaluate_surrogate,
     polynomial_space,
     surrogate_from_json,
@@ -162,6 +168,32 @@ def test_vector_valued_surrogate():
     np.testing.assert_allclose(got[:, 2], 1.0, atol=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(["smolyak", "td", "hc"]),
+    family=st.sampled_from(["clenshaw_curtis", "gauss_legendre"]),
+    dims=st.integers(1, 4),
+    w=st.integers(0, 3),
+    n_out=st.sampled_from([None, 3]),
+    orders=st.lists(st.integers(1, 9), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+# Orders 1, 7 and 9 put the Gauss node 0.0 exactly on a knot.
+@example("smolyak", "gauss_legendre", 3, 3, None, [7, 9, 1, 2], 0)
+@example("td", "clenshaw_curtis", 2, 3, 3, [9, 7, 1, 1], 1)
+def test_grid_evaluation_matches_pointwise(kind, family, dims, w, n_out, orders, seed):
+    """Axis-by-axis grid evaluation equals evaluate_surrogate at the flattened
+    tensor Gauss points, up to summation order."""
+    plan = build_plan(GridRule(kind, family), w, dims)
+    values = np.random.default_rng(seed).standard_normal((plan.n_knots, n_out or 1))
+    surrogate = Surrogate(plan=plan, values=values, scalar=n_out is None)
+    q_plan = quadrature_plan(uniform_model(dims), orders[:dims])
+    want = evaluate_surrogate(surrogate, q_plan.points)
+    got = evaluate_on_grid(surrogate, q_plan.nodes)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_surrogate_json_roundtrip():
     plan = build_plan(SMOLYAK, 2, 2)
     surrogate = build_surrogate(plan, lambda q: math.exp(q[0] - q[1]))
@@ -170,6 +202,16 @@ def test_surrogate_json_roundtrip():
     np.testing.assert_allclose(
         evaluate_surrogate(clone, pts), evaluate_surrogate(surrogate, pts), atol=0.0
     )
+
+
+def test_surrogate_json_reuses_the_callers_plan():
+    plan = build_plan(SMOLYAK, 2, 2)
+    text = surrogate_to_json(build_surrogate(plan, lambda q: float(q[0] * q[1])))
+    assert surrogate_from_json(text, plan).plan is plan
+    with pytest.raises(CacheMismatchError):
+        surrogate_from_json(text, build_plan(SMOLYAK, 1, 2))
+    with pytest.raises(CacheMismatchError):
+        surrogate_from_json(text, build_plan(GridRule("td", "clenshaw_curtis"), 2, 2))
 
 
 def test_surrogate_json_rejects_garbage():
