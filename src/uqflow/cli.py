@@ -325,17 +325,16 @@ def _level_result(
     case_digest: str,
 ) -> LevelResult:
     start = time.perf_counter()
-    plan = build_plan(cfg.rule, w, cfg.dims)
     surrogate = None
     cache_path = None
     if cfg.cache_dir is not None:
         cache_path = Path(cfg.cache_dir) / f"{_cache_key(case_digest, cfg, w)}.json"
         try:
-            surrogate = surrogate_from_json(cache_path.read_text(), plan)
+            surrogate = surrogate_from_json(cache_path.read_text())
         except (FileNotFoundError, json.JSONDecodeError, KeyError, CacheMismatchError):
             pass  # a missing, unreadable or stale entry is a miss, written below
     if surrogate is None:
-        surrogate = build_surrogate(plan, sample)
+        surrogate = build_surrogate(build_plan(cfg.rule, w, cfg.dims), sample)
         if cache_path is not None:
             _write_atomically(cache_path, surrogate_to_json(surrogate))
     model = uniform_model(cfg.dims)
@@ -344,7 +343,7 @@ def _level_result(
     wall_ms = (time.perf_counter() - start) * 1e3
     return LevelResult(
         w=w,
-        knots=len(plan.knots),
+        knots=len(surrogate.plan.knots),
         mean=float(est.mean),
         variance=float(est.variance),
         wall_ms=wall_ms,

@@ -259,6 +259,22 @@ def build_surrogate(plan: SparseGridPlan, f: Callable) -> Surrogate:
     return Surrogate(plan=plan, values=values, scalar=scalar)
 
 
+def _basis_lookup(plan: SparseGridPlan, coords) -> Callable[[int, int], np.ndarray]:
+    """(dim, count) -> basis matrix of node set `count` at coords[dim].
+
+    Each matrix is built on first use and shared across terms.
+    """
+    cache: dict[tuple[int, int], np.ndarray] = {}
+
+    def basis(dim: int, count: int) -> np.ndarray:
+        if (dim, count) not in cache:
+            nodes, bw, _ = plan.node_sets[count]
+            cache[dim, count] = barycentric_basis(nodes, bw, coords[dim])
+        return cache[dim, count]
+
+    return basis
+
+
 def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
     """Evaluate the combination-form interpolant at one point or a batch.
 
@@ -272,16 +288,7 @@ def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
     if pts.shape[1] != plan.dims:
         raise ValueError(f"points have {pts.shape[1]} columns, plan wants {plan.dims}")
 
-    # One basis matrix per (dimension, count) pair, shared across terms.
-    basis_cache: dict[tuple[int, int], np.ndarray] = {}
-
-    def basis(dim: int, count: int) -> np.ndarray:
-        key = (dim, count)
-        if key not in basis_cache:
-            nodes, bw, _ = plan.node_sets[count]
-            basis_cache[key] = barycentric_basis(nodes, bw, pts[:, dim])
-        return basis_cache[key]
-
+    basis = _basis_lookup(plan, pts.T)
     out = np.zeros((pts.shape[0], surrogate.n_out))
     for term, tensor in zip(plan.terms, surrogate.term_tensors()):
         acc = np.tensordot(basis(0, term.counts[0]), tensor, axes=(1, 0))
@@ -306,16 +313,13 @@ def evaluate_on_grid(surrogate: Surrogate, axes) -> np.ndarray:
     plan = surrogate.plan
     if len(axes) != plan.dims:
         raise ValueError(f"got {len(axes)} axes, plan wants {plan.dims}")
-    bases = {}
+    basis = _basis_lookup(plan, axes)
     out = np.zeros((surrogate.n_out, *map(len, axes)))
     for term, tensor in zip(plan.terms, surrogate.term_tensors()):
         # Contracting the leading axis appends the grid axis at the end, so
         # after every axis the layout is (n_out, len(axes[0]), ...).
         for dim, count in enumerate(term.counts):
-            if (dim, count) not in bases:
-                nodes, bw, _ = plan.node_sets[count]
-                bases[dim, count] = barycentric_basis(nodes, bw, axes[dim])
-            tensor = np.tensordot(tensor, bases[dim, count], axes=(0, 1))
+            tensor = np.tensordot(tensor, basis(dim, count), axes=(0, 1))
         # In place: tensor is a new tensordot result here, and a fresh
         # temporary per term costs as much as the contractions on large grids.
         tensor *= term.coefficient
@@ -405,13 +409,12 @@ def surrogate_to_json(surrogate: Surrogate) -> str:
     return json.dumps(payload)
 
 
-def surrogate_from_json(text: str, plan: SparseGridPlan | None = None) -> Surrogate:
+def surrogate_from_json(text: str) -> Surrogate:
     """Rebuild a surrogate, re-deriving the plan and checking it bitwise.
 
-    The plan is reconstructed from (rule, w, dims), or taken from the caller
-    when it already built one for the same (rule, w, dims), and compared
-    against the stored knots and keys, so a cache written by a different
-    build can never be silently reused.
+    The plan is reconstructed from (rule, w, dims) and compared against the
+    stored knots and keys, so a cache written by a different build can never
+    be silently reused.
     """
     payload = json.loads(text)
     if payload.get("format") != _SURROGATE_FORMAT:
@@ -419,10 +422,7 @@ def surrogate_from_json(text: str, plan: SparseGridPlan | None = None) -> Surrog
             f"unexpected format tag {payload.get('format')!r}"
         )
     rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
-    if plan is None:
-        plan = build_plan(rule, payload["w"], payload["dims"])
-    elif (plan.rule, plan.w, plan.dims) != (rule, payload["w"], payload["dims"]):
-        raise CacheMismatchError("cached surrogate was built for another plan")
+    plan = build_plan(rule, payload["w"], payload["dims"])
     stored_knots = np.asarray(payload["knots"], dtype=float).reshape(-1, plan.dims)
     stored_keys = [
         tuple(_key_from_text(t) for t in combo) for combo in payload["keys"]

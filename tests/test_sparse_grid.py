@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqflow.errors import CacheMismatchError
 from uqflow.moments import quadrature_plan, uniform_model
 from uqflow.sparse_grid import (
     GridRule,
@@ -202,16 +201,6 @@ def test_surrogate_json_roundtrip():
     np.testing.assert_allclose(
         evaluate_surrogate(clone, pts), evaluate_surrogate(surrogate, pts), atol=0.0
     )
-
-
-def test_surrogate_json_reuses_the_callers_plan():
-    plan = build_plan(SMOLYAK, 2, 2)
-    text = surrogate_to_json(build_surrogate(plan, lambda q: float(q[0] * q[1])))
-    assert surrogate_from_json(text, plan).plan is plan
-    with pytest.raises(CacheMismatchError):
-        surrogate_from_json(text, build_plan(SMOLYAK, 1, 2))
-    with pytest.raises(CacheMismatchError):
-        surrogate_from_json(text, build_plan(GridRule("td", "clenshaw_curtis"), 2, 2))
 
 
 def test_surrogate_json_rejects_garbage():
