@@ -6,7 +6,7 @@ docstrings for the individual pieces:
 
 - nodes1d: 1D node families, barycentric interpolation, Chebyshev analysis
 - sparse_grid: multi-index sets, combination coefficients, surrogates
-- moments: density-weighted quadrature moments and a Monte Carlo oracle
+- moments: tensor Gauss moments under the uniform density, Monte Carlo oracle
 - newton: damped-free Newton, Kantorovich certificates, complexified solves
 - analyticity: Bernstein-ellipse regions and convergence bounds
 - powerflow: AC network model, residual/Jacobian, parametric perturbations
@@ -14,7 +14,7 @@ docstrings for the individual pieces:
 - cli: argparse front end
 
 The names most workflows need are re-exported here; rarely-used pieces
-(``newton.solve``, ``moments.expectation``, ...) stay module-qualified.
+(``newton.solve``, ``nodes1d.barycentric_basis``, ...) stay module-qualified.
 """
 
 from .analyticity import (
@@ -50,7 +50,6 @@ from .errors import (
     UqflowError,
 )
 from .moments import (
-    DensityModel,
     MomentEstimate,
     MonteCarloEstimate,
     QuadraturePlan,
@@ -58,7 +57,6 @@ from .moments import (
     moment_estimates,
     monte_carlo_oracle,
     quadrature_plan,
-    uniform_model,
 )
 from .newton import (
     ComplexNewtonTrace,
@@ -74,9 +72,7 @@ from .nodes1d import (
     chebyshev_coefficients,
     clenshaw_curtis_nodes,
     gauss_nodes,
-    interpolate_1d,
     level_to_count,
-    uniform_density,
 )
 from .powerflow import (
     AdmittanceTerm,
@@ -125,7 +121,6 @@ __all__ = [
     "CaseValidationError",
     "ComplexNewtonTrace",
     "ConvergenceBound",
-    "DensityModel",
     "EllipseRegion",
     "GridRule",
     "InfeasibleRegionError",
@@ -169,7 +164,6 @@ __all__ = [
     "evaluate_surrogate",
     "gauss_nodes",
     "initial_state",
-    "interpolate_1d",
     "kantorovich_certificate",
     "level_to_count",
     "load_case",
@@ -189,6 +183,5 @@ __all__ = [
     "surrogate_from_json",
     "surrogate_to_json",
     "to_network",
-    "uniform_model",
     "__version__",
 ]

@@ -25,8 +25,9 @@ import numpy as np
 from .errors import CaseFormatError, CaseValidationError
 from .powerflow import Branch, Bus, PowerNetwork
 
-_MIN_COLUMNS = {"bus": 13, "gen": 10, "branch": 13}
-_CANONICAL_COLUMNS = {"bus": 13, "gen": 10, "branch": 13}
+# Columns used per table: the least a parsed row may carry, and exactly what
+# serialize_case writes.
+_COLUMNS = {"bus": 13, "gen": 10, "branch": 13}
 
 
 @dataclass
@@ -38,7 +39,6 @@ class CaseFile:
     branch: np.ndarray
     version: str = "2"
     warnings: list[str] = field(default_factory=list)
-    row_lines: dict[str, list[int]] = field(default_factory=dict)
 
 
 _FUNC_RE = re.compile(r"^\s*function\s+mpc\s*=\s*(\w+)\s*;?\s*$")
@@ -98,7 +98,7 @@ def parse_matpower(text: str, name: str = "case") -> CaseFile:
             raise CaseFormatError(line_no, f"unrecognized statement {line.strip()!r}")
         fld, rest = m.group(1), m.group(2).strip()
         if rest.startswith("["):
-            known = fld in _MIN_COLUMNS
+            known = fld in _COLUMNS
             if not known:
                 warnings.append(f"line {line_no}: skipped unknown field mpc.{fld}")
             current = fld
@@ -137,8 +137,7 @@ def parse_matpower(text: str, name: str = "case") -> CaseFile:
 
     arrays: dict[str, np.ndarray] = {}
     for fld, rows in matrices.items():
-        widths = {len(r) for r in rows}
-        want = _MIN_COLUMNS[fld]
+        want = _COLUMNS[fld]
         first_width = len(rows[0])
         for r, ln in zip(rows, matrix_lines[fld]):
             if len(r) < want:
@@ -174,7 +173,6 @@ def parse_matpower(text: str, name: str = "case") -> CaseFile:
         branch=arrays["branch"],
         version=version or "2",
         warnings=warnings,
-        row_lines=matrix_lines,
     )
 
 
@@ -186,7 +184,7 @@ def serialize_case(case: CaseFile) -> str:
     """
 
     def block(fld: str, table: np.ndarray) -> str:
-        ncol = _CANONICAL_COLUMNS[fld]
+        ncol = _COLUMNS[fld]
         if table.shape[1] < ncol:
             raise CaseValidationError(
                 f"{fld} table has {table.shape[1]} columns, cannot serialize {ncol}"

@@ -40,7 +40,7 @@ from .analyticity import (
 )
 from .case_io import load_case, serialize_case, to_network
 from .errors import CacheMismatchError, CaseValidationError, UqflowError
-from .moments import default_orders, moment_estimates, quadrature_plan, uniform_model
+from .moments import default_orders, moment_estimates, quadrature_plan
 from .newton import NewtonProblem, kantorovich_certificate, kantorovich_t_star
 from .powerflow import (
     AdmittanceTerm,
@@ -337,9 +337,8 @@ def _level_result(
         surrogate = build_surrogate(build_plan(cfg.rule, w, cfg.dims), sample)
         if cache_path is not None:
             _write_atomically(cache_path, surrogate_to_json(surrogate))
-    model = uniform_model(cfg.dims)
-    q_plan = quadrature_plan(model, default_orders(cfg.rule, w, cfg.dims))
-    est = moment_estimates(surrogate, model, q_plan)
+    q_plan = quadrature_plan(default_orders(cfg.rule, w, cfg.dims))
+    est = moment_estimates(surrogate, plan=q_plan)
     wall_ms = (time.perf_counter() - start) * 1e3
     return LevelResult(
         w=w,

@@ -1,10 +1,11 @@
-"""Moments of a surrogate (or any batch-evaluable map) under a product
-density, plus a seeded Monte Carlo oracle for cross-checks.
+"""Moments of a surrogate (or any batch-evaluable map) with the parameters
+independent and uniform on [-1, 1], plus a seeded Monte Carlo oracle for
+cross-checks.
 
-Expectations are tensor Gauss sums built for the product density
-(E[u] = sum_k w_k u(q_k), weights summing to one). A Surrogate target is
-evaluated on the whole grid axis by axis (sparse_grid.evaluate_on_grid); any
-other target is called on the (P, dims) point array. All accumulations run
+Expectations are tensor Gauss sums (E[u] = sum_k w_k u(q_k), weights summing
+to one). A Surrogate target is evaluated on the whole grid axis by axis
+(sparse_grid.evaluate_on_grid); any other target is called on the (P, dims)
+point array. All accumulations run
 over the deterministic tensor ordering with numpy pairwise summation, so
 results do not depend on the order in which knots were solved upstream.
 """
@@ -18,23 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .nodes1d import Density1D, gauss_nodes, uniform_density
+from .nodes1d import gauss_nodes
 from .sparse_grid import GridRule, Surrogate, evaluate_on_grid
-
-
-@dataclass
-class DensityModel:
-    """Per-dimension densities of the parameters, taken as independent."""
-
-    densities: list[Density1D]
-
-    @property
-    def dims(self) -> int:
-        return len(self.densities)
-
-
-def uniform_model(dims: int) -> DensityModel:
-    return DensityModel(densities=[uniform_density() for _ in range(dims)])
 
 
 @dataclass(frozen=True)
@@ -43,10 +29,6 @@ class QuadraturePlan:
 
     nodes: tuple[np.ndarray, ...]
     weights: tuple[np.ndarray, ...]
-
-    @property
-    def dims(self) -> int:
-        return len(self.nodes)
 
     @property
     def n_points(self) -> int:
@@ -67,10 +49,9 @@ class QuadraturePlan:
         return wts
 
 
-def quadrature_plan(model: DensityModel, orders: list[int]) -> QuadraturePlan:
-    if len(orders) != model.dims:
-        raise ValueError(f"got {len(orders)} orders for {model.dims} dimensions")
-    pairs = [gauss_nodes(o, d) for o, d in zip(orders, model.densities)]
+def quadrature_plan(orders: list[int]) -> QuadraturePlan:
+    """Tensor Gauss rule with orders[d] points along dimension d."""
+    pairs = [gauss_nodes(o) for o in orders]
     return QuadraturePlan(
         nodes=tuple(p[0] for p in pairs), weights=tuple(p[1] for p in pairs)
     )
@@ -108,11 +89,7 @@ class MomentEstimate:
     raw_variance: float | np.ndarray  # before clamping at zero
 
 
-def expectation(target, model: DensityModel, plan: QuadraturePlan):
-    return plan.point_weights @ _as_values(target, plan)
-
-
-def moment_estimates(target, model: DensityModel, plan: QuadraturePlan) -> MomentEstimate:
+def moment_estimates(target, plan: QuadraturePlan) -> MomentEstimate:
     """Mean E[S] and the variance in shifted-data form.
 
     The variance is taken from the deviations D = S - S(q_0) from the first
@@ -131,10 +108,6 @@ def moment_estimates(target, model: DensityModel, plan: QuadraturePlan) -> Momen
     dev = vals - vals[0]
     raw = wts @ (dev * dev) - (wts @ dev) ** 2
     return MomentEstimate(mean=mean, variance=np.maximum(raw, 0.0), raw_variance=raw)
-
-
-def variance(target, model: DensityModel, plan: QuadraturePlan):
-    return moment_estimates(target, model, plan).variance
 
 
 # --- Monte Carlo oracle -------------------------------------------------------

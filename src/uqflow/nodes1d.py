@@ -1,5 +1,8 @@
-"""One-dimensional node families, barycentric interpolation, Chebyshev
-coefficients, and density-weighted quadrature on the reference interval [-1, 1].
+"""One-dimensional node families, barycentric interpolation and Chebyshev
+coefficients on the reference interval [-1, 1].
+
+Every parameter is uniformly distributed on [-1, 1]; gauss_nodes gives the
+Gauss rule of that probability density (weights summing to one).
 
 Node sets are identified by exact integer keys: a reduced fraction
 (j-1)/(count-1) for cosine-spaced nodes, and (count, index) for Gauss nodes
@@ -10,7 +13,6 @@ unions from these keys and never compares floats for identity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Literal
 
@@ -80,25 +82,7 @@ def clenshaw_curtis_nodes(count: int) -> np.ndarray:
     return np.array([_cc_value(p, q) for p, q in cc_node_keys(count)])
 
 
-# --- densities and Gauss rules ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class Density1D:
-    """Probability density on [-1, 1].
-
-    pdf must be vectorized and integrate to 1. recurrence returns the first n
-    monic three-term coefficients (a, b) of the orthogonal polynomials for
-    this weight, with b[0] the total mass.
-    """
-
-    pdf: Callable[[np.ndarray], np.ndarray]
-    recurrence: Callable[[int], tuple[np.ndarray, np.ndarray]]
-    name: str = "custom"
-
-
-def _uniform_pdf(x: np.ndarray) -> np.ndarray:
-    return np.full_like(np.asarray(x, dtype=float), 0.5)
+# --- Gauss rules -----------------------------------------------------------
 
 
 def _uniform_recurrence(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -108,10 +92,6 @@ def _uniform_recurrence(n: int) -> tuple[np.ndarray, np.ndarray]:
     b = k * k / (4.0 * k * k - 1.0)
     b[0] = 1.0
     return a, b
-
-
-def uniform_density() -> Density1D:
-    return Density1D(pdf=_uniform_pdf, name="uniform", recurrence=_uniform_recurrence)
 
 
 def _monic_eval(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: int):
@@ -129,21 +109,17 @@ def _monic_eval(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: int):
     return p_cur, d_cur
 
 
-def gauss_nodes(
-    count: int, density: Density1D | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes and weights for the density (uniform if omitted).
+def gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss nodes and weights for the uniform probability density on [-1, 1].
 
-    Nodes are roots of the density's degree-count orthogonal polynomial,
-    found by Newton refinement on the three-term recurrence from tridiagonal
-    eigenvalue starting guesses; weights come from the Christoffel sum and
-    add up to the density mass (1). Failure to reach tolerance 1e-15 within
+    Nodes are roots of the degree-count Legendre polynomial, found by Newton
+    refinement on the three-term recurrence from tridiagonal eigenvalue
+    starting guesses; weights come from the Christoffel sum and add up to 1. Failure to reach tolerance 1e-15 within
     100 sweeps raises NonconvergenceError rather than silently degrading.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    density = density or uniform_density()
-    a, b = density.recurrence(count + 1)
+    a, b = _uniform_recurrence(count + 1)
     # Jacobi-matrix eigenvalues seed Newton; the refinement below is what
     # carries the accuracy contract.
     x = np.array([a[0]]) if count == 1 else eigh_tridiagonal(
@@ -216,21 +192,6 @@ def barycentric_basis(
     return basis
 
 
-def interpolate_1d(nodes: np.ndarray, values: np.ndarray, x) -> np.ndarray | float:
-    """Evaluate the barycentric interpolant of (nodes, values) at x.
-
-    values may be (m,) or (m, k) for k stacked interpolants; scalar x returns
-    a scalar (or length-k row).
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    w = barycentric_weights(nodes)
-    basis = barycentric_basis(nodes, w, x)
-    out = basis @ np.asarray(values)
-    if np.isscalar(x) or np.asarray(x).ndim == 0:
-        return out[0]
-    return out
-
-
 # --- Chebyshev coefficients -------------------------------------------------
 
 
@@ -253,24 +214,3 @@ def chebyshev_coefficients(
         uy = np.array([u(v) for v in y], dtype=float)
     k = np.arange(k_max + 1)
     return (np.cos(np.outer(k, theta)) @ uy) / n
-
-
-# --- density-weighted quadrature over a node set ----------------------------
-
-
-def quadrature_weights_1d(
-    nodes: np.ndarray, density: Density1D | None = None
-) -> np.ndarray:
-    """Weights w_j = integral of l_j(q) * density(q) over [-1, 1].
-
-    Computed against a Gauss-Legendre reference rule dense enough to be exact
-    for polynomial densities and accurate past 1e-12 for analytic ones. The
-    weights sum to the density mass; at Gauss nodes of the density they
-    reproduce the Gauss weights.
-    """
-    nodes = np.asarray(nodes, dtype=float)
-    density = density or uniform_density()
-    rx, rw = np.polynomial.legendre.leggauss(max(2 * nodes.size + 32, 128))
-    w = barycentric_weights(nodes)
-    basis = barycentric_basis(nodes, w, rx)
-    return basis.T @ (rw * density.pdf(rx))

@@ -20,7 +20,6 @@ from uqflow.moments import (
     moment_estimates,
     monte_carlo_oracle,
     quadrature_plan,
-    uniform_model,
 )
 from uqflow.newton import NewtonProblem, kantorovich_certificate, solve
 from uqflow.nodes1d import (
@@ -178,15 +177,12 @@ def _study_errors(net, pert, dims: int):
             memo[key] = sample(q)
         return memo[key]
 
-    model = uniform_model(dims)
-
     def level(w: int):
         plan = build_plan(SMOLYAK, w, dims)
         surrogate = build_surrogate(plan, f)
         est = moment_estimates(
             lambda pts: evaluate_surrogate(surrogate, pts),
-            model,
-            quadrature_plan(model, default_orders(SMOLYAK, w, dims)),
+            quadrature_plan(default_orders(SMOLYAK, w, dims)),
         )
         return len(plan.knots), float(est.mean), float(est.variance)
 
@@ -293,9 +289,8 @@ def test_c8_case_parser_contract(data_dir):
 def test_c9_surrogate_moments_match_monte_carlo():
     """Level-4 surrogate moments sit inside 4 standard errors of plain MC."""
     rng = np.random.default_rng(77)
-    model = uniform_model(2)
     plan = build_plan(SMOLYAK, 4, 2)
-    q_plan = quadrature_plan(model, default_orders(SMOLYAK, 4, 2))
+    q_plan = quadrature_plan(default_orders(SMOLYAK, 4, 2))
     for trial in range(10):
         a = rng.uniform(-0.8, 0.8, 2)
         b = rng.uniform(-2.0, 2.0, 2)
@@ -306,9 +301,7 @@ def test_c9_surrogate_moments_match_monte_carlo():
             return np.exp(pts @ a) + 0.5 * np.sin(pts @ b + c)
 
         surrogate = build_surrogate(plan, lambda q: float(f(q)[0]))
-        est = moment_estimates(
-            lambda pts: evaluate_surrogate(surrogate, pts), model, q_plan
-        )
+        est = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), q_plan)
         mc = monte_carlo_oracle(f, 2, 1_000_000, seed=500 + trial)
         assert abs(est.mean - mc.mean) <= 4.0 * mc.se_mean, f"trial {trial} mean"
         assert abs(est.variance - mc.variance) <= 4.0 * mc.se_variance, f"trial {trial} var"

@@ -10,32 +10,28 @@ from uqflow.moments import (
     moment_estimates,
     monte_carlo_oracle,
     quadrature_plan,
-    uniform_model,
 )
 from uqflow.sparse_grid import GridRule, build_plan, build_surrogate, polynomial_space
 
 
 def test_uniform_linear_moments():
-    model = uniform_model(1)
-    plan = quadrature_plan(model, [5])
-    est = moment_estimates(lambda pts: pts[:, 0], model, plan)
+    plan = quadrature_plan([5])
+    est = moment_estimates(lambda pts: pts[:, 0], plan)
     assert est.mean == pytest.approx(0.0, abs=1e-14)
     assert est.variance == pytest.approx(1.0 / 3.0, abs=1e-14)
 
 
 def test_uniform_product_moments():
     # f = q1^2 q2^2 on U[-1,1]^2: mean 1/9, variance 1/25 - 1/81
-    model = uniform_model(2)
-    plan = quadrature_plan(model, [5, 5])
-    est = moment_estimates(lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, model, plan)
+    plan = quadrature_plan([5, 5])
+    est = moment_estimates(lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, plan)
     assert est.mean == pytest.approx(1.0 / 9.0, abs=1e-14)
     assert est.variance == pytest.approx(1.0 / 25.0 - 1.0 / 81.0, abs=1e-14)
 
 
 def test_variance_clamped_nonnegative():
-    model = uniform_model(1)
-    plan = quadrature_plan(model, [3])
-    est = moment_estimates(lambda pts: np.full(pts.shape[0], 2.5), model, plan)
+    plan = quadrature_plan([3])
+    est = moment_estimates(lambda pts: np.full(pts.shape[0], 2.5), plan)
     assert est.variance == 0.0
     assert abs(est.raw_variance) < 1e-14
 
@@ -43,13 +39,11 @@ def test_variance_clamped_nonnegative():
 def test_variance_does_not_cancel_against_a_large_mean():
     # Var[1e4 + q] = 1/3 on U[-1, 1]; E[S^2] - E[S]^2 loses ~1e-8 of it to
     # cancellation, and leaves round-off on the constant column.
-    model = uniform_model(1)
-    plan = quadrature_plan(model, [3])
-    scalar = moment_estimates(lambda pts: 1e4 + pts[:, 0], model, plan)
+    plan = quadrature_plan([3])
+    scalar = moment_estimates(lambda pts: 1e4 + pts[:, 0], plan)
     assert scalar.variance == pytest.approx(1.0 / 3.0, rel=1e-10)
     columns = moment_estimates(
         lambda pts: np.column_stack([1e4 + pts[:, 0], np.full(pts.shape[0], 2.5)]),
-        model,
         plan,
     )
     assert columns.variance[0] == pytest.approx(1.0 / 3.0, rel=1e-10)
@@ -60,14 +54,11 @@ def test_variance_does_not_cancel_against_a_large_mean():
 def test_surrogate_and_callable_targets_agree():
     from uqflow.sparse_grid import build_plan, build_surrogate, evaluate_surrogate
 
-    model = uniform_model(2)
-    plan = quadrature_plan(model, [4, 3])
+    plan = quadrature_plan([4, 3])
     grid = build_plan(GridRule("smolyak", "clenshaw_curtis"), 2, 2)
     surrogate = build_surrogate(grid, lambda q: float(np.sin(q[0]) + q[1] ** 2))
-    direct = moment_estimates(surrogate, model, plan)
-    wrapped = moment_estimates(
-        lambda pts: evaluate_surrogate(surrogate, pts), model, plan
-    )
+    direct = moment_estimates(surrogate, plan)
+    wrapped = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), plan)
     # The Surrogate target is contracted axis by axis on the grid, the callable
     # point by point: the same Gauss sums in two summation orders.
     assert direct.mean == wrapped.mean
@@ -91,8 +82,7 @@ def test_tensor_rule_mean_is_exact_on_polynomial_space(kind, family, dims, w, pi
     surrogate = build_surrogate(
         build_plan(rule, w, dims), lambda q: float(np.prod(q**powers))
     )
-    model = uniform_model(dims)
-    est = moment_estimates(surrogate, model, quadrature_plan(model, default_orders(rule, w, dims)))
+    est = moment_estimates(surrogate, quadrature_plan(default_orders(rule, w, dims)))
     exact = np.prod([0.0 if p % 2 else 1.0 / (p + 1) for p in powers])
     assert est.mean == pytest.approx(exact, abs=1e-14)
 

@@ -12,10 +12,7 @@ from uqflow.nodes1d import (
     chebyshev_coefficients,
     clenshaw_curtis_nodes,
     gauss_nodes,
-    interpolate_1d,
     level_to_count,
-    quadrature_weights_1d,
-    uniform_density,
 )
 
 
@@ -82,16 +79,6 @@ def test_gauss_quadrature_exactness():
         assert weights @ nodes**k == pytest.approx(exact, abs=1e-14)
 
 
-def test_cc_quadrature_exactness():
-    for count in (3, 5, 9):
-        nodes = clenshaw_curtis_nodes(count)
-        weights = quadrature_weights_1d(nodes)
-        assert weights.sum() == pytest.approx(1.0, abs=1e-14)
-        for k in range(count):
-            exact = (1.0 / (k + 1)) if k % 2 == 0 else 0.0
-            assert weights @ nodes**k == pytest.approx(exact, abs=1e-13)
-
-
 def test_barycentric_interpolation_reproduces_polynomials():
     rng = np.random.default_rng(11)
     nodes = clenshaw_curtis_nodes(9)
@@ -106,14 +93,6 @@ def test_barycentric_basis_at_nodes_is_identity():
     nodes = clenshaw_curtis_nodes(5)
     basis = barycentric_basis(nodes, barycentric_weights(nodes), nodes)
     np.testing.assert_allclose(basis, np.eye(5), atol=1e-14)
-
-
-def test_interpolate_1d_scalar_and_vector_inputs():
-    nodes = clenshaw_curtis_nodes(5)
-    values = nodes**3
-    assert interpolate_1d(nodes, values, 0.37) == pytest.approx(0.37**3, abs=1e-13)
-    out = interpolate_1d(nodes, values, np.array([-0.2, 0.5]))
-    np.testing.assert_allclose(out, [-0.008, 0.125], atol=1e-13)
 
 
 def test_chebyshev_coefficients_geometric_decay():
@@ -135,9 +114,3 @@ def test_chebyshev_coefficients_reconstruct_function():
     y = np.linspace(-1.0, 1.0, 101)
     recon = np.polynomial.chebyshev.chebval(y, doubled)
     np.testing.assert_allclose(recon, u(y), atol=1e-12)
-
-
-def test_uniform_density_normalized():
-    dens = uniform_density()
-    x = np.linspace(-1.0, 1.0, 5)
-    np.testing.assert_allclose(dens.pdf(x), np.full(5, 0.5))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uqflow.moments import quadrature_plan, uniform_model
+from uqflow.moments import quadrature_plan
 from uqflow.sparse_grid import (
     GridRule,
     Surrogate,
@@ -94,9 +94,7 @@ def test_plan_terms_are_the_nonzero_coefficients():
 
 
 def test_quadrature_weights_positive_and_normalized():
-    from uqflow.moments import quadrature_plan, uniform_model
-
-    plan = quadrature_plan(uniform_model(2), [4, 5])
+    plan = quadrature_plan([4, 5])
     for weights in plan.weights:
         assert np.all(weights > 0)
         assert weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -186,7 +184,7 @@ def test_grid_evaluation_matches_pointwise(kind, family, dims, w, n_out, orders,
     plan = build_plan(GridRule(kind, family), w, dims)
     values = np.random.default_rng(seed).standard_normal((plan.n_knots, n_out or 1))
     surrogate = Surrogate(plan=plan, values=values, scalar=n_out is None)
-    q_plan = quadrature_plan(uniform_model(dims), orders[:dims])
+    q_plan = quadrature_plan(orders[:dims])
     want = evaluate_surrogate(surrogate, q_plan.points)
     got = evaluate_on_grid(surrogate, q_plan.nodes)
     assert got.shape == want.shape
