@@ -114,7 +114,9 @@ def gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
 
     Nodes are roots of the degree-count Legendre polynomial, found by Newton
     refinement on the three-term recurrence from tridiagonal eigenvalue
-    starting guesses; weights come from the Christoffel sum and add up to 1. Failure to reach tolerance 1e-15 within
+    starting guesses, then made exactly symmetric (x == -x[::-1], with the
+    middle node of an odd rule exactly 0.0); weights come from the
+    Christoffel sum and add up to 1. Failure to reach tolerance 1e-15 within
     100 sweeps raises NonconvergenceError rather than silently degrading.
     """
     if count < 1:
@@ -137,6 +139,8 @@ def gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
             f"{_NEWTON_TOL} within {_NEWTON_MAX_ITER} sweeps"
         )
     x = np.sort(x)
+    # Exact symmetry about 0; the middle node of an odd rule becomes 0.0.
+    x = 0.5 * (x - x[::-1])
     # Christoffel weights from the orthonormal recurrence.
     q_prev = np.zeros_like(x)
     q_cur = np.full_like(x, 1.0 / math.sqrt(b[0]))

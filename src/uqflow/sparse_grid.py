@@ -117,11 +117,7 @@ def combination_coefficients(
 
 @lru_cache(maxsize=None)
 def _gl_unit_nodes(count: int) -> tuple[float, ...]:
-    x, _ = gauss_nodes(count)
-    x = 0.5 * (x - x[::-1])  # exact symmetry about 0
-    if count % 2 == 1:
-        x[count // 2] = 0.0
-    return tuple(x.tolist())
+    return tuple(gauss_nodes(count)[0].tolist())
 
 
 def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, list[tuple]]:

@@ -72,6 +72,14 @@ def test_gauss_nodes_match_legendre_rule():
     np.testing.assert_allclose(weights, ref_weights / 2.0, atol=1e-13)
 
 
+def test_gauss_nodes_exactly_symmetric():
+    for count in range(1, 10):
+        nodes, _ = gauss_nodes(count)
+        assert np.array_equal(nodes, -nodes[::-1]), count
+        if count % 2 == 1:
+            assert nodes[count // 2] == 0.0, count
+
+
 def test_gauss_quadrature_exactness():
     nodes, weights = gauss_nodes(4)
     for k in range(8):  # exact through degree 2m - 1 = 7
