@@ -5,9 +5,9 @@ cross-checks.
 Expectations are tensor Gauss sums (E[u] = sum_k w_k u(q_k), weights summing
 to one). A Surrogate target is evaluated on the whole grid axis by axis
 (sparse_grid.evaluate_on_grid); any other target is called on the (P, dims)
-point array. All accumulations run
-over the deterministic tensor ordering with numpy pairwise summation, so
-results do not depend on the order in which knots were solved upstream.
+point array. All accumulations run over the deterministic tensor ordering
+with numpy pairwise summation, so results do not depend on the order in which
+knots were solved upstream.
 """
 
 from __future__ import annotations
