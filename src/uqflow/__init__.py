@@ -7,7 +7,7 @@ docstrings for the individual pieces:
 - nodes1d: 1D node families, barycentric interpolation, Chebyshev analysis
 - sparse_grid: multi-index sets, combination coefficients, surrogates
 - moments: tensor Gauss moments under the uniform density, Monte Carlo oracle
-- newton: damped-free Newton, Kantorovich certificates, complexified solves
+- newton: damped-free Newton (real or complex), Kantorovich certificates
 - analyticity: Bernstein-ellipse regions and convergence bounds
 - powerflow: AC network model, residual/Jacobian, parametric perturbations
 - case_io: case-table parsing, serialization, bundled fixtures
@@ -59,14 +59,12 @@ from .moments import (
     quadrature_plan,
 )
 from .newton import (
-    ComplexNewtonTrace,
     KantorovichCertificate,
     NewtonProblem,
     NewtonTrace,
     cauchy_riemann_residual,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
-    solve_complexified,
 )
 from .nodes1d import (
     chebyshev_coefficients,
@@ -119,7 +117,6 @@ __all__ = [
     "CaseFile",
     "CaseFormatError",
     "CaseValidationError",
-    "ComplexNewtonTrace",
     "ConvergenceBound",
     "EllipseRegion",
     "GridRule",
@@ -177,7 +174,6 @@ __all__ = [
     "quadrature_plan",
     "quantity_of_interest",
     "serialize_case",
-    "solve_complexified",
     "solve_power_flow",
     "solve_power_flow_complexified",
     "surrogate_from_json",

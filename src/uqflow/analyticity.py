@@ -36,6 +36,9 @@ __all__ = [
 #: Largest relative gap between the problem at g and its affine model.
 _AFFINE_TOL = 1e-10
 
+#: Bisection of the region search stops once its bracket is this narrow, relative.
+_BISECTION_REL_TOL = 1e-3
+
 #: Relative agreement below which the 1/|1 - C1| factor is considered unusable.
 _C1_DEGENERACY_TOL = 1e-9
 
@@ -248,7 +251,6 @@ def admissible_region_search(
     weights: Sequence[float] | None = None,
     dims: int | None = None,
     sigma_cap: float = 2.0,
-    rel_tol: float = 1e-3,
     seed: int = 0,
 ) -> EllipseRegion:
     """Largest certifiable polyellipse for the target extended constants.
@@ -312,7 +314,7 @@ def admissible_region_search(
     if feasible(sigma_cap):
         return EllipseRegion(tuple(sigma_cap * weights_arr))
     lo, hi = 0.0, sigma_cap
-    while hi - lo > rel_tol * hi:
+    while hi - lo > _BISECTION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             lo = mid

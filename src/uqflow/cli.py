@@ -115,6 +115,8 @@ def _parse_levels(text: str) -> tuple[int, ...]:
         raise UqflowError(f"bad level list {text!r}: {exc}") from None
     if not levels:
         raise UqflowError(f"bad level list {text!r}: no entries")
+    if min(levels) < 0:
+        raise UqflowError(f"bad level list {text!r}: levels must be >= 0")
     return levels
 
 
@@ -143,14 +145,11 @@ class ExperimentConfig:
     coefficient: float
     load_buses: tuple[int, ...] | None
     branches: tuple[int, ...] | None
-    seed: int
     tol: float
     output: str | None
     cache_dir: str | None
 
     def __post_init__(self) -> None:
-        if any(w < 0 for w in self.levels):
-            raise UqflowError(f"levels must be >= 0, got {self.levels}")
         if self.reference_level is not None and max(self.levels) >= self.reference_level:
             raise UqflowError(
                 f"max(levels) = {max(self.levels)} must stay below the reference "
@@ -202,7 +201,6 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
         coefficient=pick(args.coefficient, "coefficient", 0.5, float),
         load_buses=pick(None, "load_buses", None, _parse_int_list),
         branches=pick(None, "branches", None, _parse_int_list),
-        seed=pick(args.seed, "seed", 0, int),
         tol=pick(args.tol, "tol", 1e-12, float),
         output=pick(args.out, "out", None, str),
         cache_dir=pick(args.cache, "cache", None, str),
@@ -578,10 +576,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
     lines.append(f"delta_e: {_fmt(delta_e)}")
 
     if args.sigma_hat is not None:
-        values = [float(s) for s in args.sigma_hat.split(",")]
+        values = args.sigma_hat
         if len(values) == 1:
             values = values * dims
-        region = EllipseRegion(tuple(values))
+        elif len(values) != dims:
+            raise UqflowError(
+                f"--sigma-hat gives {len(values)} radii; want one or one per dimension ({dims})"
+            )
+        region = EllipseRegion(values)
         lines.append("region: supplied via --sigma-hat (search skipped)")
     else:
         region = admissible_region_search(
@@ -628,17 +630,41 @@ def _levels_argument(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _dims_argument(text: str) -> int:
+    try:
+        dims = int(text)
+    except ValueError:
+        dims = 0
+    if dims < 1:
+        raise argparse.ArgumentTypeError(f"bad dimension count {text!r}: want an integer >= 1")
+    return dims
+
+
+def _sigma_hat_argument(text: str) -> tuple[float, ...]:
+    try:
+        values = tuple(float(part) for part in text.split(","))
+    except ValueError:
+        values = ()
+    if not values or not all(math.isfinite(s) and s >= 0.0 for s in values):
+        raise argparse.ArgumentTypeError(
+            f"bad radius list {text!r}: want finite numbers >= 0, comma-separated"
+        )
+    return values
+
+
 def _add_common_study_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--case", help="case path or bundled:<name>")
     sub.add_argument("--config", help="flat key=value config file")
     sub.add_argument("--rule", choices=["smolyak", "td", "hc"], help="index-set rule")
     sub.add_argument("--family", choices=["cc", "gauss"], help="1-D node family")
     sub.add_argument("--levels", type=_levels_argument, help="comma-separated levels, e.g. 1,2,3")
-    sub.add_argument("--dims", type=int, help="stochastic dimension count")
+    sub.add_argument("--dims", type=_dims_argument, help="stochastic dimension count")
     sub.add_argument("--qoi", help="quantity of interest, e.g. voltage:22")
     sub.add_argument("--study", choices=["load", "admittance"], help="perturbation family")
     sub.add_argument("--coefficient", type=float, help="perturbation coefficient (default 0.5)")
-    sub.add_argument("--seed", type=int, help="random seed for sampled estimates")
+    sub.add_argument(
+        "--seed", type=int, help="ignored; accepted so existing command lines still parse"
+    )
     sub.add_argument("--tol", type=float, help="knot-solve mismatch tolerance (default 1e-12)")
     sub.add_argument("--cache", help="directory for surrogate JSON caching")
     sub.add_argument("--out", help="output file (default stdout)")
@@ -666,7 +692,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid = sub.add_parser("grid-info", help="sparse-grid size table")
     p_grid.add_argument("--rule", choices=["smolyak", "td", "hc"])
     p_grid.add_argument("--family", choices=["cc", "gauss"])
-    p_grid.add_argument("--dims", type=int)
+    p_grid.add_argument("--dims", type=_dims_argument)
     p_grid.add_argument("--levels", type=_levels_argument)
     p_grid.add_argument("--out")
     p_grid.set_defaults(func=cmd_grid_info)
@@ -686,7 +712,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--rule", choices=["smolyak", "td", "hc"])
     p_cert.add_argument("--family", choices=["cc", "gauss"])
     p_cert.add_argument("--levels", type=_levels_argument, help="levels for the bound schedule")
-    p_cert.add_argument("--dims", type=int)
+    p_cert.add_argument("--dims", type=_dims_argument)
     ignored = "ignored; accepted so study command lines still parse"
     p_cert.add_argument("--qoi", help=ignored)
     p_cert.add_argument("--study", choices=["load", "admittance"], default="load")
@@ -707,6 +733,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--sigma-hat",
         dest="sigma_hat",
+        type=_sigma_hat_argument,
         help="fixed region radii (comma list or single value), skips the search",
     )
     p_cert.add_argument("--m-tilde", dest="m_tilde", type=float, help="magnitude bound override")

@@ -1,11 +1,12 @@
-"""Newton's method with dense LU, Kantorovich certificates, and the
-complexified block iteration for analytic parameter continuation.
+"""Newton's method with dense LU and Kantorovich certificates.
 
 A problem is a (residual, jacobian) pair over a state vector and an opaque
-parameter object. The same pair, written dtype-generically, serves three
-consumers: the plain real solver, the a-priori Kantorovich certificate, and
-the complexified solver that tracks states z = x_R + i x_I through the
-equivalent 2m x 2m real block system [[J_R, -J_I], [J_I, J_R]].
+parameter object. Written dtype-generically, the same pair serves the
+a-priori Kantorovich certificate and one Newton solve for real and complex
+inputs alike: a complex start point or complex parameters run the
+complexified iteration on z = x_R + i x_I as one complex m x m LU solve,
+which is the same linear system as the real 2m x 2m block form
+[[J_R, -J_I], [J_I, J_R]].
 """
 
 from __future__ import annotations
@@ -21,13 +22,16 @@ from .errors import SingularJacobianError
 
 _PIVOT_REL_FLOOR = 1e-14
 
+#: Central-difference step of cauchy_riemann_residual.
+_CR_STEP = 1e-4
+
 
 @dataclass(frozen=True)
 class NewtonProblem:
     """residual(x, params) -> (m,) and jacobian(x, params) -> (m, m).
 
-    Both callables must accept complex x/params if the problem is to be used
-    with solve_complexified; the complex evaluation is then the analytic
+    Both callables must accept complex x/params if the problem is to be
+    solved at complex points; the complex evaluation is then the analytic
     extension of the real one.
     """
 
@@ -63,25 +67,25 @@ def solve(
 ) -> NewtonTrace:
     """Undamped Newton until the sup-norm of the residual drops below tol.
 
-    Non-convergence within max_iter is reported through the returned trace
-    (converged=False), not an exception; a pivot collapsing below
-    1e-14 * max-pivot raises SingularJacobianError.
+    Dtype-generic: the iterates take the dtype of x0 (at least float), and a
+    complex residual or Jacobian, as complex params give, promotes them to
+    complex. Non-convergence within max_iter is reported through the
+    returned trace (converged=False), not an exception; a pivot collapsing
+    below 1e-14 * max-pivot raises SingularJacobianError, complex or not.
     """
-    x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
     iterates = [x.copy()]
     residual_norms: list[float] = []
     step_norms: list[float] = []
     for iteration in range(max_iter + 1):
-        r = np.asarray(problem.residual(x, params), dtype=float)
+        r = np.asarray(problem.residual(x, params))
         rn = float(np.abs(r).max()) if r.size else 0.0
         residual_norms.append(rn)
         if rn <= tol:
             return NewtonTrace(x, True, iteration, residual_norms, step_norms, iterates)
         if iteration == max_iter:
             break
-        lu, piv = _lu_with_pivot_check(
-            np.asarray(problem.jacobian(x, params), dtype=float), iteration
-        )
+        lu, piv = _lu_with_pivot_check(np.asarray(problem.jacobian(x, params)), iteration)
         step = lu_solve((lu, piv), r)
         x = x - step
         step_norms.append(float(np.linalg.norm(step)))
@@ -203,70 +207,14 @@ def kantorovich_certificate(
     )
 
 
-# --- complexified iteration ----------------------------------------------------
-
-
-@dataclass
-class ComplexNewtonTrace:
-    z: np.ndarray
-    converged: bool
-    iterations: int
-    residual_norms: list[float]
-    sigma_min: list[float]
-    iterates: list[np.ndarray]
-
-
-def solve_complexified(
-    problem: NewtonProblem,
-    z0: np.ndarray,
-    params: Any = None,
-    tol: float = 1e-10,
-    max_iter: int = 40,
-    sigma_rel_floor: float = 1e-12,
-) -> ComplexNewtonTrace:
-    """Newton on the complexified system via the real 2m x 2m block form.
-
-    Each sweep solves [[J_R, -J_I], [J_I, J_R]] d = -[f_R; f_I] and applies
-    z += d_R + i d_I. The block's smallest singular value is recorded every
-    sweep; dropping below sigma_rel_floor times the largest is the
-    invertibility failure and raises SingularJacobianError. For real inputs
-    the imaginary half stays exactly zero and the iterates match solve().
-    """
-    z = np.atleast_1d(np.asarray(z0, dtype=complex))
-    m = z.size
-    iterates = [z.copy()]
-    residual_norms: list[float] = []
-    sigma_min: list[float] = []
-    for iteration in range(max_iter + 1):
-        f = np.atleast_1d(np.asarray(problem.residual(z, params), dtype=complex))
-        rn = float(np.abs(f).max()) if f.size else 0.0
-        residual_norms.append(rn)
-        if rn <= tol:
-            return ComplexNewtonTrace(z, True, iteration, residual_norms, sigma_min, iterates)
-        if iteration == max_iter:
-            break
-        j = np.atleast_2d(np.asarray(problem.jacobian(z, params), dtype=complex))
-        block = np.block([[j.real, -j.imag], [j.imag, j.real]])
-        sig = svdvals(block)
-        sigma_min.append(float(sig[-1]))
-        if sig[-1] < sigma_rel_floor * sig[0]:
-            raise SingularJacobianError(iteration, float(sig[-1]), float(sig[0]))
-        lu, piv = _lu_with_pivot_check(block, iteration)
-        d = lu_solve((lu, piv), np.concatenate([f.real, f.imag]))
-        z = z - (d[:m] + 1j * d[m:])
-        iterates.append(z.copy())
-    return ComplexNewtonTrace(z, False, max_iter, residual_norms, sigma_min, iterates)
-
-
-def cauchy_riemann_residual(
-    func: Callable[[complex], np.ndarray | complex], g: complex, step: float = 1e-4
-) -> float:
+def cauchy_riemann_residual(func: Callable[[complex], np.ndarray | complex], g: complex) -> float:
     """Max norm of the Cauchy-Riemann defects of func at g.
 
-    Central differences along the real and imaginary parameter directions;
-    for func analytic at g both d_s Re - d_w Im and d_w Re + d_s Im vanish
-    up to O(step^2).
+    Central differences of step _CR_STEP along the real and imaginary
+    parameter directions; for func analytic at g both d_s Re - d_w Im and
+    d_w Re + d_s Im vanish up to O(step^2).
     """
+    step = _CR_STEP
     d_s = (np.asarray(func(g + step)) - np.asarray(func(g - step))) / (2.0 * step)
     d_w = (np.asarray(func(g + 1j * step)) - np.asarray(func(g - 1j * step))) / (2.0 * step)
     p = d_s.real - d_w.imag

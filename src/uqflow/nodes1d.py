@@ -199,9 +199,7 @@ def barycentric_basis(
 # --- Chebyshev coefficients -------------------------------------------------
 
 
-def chebyshev_coefficients(
-    u: Callable[[np.ndarray], np.ndarray], k_max: int, sample_count: int | None = None
-) -> np.ndarray:
+def chebyshev_coefficients(u: Callable[[np.ndarray], np.ndarray], k_max: int) -> np.ndarray:
     """Coefficients alpha_0..alpha_k_max in u = alpha_0 + 2 sum alpha_k T_k.
 
     alpha_k = (1/pi) * integral of u(y) T_k(y) / sqrt(1 - y^2), evaluated by
@@ -210,7 +208,7 @@ def chebyshev_coefficients(
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    n = sample_count or max(2 * (k_max + 1) + 64, 128)
+    n = max(2 * (k_max + 1) + 64, 128)
     theta = (np.arange(n) + 0.5) * math.pi / n
     y = np.cos(theta)
     uy = np.asarray(u(y), dtype=float)

@@ -4,10 +4,11 @@ admittances.
 
 All evaluation kernels are dtype-generic: called with complex angles,
 magnitudes, or parameters they compute the analytic extension of the real
-equations, which is what the complexified Newton iteration and the
-Cauchy-Riemann diagnostics consume. Conductance and susceptance are carried
-as separate matrices end to end (never as real/imaginary parts of one complex
-matrix) because perturbed parameters make each of them complex on its own.
+equations, so the one Newton solve runs the complexified iteration at a
+complex parameter point and the Cauchy-Riemann diagnostics can differentiate
+its result. Conductance and susceptance are carried as separate matrices end
+to end (never as real/imaginary parts of one complex matrix) because
+perturbed parameters make each of them complex on its own.
 
 External bus ids are the 1-based ids from the case tables; positions in all
 internal arrays are 0-based.
@@ -23,9 +24,13 @@ from typing import Literal
 import numpy as np
 
 from .errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
-from .newton import NewtonProblem, NewtonTrace, solve, solve_complexified
+from .newton import NewtonProblem, NewtonTrace, solve
 
 BusKind = Literal["slack", "pv", "pq"]
+
+#: Newton iteration caps of the knot solves and of the complex-parameter solve.
+_KNOT_MAX_ITER = 25
+_COMPLEX_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -182,15 +187,20 @@ def gb_matrices(
 # --- injections, mismatch, Jacobian ---------------------------------------------
 
 
-def _injections(G, B, v, theta):
-    # P_k = V_k sum_l V_l (G_kl cos th_kl + B_kl sin th_kl)
-    # Q_k = V_k sum_l V_l (G_kl sin th_kl - B_kl cos th_kl)
+def _flows(G, B, theta, v):
+    # V-scaled flow terms, th_kl = theta_k - theta_l:
+    # a_kl = V_k (G_kl cos th_kl + B_kl sin th_kl)
+    # c_kl = V_k (G_kl sin th_kl - B_kl cos th_kl)
     dtheta = theta[:, None] - theta[None, :]
     ct = np.cos(dtheta)
     st = np.sin(dtheta)
-    p = v * ((G * ct + B * st) @ v)
-    q = v * ((G * st - B * ct) @ v)
-    return p, q
+    vk = v[:, None]
+    return vk * (G * ct + B * st), vk * (G * st - B * ct)
+
+
+def _injections(G, B, theta, v):
+    a, c = _flows(G, B, theta, v)
+    return a @ v, c @ v
 
 
 def _expand_state(net: PowerNetwork, u: np.ndarray):
@@ -214,35 +224,21 @@ def _mismatch(net, G, B, theta, v, p_sched, q_sched):
         raise NonphysicalStateError(
             f"voltage magnitude at bus {bad} dropped to a nonphysical value"
         )
-    p, q = _injections(G, B, v, theta)
+    p, q = _injections(G, B, theta, v)
     return np.concatenate(
         [(p - p_sched)[net.non_slack], (q - q_sched)[net.pq]]
     )
 
 
 def _jacobian_matrix(net, G, B, theta, v):
-    dtheta = theta[:, None] - theta[None, :]
-    ct = np.cos(dtheta)
-    st = np.sin(dtheta)
-    a = G * ct + B * st  # appears in P and dQ/dV
-    c = G * st - B * ct  # appears in Q and dP/dtheta
-    p = v * (a @ v)
-    q = v * (c @ v)
-    vv = v[:, None] * v[None, :]
-    gkk = np.diag(G)
-    bkk = np.diag(B)
-
-    h = vv * c  # dP/dtheta off-diagonal
-    np.fill_diagonal(h, -q - bkk * v * v)
-    n_ = v[:, None] * a  # dP/dV off-diagonal
-    np.fill_diagonal(n_, p / v + gkk * v)
-    j_ = -vv * a  # dQ/dtheta off-diagonal
-    np.fill_diagonal(j_, p - gkk * v * v)
-    l_ = v[:, None] * c  # dQ/dV off-diagonal
-    np.fill_diagonal(l_, q / v - bkk * v)
-
-    idx = net.jacobian_index
-    return np.block([[h, n_], [j_, l_]])[np.ix_(idx, idx)]
+    # dP/d[theta, V] = [c V - diag(Q), a + diag(P / V)] and
+    # dQ/d[theta, V] = [diag(P) - a V, c + diag(Q / V)], kept at the rows and
+    # columns of the unknowns.
+    a, c = _flows(G, B, theta, v)
+    p, q = a @ v, c @ v
+    dp = np.concatenate([c * v - np.diag(q), a + np.diag(p / v)], axis=1)
+    dq = np.concatenate([np.diag(p) - a * v, c + np.diag(q / v)], axis=1)
+    return np.concatenate([dp[net.non_slack], dq[net.pq]])[:, net.jacobian_index]
 
 
 def initial_state(net: PowerNetwork, init: str = "flat") -> StateVector:
@@ -279,7 +275,7 @@ def solve_power_flow(
     trace = solve(problem, u0, np.zeros(0), tol=tol, max_iter=max_iter)
     theta, v = _expand_state(net, trace.x)
     G, B = net.gb_nominal
-    p, q = _injections(G, B, v, theta)
+    p, q = _injections(G, B, theta, v)
     return PowerFlowResult(
         state=StateVector(theta=theta, v=v),
         trace=trace,
@@ -428,7 +424,7 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
     """NewtonProblem over (packed state, parameter row q), dtype-generic.
 
     Complex q (or complex state) evaluates the analytic extension, which is
-    exactly what solve_complexified needs.
+    what the Newton solve at a complex parameter point runs on.
     """
     parts = _affine_parts(net, pert)
 
@@ -449,24 +445,21 @@ def qoi_sampler(
     net: PowerNetwork,
     pert: StochasticPerturbation,
     qoi: QuantityOfInterest,
-    init: str = "flat",
     tol: float = 1e-12,
-    max_iter: int = 25,
 ):
     """Map one parameter row to the solved quantity of interest.
 
-    Every call solves from the same cold start, so values are independent of
-    evaluation order (warm starts would couple knots together).
+    Every call solves from the same cold flat start, so values are
+    independent of evaluation order (warm starts would couple knots together).
     """
     problem = parametric_problem(net, pert)
-    u0 = _pack_state(net, initial_state(net, init))
-    nn = len(net.non_slack)
+    u0 = _pack_state(net, initial_state(net))
     k = net.position[qoi.bus]
 
     def sample(q: np.ndarray) -> float:
         q_arr = np.asarray(q, dtype=float)
         try:
-            trace = solve(problem, u0, q_arr, tol=tol, max_iter=max_iter)
+            trace = solve(problem, u0, q_arr, tol=tol, max_iter=_KNOT_MAX_ITER)
         except (NonphysicalStateError, SingularJacobianError) as exc:
             exc.args = (f"{exc} at q={q_arr.tolist()}",)
             raise
@@ -485,15 +478,13 @@ def solve_power_flow_complexified(
     net: PowerNetwork,
     pert: StochasticPerturbation,
     g: np.ndarray,
-    init: str = "flat",
     tol: float = 1e-12,
-    max_iter: int = 40,
 ):
-    """Solve at a complex parameter point; returns (theta, v, trace) complex."""
+    """Solve at a complex parameter point from a flat start; returns the
+    complex (theta, v) and the NewtonTrace."""
     problem = parametric_problem(net, pert)
-    u0 = _pack_state(net, initial_state(net, init)).astype(complex)
-    trace = solve_complexified(
-        problem, u0, np.atleast_1d(np.asarray(g, dtype=complex)), tol=tol, max_iter=max_iter
-    )
-    theta, v = _expand_state(net, trace.z)
+    u0 = _pack_state(net, initial_state(net)).astype(complex)
+    g = np.atleast_1d(np.asarray(g, dtype=complex))
+    trace = solve(problem, u0, g, tol=tol, max_iter=_COMPLEX_MAX_ITER)
+    theta, v = _expand_state(net, trace.x)
     return theta, v, trace

@@ -62,6 +62,31 @@ def test_empty_level_list_is_a_usage_error(capsys):
     assert "no entries" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["certify", "--scalar-demo", "--sigma-hat", "abc"], "bad radius list"),
+        (["certify", "--scalar-demo", "--sigma-hat", "-0.5"], "bad radius list"),
+        (["grid-info", "--dims", "0"], "bad dimension count"),
+        (["grid-info", "--levels", "-1"], "levels must be >= 0"),
+        (["certify", "--scalar-demo", "--levels", "-1"], "levels must be >= 0"),
+    ],
+)
+def test_bad_argument_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sigma_hat_count_must_match_dims(capsys):
+    argv = ["certify", "--case", "bundled:case39", "--dims", "2", "--lipschitz", "10"]
+    assert main(argv + ["--sigma-hat", "0.3,0.4,0.5"]) == 1
+    assert "--sigma-hat gives 3 radii" in capsys.readouterr().err
+    assert main(argv + ["--sigma-hat", "0.3,0.4"]) == 0
+    assert "sigma_hat: 0.3, 0.4\n" in capsys.readouterr().out
+
+
 def test_bad_qoi_is_reported_not_raised(capsys):
     args = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--levels", "0"]
     for qoi in ("angle:1e9", "squirrel:3"):

@@ -12,7 +12,6 @@ from uqflow.newton import (
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
     solve,
-    solve_complexified,
 )
 
 SCALAR = NewtonProblem(
@@ -104,10 +103,10 @@ def test_kantorovich_unsatisfied_when_h_large():
 
 
 def test_complexified_solve_tracks_real_solution():
-    trace = solve_complexified(PARAMETRIC, np.array([1.5 + 0.0j]), np.array([0.0]), tol=1e-13)
+    trace = solve(PARAMETRIC, np.array([1.5 + 0.0j]), np.array([0.0]), tol=1e-13)
     assert trace.converged
-    assert trace.z[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
-    assert min(trace.sigma_min) > 0.0
+    assert trace.x.dtype == complex
+    assert trace.x[0] == pytest.approx(math.sqrt(2.0), abs=1e-12)
     # purely real data: the complexified iteration must retrace the real one
     real = solve(PARAMETRIC, np.array([1.5]), np.array([0.0]), tol=1e-13)
     assert trace.iterations == real.iterations
@@ -120,20 +119,41 @@ def test_complexified_solve_tracks_real_solution():
 
 def test_complexified_solve_at_complex_parameter():
     g = np.array([0.3 + 0.05j])
-    trace = solve_complexified(PARAMETRIC, np.array([1.5 + 0.0j]), g, tol=1e-13)
+    trace = solve(PARAMETRIC, np.array([1.5 + 0.0j]), g, tol=1e-13)
     assert trace.converged
-    root = trace.z[0]
+    root = trace.x[0]
     assert root**2 == pytest.approx(2.0 + 0.1 * g[0], abs=1e-12)
     assert abs(root.imag) > 0.0
 
 
 def test_solution_map_is_analytic():
     def root_of(g: complex) -> complex:
-        trace = solve_complexified(PARAMETRIC, np.array([1.5 + 0.0j]), np.array([g]), tol=1e-13)
+        trace = solve(PARAMETRIC, np.array([1.5 + 0.0j]), np.array([g]), tol=1e-13)
         assert trace.converged
-        return complex(trace.z[0])
+        return complex(trace.x[0])
 
     assert cauchy_riemann_residual(root_of, 0.2 + 0.1j) < 1e-7
+
+
+def test_real_start_at_complex_parameter_turns_complex():
+    # a real start point is promoted once the residual turns complex
+    g = np.array([0.3 + 0.05j])
+    trace = solve(PARAMETRIC, np.array([1.5]), g, tol=1e-13)
+    reference = solve(PARAMETRIC, np.array([1.5 + 0.0j]), g, tol=1e-13)
+    assert trace.converged
+    assert trace.x[0] == reference.x[0]
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_singular_complex_jacobian_raises():
+    # J = [[1, i], [i, -1]] is singular (det = -1 - i^2 = 0); its real part is not
+    problem = NewtonProblem(
+        residual=lambda x, p: np.array([x[0] + 1j * x[1] - 1.0, 1j * x[0] - x[1]]),
+        jacobian=lambda x, p: np.array([[1.0, 1j], [1j, -1.0]]),
+    )
+    with pytest.raises(SingularJacobianError) as exc:
+        solve(problem, np.array([0.3 + 0.1j, 0.2j]))
+    assert exc.value.iteration == 0
 
 
 def test_cauchy_riemann_flags_nonanalytic_map():

@@ -295,20 +295,54 @@ def test_complexified_solve_complex_parameter(demo):
     assert v[2] == pytest.approx(0.9337296146920018 - 0.002655449647778387j, abs=1e-8)
 
 
+# load terms next to admittance terms on tapped (4, 13) and plain branches
+_MIXED = StochasticPerturbation(
+    dims=3,
+    load_terms=(
+        LoadTerm(bus=3, c_p=0.5, c_q=0.4, p_dim=0, q_dim=1),
+        LoadTerm(bus=20, c_p=0.3, c_q=0.6, p_dim=2, q_dim=2),
+    ),
+    admittance_terms=(
+        AdmittanceTerm(branch=4, c_g=0.5, c_b=0.3, g_dim=1, b_dim=0),
+        AdmittanceTerm(branch=13, c_g=0.2, c_b=0.5, g_dim=2, b_dim=1),
+        AdmittanceTerm(branch=30, c_g=0.4, c_b=0.4, g_dim=0, b_dim=2),
+    ),
+)
+
+
 def test_jacobian_matches_finite_differences(case39):
-    pert = StochasticPerturbation(dims=1)
-    pert.validate(case39)
-    problem = parametric_problem(case39, pert)
+    """Complex-step derivative: J e_j = Im f(u + i h e_j) / h, exact to
+    round-off for the analytic mismatch, at random real q."""
+    problem = parametric_problem(case39, _MIXED)
     u0 = _pack_state(case39, initial_state(case39, "flat"))
     rng = np.random.default_rng(4)
-    q0 = np.zeros(1)
+    h = 1e-20
     for _ in range(3):
         u = u0 + rng.uniform(-0.05, 0.05, u0.shape)
-        jac = problem.jacobian(u, q0)
+        q = rng.uniform(-1.0, 1.0, _MIXED.dims)
+        jac = problem.jacobian(u, q)
+        step = np.zeros(len(u), dtype=complex)
+        cs = np.empty_like(jac)
+        for j in range(len(u)):
+            step[j] = 1j * h
+            cs[:, j] = problem.residual(u + step, q).imag / h
+            step[j] = 0.0
+        assert np.linalg.norm(jac - cs) / np.linalg.norm(jac) < 1e-12
+
+
+def test_jacobian_matches_central_differences_at_complex_point(case39):
+    """The complex Jacobian is the derivative of the analytic extension."""
+    problem = parametric_problem(case39, _MIXED)
+    u0 = _pack_state(case39, initial_state(case39, "flat"))
+    rng = np.random.default_rng(5)
+    h = 1e-6
+    for _ in range(3):
+        u = u0 + rng.uniform(-0.05, 0.05, u0.shape) + 1j * rng.uniform(-0.05, 0.05, u0.shape)
+        q = rng.uniform(-1.0, 1.0, _MIXED.dims) + 1j * rng.uniform(-0.3, 0.3, _MIXED.dims)
+        jac = problem.jacobian(u, q)
         fd = np.empty_like(jac)
-        h = 1e-6
         for j in range(len(u)):
             e = np.zeros(len(u))
             e[j] = h
-            fd[:, j] = (problem.residual(u + e, q0) - problem.residual(u - e, q0)) / (2 * h)
-        assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-6
+            fd[:, j] = (problem.residual(u + e, q) - problem.residual(u - e, q)) / (2 * h)
+        assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-8
