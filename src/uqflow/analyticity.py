@@ -101,10 +101,11 @@ def ellipse_contains(region: EllipseRegion, g: Sequence[complex]) -> bool:
 class PerturbationBounds:
     """Norm estimates for the complexified system displaced to g = q + v.
 
-    ``e_norm`` bounds the spectral-norm perturbation of the block-real
-    Jacobian relative to the real system at q; ``g_norm`` bounds the
-    Euclidean-norm perturbation of the residual.  ``kappa``/``delta`` are the
-    inverse-Jacobian and Newton-step norms of the real system at q, and
+    ``e_norm`` bounds the spectral-norm perturbation of the complex m x m
+    Jacobian relative to the real system at q (its real 2m x 2m block form
+    has the same norm); ``g_norm`` bounds the Euclidean-norm perturbation
+    of the residual.  ``kappa``/``delta`` are the inverse-Jacobian and
+    Newton-step norms of the real system at q, and
     ``kappa_e``/``delta_e`` are the tightest extended constants these
     estimates certify at this particular displacement (``inf`` when the
     Jacobian perturbation is too large to invert through).
@@ -199,8 +200,8 @@ def estimate_perturbation_norms(
             f"J and f differ from the affine model by {j_gap:.3e} and {f_gap:.3e}"
         )
 
-    e_block = np.block([[q_hat, -j_g.imag], [j_g.imag, q_hat]])
-    e_norm = float(np.linalg.norm(e_block, 2))
+    # The real block [[Q, -J_I], [J_I, Q]] has the singular values of Q + i J_I.
+    e_norm = float(np.linalg.norm(q_hat + 1j * j_g.imag, 2))
     g_norm = float(np.hypot(np.linalg.norm(p_hat), np.linalg.norm(f_g.imag)))
 
     if kappa * e_norm < 1.0:

@@ -652,6 +652,24 @@ def _sigma_hat_argument(text: str) -> tuple[float, ...]:
     return values
 
 
+def _finite_argument(lower: float, inclusive: bool):
+    """argparse type: a finite float >= lower (inclusive) or > lower."""
+    relation = ">=" if inclusive else ">"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value >= lower if inclusive else value > lower)):
+            raise argparse.ArgumentTypeError(
+                f"bad value {text!r}: want a finite number {relation} {lower:g}"
+            )
+        return value
+
+    return parse
+
+
 def _add_common_study_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--case", help="case path or bundled:<name>")
     sub.add_argument("--config", help="flat key=value config file")
@@ -719,12 +737,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--coefficient", type=float, default=0.5)
     p_cert.add_argument("--tol", type=float, help=ignored)
     p_cert.add_argument("--seed", type=int)
-    p_cert.add_argument("--lipschitz", type=float, help="exact Lipschitz constant, skips sampling")
+    p_cert.add_argument(
+        "--lipschitz",
+        type=_finite_argument(0.0, inclusive=True),
+        help="exact Lipschitz constant, skips sampling",
+    )
     p_cert.add_argument("--radius", type=float, default=1.0, help="Lipschitz probe ball radius")
     p_cert.add_argument("--probes", type=int, default=64, help="Lipschitz probe pair count")
     p_cert.add_argument("--kappa-e", dest="kappa_e", type=float, help="target extended kappa")
     p_cert.add_argument("--delta-e", dest="delta_e", type=float, help="target extended delta")
-    p_cert.add_argument("--sigma-cap", dest="sigma_cap", type=float, default=2.0)
+    p_cert.add_argument(
+        "--sigma-cap", dest="sigma_cap", type=_finite_argument(0.0, inclusive=True), default=2.0
+    )
     p_cert.add_argument(
         "--samples",
         type=int,
@@ -736,7 +760,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_sigma_hat_argument,
         help="fixed region radii (comma list or single value), skips the search",
     )
-    p_cert.add_argument("--m-tilde", dest="m_tilde", type=float, help="magnitude bound override")
+    p_cert.add_argument(
+        "--m-tilde",
+        dest="m_tilde",
+        type=_finite_argument(0.0, inclusive=False),
+        help="magnitude bound override",
+    )
     p_cert.add_argument("--out")
     p_cert.set_defaults(func=cmd_certify)
 

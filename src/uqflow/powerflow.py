@@ -2,12 +2,20 @@
 and Jacobian, Newton solves, and stochastic perturbations of loads and branch
 admittances.
 
+The mismatch and Jacobian kernels work on the branch pattern of the bus
+admittance matrix, not on dense n x n arrays: G and B are carried as value
+vectors over the E row-sorted edges of ``PowerNetwork.pattern`` (every bus
+diagonal and both ends of every branch), the flow terms take cos/sin of the E
+angle differences only, per-bus injections are segment sums over each bus's
+row of edges, and the Jacobian is scattered from the edge values into the
+m x m matrix of the unknowns through flat indices cached per network.
+
 All evaluation kernels are dtype-generic: called with complex angles,
 magnitudes, or parameters they compute the analytic extension of the real
 equations, so the one Newton solve runs the complexified iteration at a
 complex parameter point and the Cauchy-Riemann diagnostics can differentiate
-its result. Conductance and susceptance are carried as separate matrices end
-to end (never as real/imaginary parts of one complex matrix) because
+its result. Conductance and susceptance are carried as separate values end
+to end (never as real/imaginary parts of one complex value) because
 perturbed parameters make each of them complex on its own.
 
 External bus ids are the 1-based ids from the case tables; positions in all
@@ -114,8 +122,35 @@ class PowerNetwork:
         return len(self.non_slack) + len(self.pq)
 
     @cached_property
+    def pattern(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row-sorted (row, col) of the admittance pattern: every bus diagonal
+        and both ends of every branch, each position once. Built from the
+        topology, so a value that cancels to zero keeps its edge."""
+        edges = {(k, k) for k in range(self.n)}
+        for br in self.branches:
+            f, t = self.position[br.from_bus], self.position[br.to_bus]
+            edges |= {(f, t), (t, f)}
+        rows, cols = zip(*sorted(edges))
+        return np.array(rows), np.array(cols)
+
+    @cached_property
+    def row_starts(self) -> np.ndarray:
+        """First edge of each bus row, the np.add.reduceat segments (none is
+        empty: every row holds its diagonal)."""
+        return np.flatnonzero(np.diff(self.pattern[0], prepend=-1))
+
+    @cached_property
+    def diagonal_edges(self) -> np.ndarray:
+        """Edge index of each bus diagonal, in bus order."""
+        rows, cols = self.pattern
+        return np.flatnonzero(rows == cols)
+
+    @cached_property
     def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
-        return gb_matrices(self)
+        """Nominal G and B values on the pattern edges."""
+        rows, cols = self.pattern
+        G, B = gb_matrices(self)
+        return G[rows, cols], B[rows, cols]
 
     @cached_property
     def setpoints(self) -> tuple[np.ndarray, np.ndarray]:
@@ -126,9 +161,23 @@ class PowerNetwork:
         return theta, v
 
     @cached_property
-    def jacobian_index(self) -> np.ndarray:
-        """Rows/columns of the unknowns in the full [theta; V] Jacobian."""
-        return np.concatenate([self.non_slack, self.n + self.pq])
+    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(diagonal, select, flat) for the concatenated edge blocks [dP/dtheta,
+        dP/dV, dQ/dtheta, dQ/dV] of the Jacobian: the bus diagonals in each
+        block, the block entries that land on an unknown row and column of
+        the m x m Jacobian [theta at non-slack; V at pq], and their flat
+        indices there."""
+        rows, cols = self.pattern
+        nn = len(self.non_slack)
+        angle = np.full(self.n, -1)
+        angle[self.non_slack] = np.arange(nn)
+        magnitude = np.full(self.n, -1)
+        magnitude[self.pq] = nn + np.arange(len(self.pq))
+        r = np.concatenate([angle[rows], angle[rows], magnitude[rows], magnitude[rows]])
+        c = np.concatenate([angle[cols], magnitude[cols], angle[cols], magnitude[cols]])
+        diagonal = np.concatenate([self.diagonal_edges + k * len(rows) for k in range(4)])
+        select = np.flatnonzero((r >= 0) & (c >= 0))
+        return diagonal, select, r[select] * self.n_unknowns + c[select]
 
 
 @dataclass
@@ -187,20 +236,22 @@ def gb_matrices(
 # --- injections, mismatch, Jacobian ---------------------------------------------
 
 
-def _flows(G, B, theta, v):
-    # V-scaled flow terms, th_kl = theta_k - theta_l:
-    # a_kl = V_k (G_kl cos th_kl + B_kl sin th_kl)
-    # c_kl = V_k (G_kl sin th_kl - B_kl cos th_kl)
-    dtheta = theta[:, None] - theta[None, :]
+def _flows(net: PowerNetwork, G, B, theta, v):
+    # V-scaled flow terms on the pattern edges (k, l), th = theta_k - theta_l:
+    # a_kl = V_k (G_kl cos th + B_kl sin th)
+    # c_kl = V_k (G_kl sin th - B_kl cos th)
+    rows, cols = net.pattern
+    dtheta = theta[rows] - theta[cols]
     ct = np.cos(dtheta)
     st = np.sin(dtheta)
-    vk = v[:, None]
+    vk = v[rows]
     return vk * (G * ct + B * st), vk * (G * st - B * ct)
 
 
-def _injections(G, B, theta, v):
-    a, c = _flows(G, B, theta, v)
-    return a @ v, c @ v
+def _injections(net: PowerNetwork, a, c, v):
+    # P_k = sum_l a_kl V_l and Q_k = sum_l c_kl V_l over bus k's row of edges.
+    vl = v[net.pattern[1]]
+    return np.add.reduceat(a * vl, net.row_starts), np.add.reduceat(c * vl, net.row_starts)
 
 
 def _expand_state(net: PowerNetwork, u: np.ndarray):
@@ -218,27 +269,30 @@ def _pack_state(net: PowerNetwork, state: StateVector) -> np.ndarray:
     return np.concatenate([state.theta[net.non_slack], state.v[net.pq]])
 
 
-def _mismatch(net, G, B, theta, v, p_sched, q_sched):
+def _mismatch(net, v, p, q, p_sched, q_sched):
     if not np.iscomplexobj(v) and np.any(v[net.pq] <= 0.0):
         bad = net.buses[int(net.pq[np.argmax(v[net.pq] <= 0.0)])].id
         raise NonphysicalStateError(
             f"voltage magnitude at bus {bad} dropped to a nonphysical value"
         )
-    p, q = _injections(G, B, theta, v)
     return np.concatenate(
         [(p - p_sched)[net.non_slack], (q - q_sched)[net.pq]]
     )
 
 
-def _jacobian_matrix(net, G, B, theta, v):
-    # dP/d[theta, V] = [c V - diag(Q), a + diag(P / V)] and
-    # dQ/d[theta, V] = [diag(P) - a V, c + diag(Q / V)], kept at the rows and
-    # columns of the unknowns.
-    a, c = _flows(G, B, theta, v)
-    p, q = a @ v, c @ v
-    dp = np.concatenate([c * v - np.diag(q), a + np.diag(p / v)], axis=1)
-    dq = np.concatenate([np.diag(p) - a * v, c + np.diag(q / v)], axis=1)
-    return np.concatenate([dp[net.non_slack], dq[net.pq]])[:, net.jacobian_index]
+def _jacobian_matrix(net, a, c, p, q, v):
+    # Off the diagonal dP/d[theta, V] = [c V_l, a] and dQ/d[theta, V] =
+    # [-a V_l, c] per edge; the bus diagonals add [-Q, P / V] and [P, Q / V].
+    # The entries at the rows and columns of the unknowns are scattered into
+    # a zeroed m x m array.
+    vl = v[net.pattern[1]]
+    diagonal, select, flat = net.jacobian_scatter
+    blocks = np.concatenate([c * vl, a, -a * vl, c])
+    blocks[diagonal] += np.concatenate([-q, p / v, p, q / v])
+    m = net.n_unknowns
+    jac = np.zeros(m * m, dtype=blocks.dtype)
+    jac[flat] = blocks[select]
+    return jac.reshape(m, m)
 
 
 def initial_state(net: PowerNetwork, init: str = "flat") -> StateVector:
@@ -274,8 +328,7 @@ def solve_power_flow(
     u0 = _pack_state(net, initial_state(net, init))
     trace = solve(problem, u0, np.zeros(0), tol=tol, max_iter=max_iter)
     theta, v = _expand_state(net, trace.x)
-    G, B = net.gb_nominal
-    p, q = _injections(G, B, theta, v)
+    p, q = _injections(net, *_flows(net, *net.gb_nominal, theta, v), v)
     return PowerFlowResult(
         state=StateVector(theta=theta, v=v),
         trace=trace,
@@ -375,27 +428,29 @@ class StochasticPerturbation:
 def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     """Build q -> (G, B, P_sched, Q_sched) once per network and perturbation.
 
-    All four are affine in q: G(q) = G0 + sum_k q_k G_k (the same for B),
-    with one slope G_k, B_k per dimension taken from gb_matrices differences
-    of the admittance terms, and P_sched(q) = p_gen - p_load (1 + S_p q) with
-    one row of load coefficients per bus (the same for Q). Without admittance
-    terms G and B are the nominal matrices themselves. q may be complex.
+    G and B are value vectors on the pattern edges. All four are affine in q:
+    G(q) = G0 + q @ dG (the same for B), with one slope row per dimension,
+    shape (dims, E), taken from gb_matrices differences of the admittance
+    terms, and P_sched(q) = p_gen - p_load (1 + S_p q) with one row of load
+    coefficients per bus (the same for Q). Without admittance terms G and B
+    are the nominal edge arrays themselves. q may be complex.
     """
     pert.validate(net)
     G0, B0 = net.gb_nominal
+    rows, cols = net.pattern
     dG = dB = None
     if pert.admittance_terms:
-        dG = np.zeros((pert.dims, net.n, net.n))
-        dB = np.zeros((pert.dims, net.n, net.n))
+        dG = np.zeros((pert.dims, len(rows)))
+        dB = np.zeros((pert.dims, len(rows)))
         for t in pert.admittance_terms:
             bumped = np.ones(len(net.branches))
             bumped[t.branch] = 2.0
             G1, B1 = gb_matrices(net, g_scale=bumped)
-            dG[t.g_dim] += t.c_g * (G1 - G0)
-            dB[t.g_dim] += t.c_g * (B1 - B0)
+            dG[t.g_dim] += t.c_g * (G1[rows, cols] - G0)
+            dB[t.g_dim] += t.c_g * (B1[rows, cols] - B0)
             G1, B1 = gb_matrices(net, b_scale=bumped)
-            dG[t.b_dim] += t.c_b * (G1 - G0)
-            dB[t.b_dim] += t.c_b * (B1 - B0)
+            dG[t.b_dim] += t.c_b * (G1[rows, cols] - G0)
+            dB[t.b_dim] += t.c_b * (B1[rows, cols] - B0)
     load_p = np.zeros((net.n, pert.dims))
     load_q = np.zeros((net.n, pert.dims))
     for t in pert.load_terms:
@@ -411,8 +466,8 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
         q = np.atleast_1d(np.asarray(q))
         G, B = G0, B0
         if dG is not None:
-            G = G0 + np.tensordot(q, dG, axes=1)
-            B = B0 + np.tensordot(q, dB, axes=1)
+            G = G0 + q @ dG
+            B = B0 + q @ dB
         ps = p_gen - p_load * (1.0 + load_p @ q)
         qs = q_gen - q_load * (1.0 + load_q @ q)
         return G, B, ps, qs
@@ -420,23 +475,49 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     return parts
 
 
+def _last_call(fn):
+    """Memoize fn on its most recent array arguments, compared by dtype,
+    shape and bytes, so repeated calls at one point reuse the result."""
+    key = None
+    value = None
+
+    def call(*args):
+        nonlocal key, value
+        args = tuple(np.asarray(x) for x in args)
+        now = tuple((x.dtype, x.shape, x.tobytes()) for x in args)
+        if now != key:
+            value = fn(*args)
+            key = now
+        return value
+
+    return call
+
+
 def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> NewtonProblem:
     """NewtonProblem over (packed state, parameter row q), dtype-generic.
 
     Complex q (or complex state) evaluates the analytic extension, which is
-    what the Newton solve at a complex parameter point runs on.
+    what the Newton solve at a complex parameter point runs on. The
+    q-dependent parts are built once per q, and the flow terms once per
+    (state, q): the residual and the Jacobian of one Newton step share them.
     """
-    parts = _affine_parts(net, pert)
+    parts = _last_call(_affine_parts(net, pert))
+
+    @_last_call
+    def point(u, q):
+        G, B, ps, qs = parts(q)
+        theta, v = _expand_state(net, u)
+        a, c = _flows(net, G, B, theta, v)
+        p, qi = _injections(net, a, c, v)
+        return a, c, p, qi, v, ps, qs
 
     def res(u, q):
-        G, B, ps, qs = parts(q)
-        theta, v = _expand_state(net, np.asarray(u))
-        return _mismatch(net, G, B, theta, v, ps, qs)
+        _, _, p, qi, v, ps, qs = point(u, q)
+        return _mismatch(net, v, p, qi, ps, qs)
 
     def jac(u, q):
-        G, B, _, _ = parts(q)
-        theta, v = _expand_state(net, np.asarray(u))
-        return _jacobian_matrix(net, G, B, theta, v)
+        a, c, p, qi, v, _, _ = point(u, q)
+        return _jacobian_matrix(net, a, c, p, qi, v)
 
     return NewtonProblem(residual=res, jacobian=jac)
 

@@ -70,6 +70,11 @@ def test_empty_level_list_is_a_usage_error(capsys):
         (["grid-info", "--dims", "0"], "bad dimension count"),
         (["grid-info", "--levels", "-1"], "levels must be >= 0"),
         (["certify", "--scalar-demo", "--levels", "-1"], "levels must be >= 0"),
+        (["certify", "--scalar-demo", "--sigma-cap", "-1"], "want a finite number >= 0"),
+        (["certify", "--scalar-demo", "--sigma-cap", "nan"], "want a finite number >= 0"),
+        (["certify", "--scalar-demo", "--m-tilde", "-1"], "want a finite number > 0"),
+        (["certify", "--scalar-demo", "--m-tilde", "inf"], "want a finite number > 0"),
+        (["certify", "--scalar-demo", "--lipschitz", "-1"], "want a finite number >= 0"),
     ],
 )
 def test_bad_argument_is_a_usage_error(capsys, argv, message):

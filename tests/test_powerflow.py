@@ -186,30 +186,52 @@ def _perturbation_and_point(draw):
     return pert, q
 
 
-@settings(max_examples=60, deadline=None)
-@given(_perturbation_and_point())
-def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
-    """The affine G, B and schedules equal a per-point assembly of the
-    scaled branches and loads, for real and complex q."""
-    net, (pert, q) = case39_shifted, drawn
-    G, B, ps, qs = _affine_parts(net, pert)(q)
-
+def _direct_parts(net, pert, q):
+    """Dense G, B and the schedules assembled directly at one point q."""
     sg = np.ones(len(net.branches), dtype=q.dtype)
     sb = np.ones(len(net.branches), dtype=q.dtype)
     for t in pert.admittance_terms:
         sg[t.branch] = 1.0 + t.c_g * q[t.g_dim]
         sb[t.branch] = 1.0 + t.c_b * q[t.b_dim]
-    G_ref, B_ref = gb_matrices(net, sg, sb)
-    ps_ref = np.array([b.p_gen - b.p_load for b in net.buses], dtype=q.dtype)
-    qs_ref = np.array([b.q_gen - b.q_load for b in net.buses], dtype=q.dtype)
+    G, B = gb_matrices(net, sg, sb)
+    ps = np.array([b.p_gen - b.p_load for b in net.buses], dtype=q.dtype)
+    qs = np.array([b.q_gen - b.q_load for b in net.buses], dtype=q.dtype)
     for t in pert.load_terms:
         k = net.position[t.bus]
         bus = net.buses[k]
-        ps_ref[k] = bus.p_gen - bus.p_load * (1.0 + t.c_p * q[t.p_dim])
-        qs_ref[k] = bus.q_gen - bus.q_load * (1.0 + t.c_q * q[t.q_dim])
+        ps[k] = bus.p_gen - bus.p_load * (1.0 + t.c_p * q[t.p_dim])
+        qs[k] = bus.q_gen - bus.q_load * (1.0 + t.c_q * q[t.q_dim])
+    return G, B, ps, qs
 
-    for got, ref in ((G, G_ref), (B, B_ref), (ps, ps_ref), (qs, qs_ref)):
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbation_and_point())
+def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
+    """The affine edge values of G, B and the schedules equal a per-point
+    assembly of the scaled branches and loads, for real and complex q, and
+    the assembled matrices are exactly zero off the pattern."""
+    net, (pert, q) = case39_shifted, drawn
+    G, B, ps, qs = _affine_parts(net, pert)(q)
+    G_ref, B_ref, ps_ref, qs_ref = _direct_parts(net, pert, q)
+    rows, cols = net.pattern
+
+    off_pattern = np.ones((net.n, net.n), dtype=bool)
+    off_pattern[rows, cols] = False
+    assert not np.any(G_ref[off_pattern]) and not np.any(B_ref[off_pattern])
+    pairs = ((G, G_ref[rows, cols]), (B, B_ref[rows, cols]), (ps, ps_ref), (qs, qs_ref))
+    for got, ref in pairs:
+        assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_pattern_is_row_sorted_with_every_diagonal(case39):
+    rows, cols = case39.pattern
+    flat = rows * case39.n + cols
+    assert np.all(np.diff(flat) > 0)  # row-sorted, each position once
+    assert np.array_equal(rows[case39.diagonal_edges], np.arange(case39.n))
+    assert np.array_equal(cols[case39.diagonal_edges], np.arange(case39.n))
+    G, B = gb_matrices(case39)
+    assert len(rows) == np.count_nonzero((G != 0.0) | (B != 0.0)) == 131
 
 
 def test_load_study_keeps_nominal_admittances(case39):
@@ -217,7 +239,67 @@ def test_load_study_keeps_nominal_admittances(case39):
         dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
     )
     G, B, _, _ = _affine_parts(case39, pert)(np.array([0.3 + 0.2j]))
-    assert G is case39.gb_nominal[0] and B is case39.gb_nominal[1]
+    G0, B0 = case39.gb_nominal
+    assert G is G0 and B is B0
+    assert G0.shape == B0.shape == case39.pattern[0].shape
+
+
+def _dense_oracle(net, pert, u, q):
+    """Residual and Jacobian by the dense n x n formulas on directly
+    assembled G(q), B(q)."""
+    G, B, ps, qs = _direct_parts(net, pert, q)
+    dtype = np.result_type(u, q)
+    theta, v = (x.astype(dtype) for x in net.setpoints)
+    nn = len(net.non_slack)
+    theta[net.non_slack] = u[:nn]
+    v[net.pq] = u[nn:]
+    # a_kl = V_k (G_kl cos th_kl + B_kl sin th_kl), c_kl = V_k (G_kl sin th_kl - B_kl cos th_kl)
+    dtheta = theta[:, None] - theta[None, :]
+    ct, st_ = np.cos(dtheta), np.sin(dtheta)
+    a = v[:, None] * (G * ct + B * st_)
+    c = v[:, None] * (G * st_ - B * ct)
+    p, qi = a @ v, c @ v
+    res = np.concatenate([(p - ps)[net.non_slack], (qi - qs)[net.pq]])
+    dp = np.concatenate([c * v - np.diag(qi), a + np.diag(p / v)], axis=1)
+    dq = np.concatenate([np.diag(p) - a * v, c + np.diag(qi / v)], axis=1)
+    index = np.concatenate([net.non_slack, net.n + net.pq])
+    jac = np.concatenate([dp[net.non_slack], dq[net.pq]])[:, index]
+    return res, jac
+
+
+@settings(max_examples=40, deadline=None)
+@given(_perturbation_and_point(), st.integers(0, 2**32 - 1), st.booleans())
+def test_edge_kernels_match_dense_oracle(case39_shifted, drawn, seed, complex_state):
+    """Residual and Jacobian on the branch pattern equal the dense n x n
+    formulas at real and complex q and states, with mixed load and
+    admittance terms."""
+    net, (pert, q) = case39_shifted, drawn
+    rng = np.random.default_rng(seed)
+    u = _pack_state(net, initial_state(net)) + rng.uniform(-0.1, 0.1, net.n_unknowns)
+    if complex_state:
+        u = u + 1j * rng.uniform(-0.05, 0.05, net.n_unknowns)
+    problem = parametric_problem(net, pert)
+    res_ref, jac_ref = _dense_oracle(net, pert, u, q)
+    for got, ref in ((problem.residual(u, q), res_ref), (problem.jacobian(u, q), jac_ref)):
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_problem_reevaluates_when_point_changes(case39_shifted):
+    """One problem evaluated at q1, q2, q1 (and at q1 with a complex dtype,
+    and at a second state) gives what a fresh problem gives each time."""
+    u1 = _pack_state(case39_shifted, initial_state(case39_shifted))
+    u2 = u1 + 0.01
+    q1 = np.array([0.4, -0.3, 0.7])
+    q2 = np.array([-0.6, 0.2, 0.1])
+    problem = parametric_problem(case39_shifted, _MIXED)
+    for u, q in ((u1, q1), (u1, q2), (u1, q1), (u1, q1.astype(complex)), (u2, q1), (u1, q1)):
+        fresh = parametric_problem(case39_shifted, _MIXED)
+        for got, ref in (
+            (problem.residual(u, q), fresh.residual(u, q)),
+            (problem.jacobian(u, q), fresh.jacobian(u, q)),
+        ):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_load_term_shifts_schedule(demo):
