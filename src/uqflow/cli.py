@@ -630,14 +630,22 @@ def _levels_argument(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _dims_argument(text: str) -> int:
-    try:
-        dims = int(text)
-    except ValueError:
-        dims = 0
-    if dims < 1:
-        raise argparse.ArgumentTypeError(f"bad dimension count {text!r}: want an integer >= 1")
-    return dims
+def _count_argument(what: str):
+    """argparse type: an integer >= 1, named ``what`` in the error."""
+
+    def parse(text: str) -> int:
+        try:
+            count = int(text)
+        except ValueError:
+            count = 0
+        if count < 1:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: want an integer >= 1")
+        return count
+
+    return parse
+
+
+_dims_argument = _count_argument("dimension count")
 
 
 def _sigma_hat_argument(text: str) -> tuple[float, ...]:
@@ -742,8 +750,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=_finite_argument(0.0, inclusive=True),
         help="exact Lipschitz constant, skips sampling",
     )
-    p_cert.add_argument("--radius", type=float, default=1.0, help="Lipschitz probe ball radius")
-    p_cert.add_argument("--probes", type=int, default=64, help="Lipschitz probe pair count")
+    p_cert.add_argument(
+        "--radius",
+        type=_finite_argument(0.0, inclusive=False),
+        default=1.0,
+        help="Lipschitz probe ball radius",
+    )
+    p_cert.add_argument(
+        "--probes", type=_count_argument("probe count"), default=64, help="Lipschitz probe pair count"
+    )
     p_cert.add_argument("--kappa-e", dest="kappa_e", type=float, help="target extended kappa")
     p_cert.add_argument("--delta-e", dest="delta_e", type=float, help="target extended delta")
     p_cert.add_argument(

@@ -75,6 +75,8 @@ def test_empty_level_list_is_a_usage_error(capsys):
         (["certify", "--scalar-demo", "--m-tilde", "-1"], "want a finite number > 0"),
         (["certify", "--scalar-demo", "--m-tilde", "inf"], "want a finite number > 0"),
         (["certify", "--scalar-demo", "--lipschitz", "-1"], "want a finite number >= 0"),
+        (["certify", "--scalar-demo", "--radius", "nan"], "want a finite number > 0"),
+        (["certify", "--scalar-demo", "--probes", "0"], "bad probe count"),
     ],
 )
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
