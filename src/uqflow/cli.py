@@ -660,19 +660,17 @@ def _sigma_hat_argument(text: str) -> tuple[float, ...]:
     return values
 
 
-def _finite_argument(lower: float, inclusive: bool):
-    """argparse type: a finite float >= lower (inclusive) or > lower."""
-    relation = ">=" if inclusive else ">"
+def _finite_argument(positive: bool):
+    """argparse type: a finite float, > 0 if positive and >= 0 otherwise."""
+    relation = ">" if positive else ">="
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             value = math.nan
-        if not (math.isfinite(value) and (value >= lower if inclusive else value > lower)):
-            raise argparse.ArgumentTypeError(
-                f"bad value {text!r}: want a finite number {relation} {lower:g}"
-            )
+        if not (math.isfinite(value) and (value > 0.0 if positive else value >= 0.0)):
+            raise argparse.ArgumentTypeError(f"bad value {text!r}: want a finite number {relation} 0")
         return value
 
     return parse
@@ -747,12 +745,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--seed", type=int)
     p_cert.add_argument(
         "--lipschitz",
-        type=_finite_argument(0.0, inclusive=True),
+        type=_finite_argument(positive=False),
         help="exact Lipschitz constant, skips sampling",
     )
     p_cert.add_argument(
         "--radius",
-        type=_finite_argument(0.0, inclusive=False),
+        type=_finite_argument(positive=True),
         default=1.0,
         help="Lipschitz probe ball radius",
     )
@@ -762,7 +760,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--kappa-e", dest="kappa_e", type=float, help="target extended kappa")
     p_cert.add_argument("--delta-e", dest="delta_e", type=float, help="target extended delta")
     p_cert.add_argument(
-        "--sigma-cap", dest="sigma_cap", type=_finite_argument(0.0, inclusive=True), default=2.0
+        "--sigma-cap", dest="sigma_cap", type=_finite_argument(positive=False), default=2.0
     )
     p_cert.add_argument(
         "--samples",
@@ -778,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--m-tilde",
         dest="m_tilde",
-        type=_finite_argument(0.0, inclusive=False),
+        type=_finite_argument(positive=True),
         help="magnitude bound override",
     )
     p_cert.add_argument("--out")

@@ -140,12 +140,6 @@ class PowerNetwork:
         return np.flatnonzero(np.diff(self.pattern[0], prepend=-1))
 
     @cached_property
-    def diagonal_edges(self) -> np.ndarray:
-        """Edge index of each bus diagonal, in bus order."""
-        rows, cols = self.pattern
-        return np.flatnonzero(rows == cols)
-
-    @cached_property
     def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
         """Nominal G and B values on the pattern edges."""
         rows, cols = self.pattern
@@ -175,7 +169,7 @@ class PowerNetwork:
         magnitude[self.pq] = nn + np.arange(len(self.pq))
         r = np.concatenate([angle[rows], angle[rows], magnitude[rows], magnitude[rows]])
         c = np.concatenate([angle[cols], magnitude[cols], angle[cols], magnitude[cols]])
-        diagonal = np.concatenate([self.diagonal_edges + k * len(rows) for k in range(4)])
+        diagonal = np.flatnonzero(np.tile(rows == cols, 4))
         select = np.flatnonzero((r >= 0) & (c >= 0))
         return diagonal, select, r[select] * self.n_unknowns + c[select]
 
