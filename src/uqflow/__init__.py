@@ -28,6 +28,7 @@ from .analyticity import (
     ellipse_contains,
     estimate_perturbation_norms,
     mtilde_bound,
+    parameter_slopes,
 )
 from .case_io import (
     CaseFile,
@@ -167,6 +168,7 @@ __all__ = [
     "moment_estimates",
     "monte_carlo_oracle",
     "mtilde_bound",
+    "parameter_slopes",
     "parametric_problem",
     "parse_matpower",
     "polynomial_space",

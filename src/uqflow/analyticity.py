@@ -4,9 +4,10 @@ A parametric residual that extends analytically to a complex polyellipse
 around the parameter box admits provable sparse-grid convergence rates.
 This module estimates how far the parameters can be pushed into the complex
 plane before the Newton linearization degrades (via Taylor-remainder
-perturbation bounds on the complexified system), packages the resulting
-polyellipse, and evaluates the closed-form decay bounds that the ellipse
-size implies for Clenshaw-Curtis sparse grids.
+perturbation bounds on the complexified system, read off one affine model
+of the problem in its parameters that each region search takes once),
+packages the resulting polyellipse, and evaluates the closed-form decay
+bounds that the ellipse size implies for Clenshaw-Curtis sparse grids.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BoundUnavailableError, InfeasibleRegionError, SingularJacobianError
-from .newton import NewtonProblem
+from .errors import BoundUnavailableError, InfeasibleRegionError
+from .newton import NewtonProblem, _lu_with_pivot_check
 
 __all__ = [
     "EllipseRegion",
@@ -26,6 +27,7 @@ __all__ = [
     "BoundConstants",
     "ConvergenceBound",
     "ellipse_contains",
+    "parameter_slopes",
     "estimate_perturbation_norms",
     "admissible_region_search",
     "bound_constants",
@@ -66,9 +68,6 @@ class EllipseRegion:
     def n_dims(self) -> int:
         return len(self.sigma_hat)
 
-    def contains(self, g: Sequence[complex]) -> bool:
-        return ellipse_contains(self, g)
-
 
 def _elliptic_radius(z: complex) -> float:
     """Log-magnitude of the inverse Joukowski image of z (largest branch).
@@ -97,6 +96,29 @@ def ellipse_contains(region: EllipseRegion, g: Sequence[complex]) -> bool:
     return True
 
 
+class ParameterSlopes(NamedTuple):
+    """The affine model of a problem in its parameters at a fixed state x0.
+
+    ``j0``/``f0`` are J and f at (x0, 0); ``dj[k]``/``df[k]`` their unit
+    differences along parameter k, so J(x0, p) = j0 + sum_k p_k dj[k] for
+    real or complex p (likewise f).
+    """
+
+    j0: np.ndarray
+    f0: np.ndarray
+    dj: np.ndarray
+    df: np.ndarray
+
+
+def parameter_slopes(problem: NewtonProblem, x0: np.ndarray, dims: int) -> ParameterSlopes:
+    """Evaluate J and f at (x0, 0) and at (x0, e_k) for every parameter k."""
+    x0 = np.asarray(x0, dtype=float)
+    points = np.vstack([np.zeros(dims), np.eye(dims)])
+    j = np.array([np.real(problem.jacobian(x0, p)) for p in points])
+    f = np.array([np.real(problem.residual(x0, p)) for p in points])
+    return ParameterSlopes(j[0], f[0], j[1:] - j[0], f[1:] - f[0])
+
+
 @dataclass(frozen=True)
 class PerturbationBounds:
     """Norm estimates for the complexified system displaced to g = q + v.
@@ -104,35 +126,19 @@ class PerturbationBounds:
     ``e_norm`` bounds the spectral-norm perturbation of the complex m x m
     Jacobian relative to the real system at q (its real 2m x 2m block form
     has the same norm); ``g_norm`` bounds the Euclidean-norm perturbation
-    of the residual.  ``kappa``/``delta`` are the inverse-Jacobian and
-    Newton-step norms of the real system at q, and
-    ``kappa_e``/``delta_e`` are the tightest extended constants these
-    estimates certify at this particular displacement (``inf`` when the
-    Jacobian perturbation is too large to invert through).
+    of the residual.
     """
 
     e_norm: float
     g_norm: float
-    kappa: float
-    delta: float
-    kappa_e: float
-    delta_e: float
 
-    def certifies(
-        self,
-        kappa_e: float,
-        delta_e: float,
-        kappa: float | None = None,
-        delta: float | None = None,
-    ) -> bool:
-        """Re-evaluate the two admissibility inequalities for target constants.
+    def certifies(self, kappa: float, delta: float, kappa_e: float, delta_e: float) -> bool:
+        """Evaluate the two admissibility inequalities for target constants.
 
         The extended inverse-Jacobian bound ``kappa_e`` holds when
         ``e_norm < (1 - kappa/kappa_e)/kappa`` and the extended step bound
         ``delta_e`` holds when ``g_norm < delta_e/kappa_e - delta/kappa``.
         """
-        kappa = self.kappa if kappa is None else kappa
-        delta = self.delta if delta is None else delta
         e_ok = self.e_norm < (1.0 - kappa / kappa_e) / kappa
         g_ok = self.g_norm < delta_e / kappa_e - delta / kappa
         return e_ok and g_ok
@@ -141,83 +147,51 @@ class PerturbationBounds:
 def estimate_perturbation_norms(
     problem: NewtonProblem,
     x0: np.ndarray,
+    slopes: ParameterSlopes,
     q: np.ndarray,
     v: np.ndarray,
 ) -> PerturbationBounds:
     """Perturbation norms of the complexified system displaced to g = q + v.
 
-    The problem must be affine in the parameters, as every power-flow study
-    is: J(x0, p) = J(x0, q) + sum_k (p_k - q_k) dJ_k for real or complex p,
-    with real slopes dJ_k = J(x0, q + e_k) - J(x0, q), and the same for the
-    residual. The real part of J along q + t*v then moves only with Re v, so
-    the first-order Taylor remainder is bounded entrywise by
-    sum_k |Re v_k| |dJ_k|, exactly (likewise for the residual). The imaginary
-    parts at g enter exactly. Norms are spectral (matrix) and Euclidean
-    (vector).
+    ``slopes`` is the problem's affine model at x0 (``parameter_slopes``).
+    Along q + t*v the real part of J moves only with Re v, so the first-order
+    Taylor remainder is bounded entrywise by sum_k |Re v_k| |dJ_k|, exactly
+    (likewise for the residual); the imaginary parts at g are
+    sum_k Im v_k dJ_k. Norms are spectral (matrix) and Euclidean (vector).
 
-    J and f at g are checked against the affine model; a gap above 1e-10 of
-    the largest entry evaluated raises InfeasibleRegionError naming g.
+    The real system at the anchor q must pass Newton's pivot test, or
+    SingularJacobianError is raised. J and f at g are evaluated and checked
+    against the model; a gap above 1e-10 of the largest entry involved
+    raises InfeasibleRegionError naming g.
     """
     x0 = np.asarray(x0, dtype=float)
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=complex)
-    if q.shape != v.shape:
-        raise ValueError(f"q and v shapes differ: {q.shape} vs {v.shape}")
-
-    j0 = np.real(np.asarray(problem.jacobian(x0, q)))
-    f0 = np.real(np.asarray(problem.residual(x0, q)))
-    singular = np.linalg.svd(j0, compute_uv=False)
-    if singular[0] == 0.0 or singular[-1] <= 1e-14 * singular[0]:
-        raise SingularJacobianError(0, float(singular[-1]), float(singular[0]))
-    kappa = 1.0 / float(singular[-1])
-    delta = float(np.linalg.norm(np.linalg.solve(j0, f0)))
+    dims = len(slopes.dj)
+    if q.shape != (dims,) or v.shape != (dims,):
+        raise ValueError(f"q and v need {dims} entries, got shapes {q.shape} and {v.shape}")
+    _lu_with_pivot_check(slopes.j0 + np.tensordot(q, slopes.dj, axes=1), 0)
 
     g = q + v
     j_g = np.asarray(problem.jacobian(x0, g), dtype=complex)
     f_g = np.asarray(problem.residual(x0, g), dtype=complex)
-    q_hat = np.zeros_like(j0)  # (m, m) remainder bound
-    p_hat = np.zeros_like(f0)  # (m,) remainder bound
-    j_model = j0.astype(complex)
-    f_model = f0.astype(complex)
-    j_top = max(np.abs(j0).max(), np.abs(j_g).max())
-    f_top = max(np.abs(f0).max(), np.abs(f_g).max())
-    for k in np.flatnonzero(v):
-        q_k = q.copy()
-        q_k[k] += 1.0
-        j_k = np.real(np.asarray(problem.jacobian(x0, q_k)))
-        f_k = np.real(np.asarray(problem.residual(x0, q_k)))
-        q_hat += abs(v[k].real) * np.abs(j_k - j0)
-        p_hat += abs(v[k].real) * np.abs(f_k - f0)
-        j_model += v[k] * (j_k - j0)
-        f_model += v[k] * (f_k - f0)
-        j_top = max(j_top, np.abs(j_k).max())
-        f_top = max(f_top, np.abs(f_k).max())
-    j_gap = np.abs(j_g - j_model).max()
-    f_gap = np.abs(f_g - f_model).max()
+    j_gap = np.abs(j_g - slopes.j0 - np.tensordot(g, slopes.dj, axes=1)).max()
+    f_gap = np.abs(f_g - slopes.f0 - g @ slopes.df).max()
+    j_top = max(np.abs(j_g).max(), np.abs(slopes.j0).max(), np.abs(slopes.dj).max())
+    f_top = max(np.abs(f_g).max(), np.abs(slopes.f0).max(), np.abs(slopes.df).max())
     if j_gap > _AFFINE_TOL * j_top or f_gap > _AFFINE_TOL * f_top:
         raise InfeasibleRegionError(
             f"the problem is not affine in the parameters: at g = {g.tolist()} "
             f"J and f differ from the affine model by {j_gap:.3e} and {f_gap:.3e}"
         )
 
+    re_v = np.abs(v.real)
+    q_hat = np.tensordot(re_v, np.abs(slopes.dj), axes=1)  # (m, m) remainder bound
+    p_hat = re_v @ np.abs(slopes.df)  # (m,) remainder bound
     # The real block [[Q, -J_I], [J_I, Q]] has the singular values of Q + i J_I.
-    e_norm = float(np.linalg.norm(q_hat + 1j * j_g.imag, 2))
-    g_norm = float(np.hypot(np.linalg.norm(p_hat), np.linalg.norm(f_g.imag)))
-
-    if kappa * e_norm < 1.0:
-        kappa_e = kappa / (1.0 - kappa * e_norm)
-        delta_e = kappa_e * (delta / kappa + g_norm)
-    else:
-        kappa_e = math.inf
-        delta_e = math.inf
-    return PerturbationBounds(
-        e_norm=e_norm,
-        g_norm=g_norm,
-        kappa=kappa,
-        delta=delta,
-        kappa_e=kappa_e,
-        delta_e=delta_e,
-    )
+    e_norm = float(np.linalg.norm(q_hat + 1j * np.tensordot(v.imag, slopes.dj, axes=1), 2))
+    g_norm = float(np.hypot(np.linalg.norm(p_hat), np.linalg.norm(v.imag @ slopes.df)))
+    return PerturbationBounds(e_norm=e_norm, g_norm=g_norm)
 
 
 def _boundary_probes(sigma_hat: np.ndarray, angles: np.ndarray) -> list[np.ndarray]:
@@ -247,8 +221,8 @@ def admissible_region_search(
     x0: np.ndarray,
     kappa: float,
     delta: float,
-    kappa_e: float | None = None,
-    delta_e: float | None = None,
+    kappa_e: float,
+    delta_e: float,
     weights: Sequence[float] | None = None,
     dims: int | None = None,
     sigma_cap: float = 2.0,
@@ -258,25 +232,22 @@ def admissible_region_search(
 
     Scales the direction ``weights`` (isotropic by default) by a common
     factor found by bisection: a scale is accepted when both perturbation
-    inequalities hold at every boundary probe (two axis vertices per
-    dimension plus ``4 * dims`` random points with all coordinates on the
-    boundary; angles drawn once per call, so the search is deterministic for
-    a fixed seed).  This certifies the inequalities at probes only -- it is a
-    heuristic inner approximation, not a proof over the full boundary.
+    inequalities, with the nominal ``kappa`` and ``delta``, hold at every
+    boundary probe (two axis vertices per dimension plus ``4 * dims`` random
+    points with all coordinates on the boundary; angles drawn once per call,
+    so the search is deterministic for a fixed seed).  This certifies the
+    inequalities at probes only -- it is a heuristic inner approximation,
+    not a proof over the full boundary.  The parameter slopes are taken once
+    per call; each probe only evaluates the problem at its own point.
 
-    ``kappa_e`` defaults to ``2 * kappa`` and ``delta_e`` to
-    ``2 * kappa_e * delta / kappa`` (doubling both thresholds relative to
-    the base constants).  Raises InfeasibleRegionError when the targets make
-    either inequality's right-hand side nonpositive, or when the problem is
-    not affine in the parameters at a probe.  Returns the degenerate region
-    (all zeros) when no positive scale is certifiable.
+    Raises InfeasibleRegionError when the targets make either inequality's
+    right-hand side nonpositive, or when the problem is not affine in the
+    parameters at a probe, and SingularJacobianError when the real system
+    at a probe's anchor is singular.  Returns the degenerate region (all
+    zeros) when no positive scale is certifiable.
     """
     if kappa <= 0.0:
         raise InfeasibleRegionError(f"kappa must be positive, got {kappa}")
-    if kappa_e is None:
-        kappa_e = 2.0 * kappa
-    if delta_e is None:
-        delta_e = 2.0 * kappa_e * delta / kappa if delta > 0.0 else kappa_e
     if not kappa_e > kappa:
         raise InfeasibleRegionError(
             f"kappa_e ({kappa_e}) must exceed kappa ({kappa}) for a positive threshold"
@@ -301,14 +272,14 @@ def admissible_region_search(
 
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(4 * n, n))
+    slopes = parameter_slopes(problem, x0, n)
 
     def feasible(scale: float) -> bool:
         sigma_hat = scale * weights_arr
         for g in _boundary_probes(sigma_hat, angles):
             anchor = np.clip(np.real(g), -1.0, 1.0)
-            offset = g - anchor
-            bounds = estimate_perturbation_norms(problem, x0, anchor, offset)
-            if not bounds.certifies(kappa_e, delta_e, kappa=kappa, delta=delta):
+            bounds = estimate_perturbation_norms(problem, x0, slopes, anchor, g - anchor)
+            if not bounds.certifies(kappa, delta, kappa_e, delta_e):
                 return False
         return True
 

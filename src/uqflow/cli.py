@@ -78,7 +78,10 @@ def _grid_rule(kind: str, family: str) -> GridRule:
         family = _FAMILY_ALIASES[family.lower().replace("-", "_")]
     except KeyError:
         raise UqflowError(f"unknown node family {family!r} (use cc or gauss)") from None
-    return GridRule(kind=kind, family=family)
+    try:
+        return GridRule(kind=kind, family=family)
+    except ValueError as exc:
+        raise UqflowError(str(exc)) from None
 
 
 def _fmt(x: float) -> str:
@@ -226,6 +229,8 @@ def _study_perturbation(
     """
     if dims < 1:
         raise UqflowError(f"dims must be >= 1, got {dims}")
+    if not math.isfinite(coefficient):
+        raise UqflowError(f"coefficient must be finite, got {coefficient}")
     c = coefficient
     if study == "load":
         if load_buses is not None:
@@ -528,21 +533,14 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
     if args.scalar_demo:
         dims = 1
+        # x^2 - (2 + 0.1 q) is x^2 - 2 at q = 0; q drives the region search.
         problem = NewtonProblem(
-            residual=lambda x, p: np.array([x[0] ** 2 - 2.0]),
+            residual=lambda x, p: np.array([x[0] ** 2 - (2.0 + 0.1 * p[0])]),
             jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
         )
         x0 = np.array([1.5])
-        cert = kantorovich_certificate(problem, x0, lipschitz=2.0)
+        cert = kantorovich_certificate(problem, x0, params=np.zeros(dims), lipschitz=2.0)
         lines = _certificate_lines(cert, "built-in scalar x^2 - 2 at x0 = 1.5")
-        # Parameter-coupled variant drives the region search and rate bounds.
-        coupled = NewtonProblem(
-            residual=lambda x, p: np.array([x[0] ** 2 - (2.0 + 0.1 * p[0])]),
-            jacobian=lambda x, p: np.array(
-                [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
-            ),
-        )
-        search_problem, search_x0 = coupled, x0
         lines.append("region problem: x^2 - (2 + 0.1 q)")
     else:
         if args.case is None:
@@ -564,7 +562,6 @@ def cmd_certify(args: argparse.Namespace) -> int:
         lines = _certificate_lines(
             cert, f"{case.name} ({args.study} study, {dims} dims) from flat start"
         )
-        search_problem, search_x0 = problem, x0
 
     kappa_e = args.kappa_e if args.kappa_e is not None else 2.0 * cert.kappa
     delta_e = (
@@ -587,12 +584,12 @@ def cmd_certify(args: argparse.Namespace) -> int:
         lines.append("region: supplied via --sigma-hat (search skipped)")
     else:
         region = admissible_region_search(
-            search_problem,
-            search_x0,
+            problem,
+            x0,
             cert.kappa,
             cert.delta,
-            kappa_e=kappa_e,
-            delta_e=delta_e,
+            kappa_e,
+            delta_e,
             dims=dims,
             sigma_cap=args.sigma_cap,
             seed=seed,
@@ -606,7 +603,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         t_star_e = kantorovich_t_star(h_e, delta_e)
         lines.append(f"t_star_e: {_fmt(t_star_e)}")
         if m_tilde is None:
-            m_tilde = mtilde_bound(t_star_e, search_x0)
+            m_tilde = mtilde_bound(t_star_e, x0)
     else:
         lines.append("t_star_e: unavailable (h_e > 1)")
     lines.extend(_bound_schedule_lines(region, m_tilde, rule, levels, dims))
@@ -630,16 +627,16 @@ def _levels_argument(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _count_argument(what: str):
-    """argparse type: an integer >= 1, named ``what`` in the error."""
+def _count_argument(what: str, least: int = 1):
+    """argparse type: an integer >= least, named ``what`` in the error."""
 
     def parse(text: str) -> int:
         try:
             count = int(text)
         except ValueError:
-            count = 0
-        if count < 1:
-            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: want an integer >= 1")
+            count = least - 1
+        if count < least:
+            raise argparse.ArgumentTypeError(f"bad {what} {text!r}: want an integer >= {least}")
         return count
 
     return parse
@@ -705,7 +702,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--case", required=True, help="case path or bundled:<name>")
     p_solve.add_argument("--init", choices=["flat", "from-case"], default="flat")
     p_solve.add_argument("--tol", type=float, default=1e-10)
-    p_solve.add_argument("--max-iter", type=int, default=20)
+    p_solve.add_argument("--max-iter", type=_count_argument("iteration cap", 0), default=20)
     p_solve.set_defaults(func=cmd_solve)
 
     p_parse = sub.add_parser("parse-case", help="parse and validate a case file")
@@ -757,8 +754,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument(
         "--probes", type=_count_argument("probe count"), default=64, help="Lipschitz probe pair count"
     )
-    p_cert.add_argument("--kappa-e", dest="kappa_e", type=float, help="target extended kappa")
-    p_cert.add_argument("--delta-e", dest="delta_e", type=float, help="target extended delta")
+    p_cert.add_argument(
+        "--kappa-e",
+        dest="kappa_e",
+        type=_finite_argument(positive=True),
+        help="target extended kappa",
+    )
+    p_cert.add_argument(
+        "--delta-e",
+        dest="delta_e",
+        type=_finite_argument(positive=True),
+        help="target extended delta",
+    )
     p_cert.add_argument(
         "--sigma-cap", dest="sigma_cap", type=_finite_argument(positive=False), default=2.0
     )

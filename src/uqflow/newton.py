@@ -113,9 +113,7 @@ class KantorovichCertificate:
     h: float
     t_star: float
     satisfied: bool
-    radius: float
     probe_count: int
-    seed: int
     lipschitz_is_exact: bool
 
 
@@ -200,9 +198,7 @@ def kantorovich_certificate(
         h=h,
         t_star=kantorovich_t_star(h, delta),
         satisfied=h <= 1.0,
-        radius=radius,
         probe_count=probe_count,
-        seed=seed,
         lipschitz_is_exact=exact,
     )
 

@@ -391,12 +391,19 @@ class StochasticPerturbation:
     admittance_terms: tuple[AdmittanceTerm, ...] = ()
 
     def validate(self, net: PowerNetwork) -> None:
-        """Reject terms on unknown buses or branches, dims out of range, and
-        two terms on one bus or branch (their scalings would add up)."""
+        """Reject terms on unknown buses or branches, dims out of range, two
+        terms on one bus or branch (their scalings would add up), and load
+        terms that cannot move the solution: on the slack bus, whose
+        injection is not scheduled, or on a bus with zero P and Q load."""
         buses: set[int] = set()
         for t in self.load_terms:
             if t.bus not in net.position:
                 raise CaseValidationError(f"load term references unknown bus {t.bus}")
+            bus = net.buses[net.position[t.bus]]
+            if bus.kind == "slack":
+                raise CaseValidationError(f"load term on bus {t.bus} is the slack bus")
+            if bus.p_load == 0.0 and bus.q_load == 0.0:
+                raise CaseValidationError(f"load term on bus {t.bus} carries no load")
             if not (0 <= t.p_dim < self.dims and 0 <= t.q_dim < self.dims):
                 raise CaseValidationError(f"load term on bus {t.bus} uses a dim out of range")
             if t.bus in buses:

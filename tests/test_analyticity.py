@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqflow.analyticity import (
     EllipseRegion,
@@ -13,8 +15,9 @@ from uqflow.analyticity import (
     ellipse_contains,
     estimate_perturbation_norms,
     mtilde_bound,
+    parameter_slopes,
 )
-from uqflow.errors import BoundUnavailableError, InfeasibleRegionError
+from uqflow.errors import BoundUnavailableError, InfeasibleRegionError, SingularJacobianError
 from uqflow.newton import NewtonProblem
 
 # x^2 - q with the nominal q = 2: root sqrt(2), kappa = 1/3 at x0 = 1.5
@@ -42,6 +45,14 @@ CONSTANT = NewtonProblem(
 X0 = np.array([1.5])
 KAPPA = 1.0 / 3.0
 DELTA = 1.0 / 12.0
+# the extended constants cmd_certify targets by default
+KAPPA_E = 2.0 * KAPPA
+DELTA_E = 4.0 * DELTA
+
+
+def _shifted_norms(q, v):
+    slopes = parameter_slopes(SHIFTED, X0, 1)
+    return estimate_perturbation_norms(SHIFTED, X0, slopes, np.array([q]), np.array([v]))
 
 
 def test_ellipse_region_validation():
@@ -65,27 +76,20 @@ def test_ellipse_contains_boundary_and_outside():
 def test_perturbation_norms_hand_oracle():
     # v purely imaginary with |v| = 0.1: the Jacobian 2x never reacts to q,
     # so E vanishes and G is exactly the imaginary residual magnitude.
-    est = estimate_perturbation_norms(SHIFTED, X0, np.array([2.0]), np.array([0.1j]))
+    est = _shifted_norms(2.0, 0.1j)
     assert est.e_norm == 0.0
     assert est.g_norm == pytest.approx(0.1, abs=1e-12)
-    assert est.kappa == pytest.approx(KAPPA, abs=1e-15)
-    assert est.delta == pytest.approx(DELTA, abs=1e-15)
-    assert est.kappa_e == pytest.approx(est.kappa, abs=1e-15)
-    assert est.delta_e == pytest.approx(est.delta + est.kappa * 0.1, abs=1e-12)
 
 
 def test_perturbation_norms_zero_direction():
-    est = estimate_perturbation_norms(SHIFTED, X0, np.array([2.0]), np.array([0.0]))
+    est = _shifted_norms(2.0, 0.0)
     assert est.e_norm == 0.0
     assert est.g_norm == 0.0
 
 
 def test_perturbation_norms_monotone_in_direction():
     sizes = [0.05, 0.1, 0.2, 0.4]
-    norms = [
-        estimate_perturbation_norms(SHIFTED, X0, np.array([2.0]), np.array([s * 1j])).g_norm
-        for s in sizes
-    ]
+    norms = [_shifted_norms(2.0, s * 1j).g_norm for s in sizes]
     assert all(b > a for a, b in zip(norms, norms[1:]))
 
 
@@ -98,38 +102,86 @@ def test_perturbation_norms_reject_a_non_affine_problem():
             [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
         ),
     )
+    slopes = parameter_slopes(squared, X0, 1)
     with pytest.raises(InfeasibleRegionError, match=r"not affine.*g = \[0\.5j\]"):
-        estimate_perturbation_norms(squared, X0, np.array([0.0]), np.array([0.5j]))
+        estimate_perturbation_norms(squared, X0, slopes, np.array([0.0]), np.array([0.5j]))
+
+
+def test_perturbation_norms_reject_a_quadratic_term_off_zero():
+    # x^2 - p - p^2: the model from p = 0 predicts 1.25 - 0.6i at g = 0.5 + 0.3i,
+    # where the residual is 1.59 - 0.6i
+    bent = NewtonProblem(
+        residual=lambda x, p: np.array([x[0] ** 2 - p[0] - p[0] ** 2]),
+        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+    )
+    slopes = parameter_slopes(bent, X0, 1)
+    with pytest.raises(InfeasibleRegionError, match=r"not affine.*g = \[\(0\.5\+0\.3j\)\]"):
+        estimate_perturbation_norms(bent, X0, slopes, np.array([0.5]), np.array([0.3j]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(1, 5),
+    dims=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_perturbation_norms_match_the_direct_formula(m, dims, seed, data):
+    # f(x, p) = (A0 + sum_k p_k A_k) x + b0 + sum_k p_k b_k, with A0 diagonally
+    # dominant enough that the real system is regular everywhere in the box
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-1.0, 1.0, size=(dims + 1, m, m))
+    a[0] += (1.0 + m * (dims + 1)) * np.eye(m)
+    b = rng.uniform(-1.0, 1.0, size=(dims + 1, m))
+    x0 = rng.uniform(-1.0, 1.0, size=m)
+
+    def jacobian(x, p):
+        return a[0] + np.tensordot(p, a[1:], axes=1)
+
+    def residual(x, p):
+        return jacobian(x, p) @ x + b[0] + p @ b[1:]
+
+    anchor = st.floats(-1.0, 1.0, allow_subnormal=False)
+    offset = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
+    q = np.array(data.draw(st.lists(anchor, min_size=dims, max_size=dims)))
+    v = np.array(data.draw(st.lists(offset, min_size=dims, max_size=dims)), dtype=complex)
+    problem = NewtonProblem(residual=residual, jacobian=jacobian)
+    est = estimate_perturbation_norms(problem, x0, parameter_slopes(problem, x0, dims), q, v)
+
+    f_k = a[1:] @ x0 + b[1:]  # (dims, m) residual slopes
+    re_v, im_v = np.abs(v.real), v.imag
+    e_direct = np.linalg.norm(
+        np.tensordot(re_v, np.abs(a[1:]), axes=1) + 1j * np.tensordot(im_v, a[1:], axes=1), 2
+    )
+    g_direct = math.hypot(np.linalg.norm(re_v @ np.abs(f_k)), np.linalg.norm(im_v @ f_k))
+    assert est.e_norm == pytest.approx(e_direct, rel=1e-12, abs=0.0)
+    assert est.g_norm == pytest.approx(g_direct, rel=1e-12, abs=0.0)
 
 
 def test_certifies_thresholds():
-    est = estimate_perturbation_norms(SHIFTED, X0, np.array([2.0]), np.array([0.1j]))
-    assert est.certifies(kappa_e=2 * KAPPA, delta_e=3 * DELTA)
+    est = _shifted_norms(2.0, 0.1j)
+    assert est.certifies(KAPPA, DELTA, 2 * KAPPA, 3 * DELTA)
     # delta_e/kappa_e at exactly delta/kappa leaves no room for any G
-    assert not est.certifies(kappa_e=2 * KAPPA, delta_e=2 * DELTA)
+    assert not est.certifies(KAPPA, DELTA, 2 * KAPPA, 2 * DELTA)
 
 
 def test_region_search_frozen_radius():
-    region = admissible_region_search(COUPLED, X0, KAPPA, DELTA, dims=1, seed=0)
+    region = admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA_E, DELTA_E, dims=1, seed=0)
     assert region.sigma_hat == (1.646484375,)
-    again = admissible_region_search(COUPLED, X0, KAPPA, DELTA, dims=1, seed=99)
+    again = admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA_E, DELTA_E, dims=1, seed=99)
     assert again.sigma_hat == (1.646484375,)
 
 
 def test_region_search_grows_with_delta_budget():
-    tight = admissible_region_search(
-        COUPLED, X0, KAPPA, DELTA, delta_e=3 * DELTA, dims=1, seed=0
-    )
-    loose = admissible_region_search(
-        COUPLED, X0, KAPPA, DELTA, delta_e=6 * DELTA, dims=1, seed=0
-    )
+    tight = admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA_E, 3 * DELTA, dims=1, seed=0)
+    loose = admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA_E, 6 * DELTA, dims=1, seed=0)
     assert tight.sigma_hat == (1.046875,)
     assert loose.sigma_hat == (2.0,)  # runs into the cap
 
 
 def test_region_search_uncoupled_problem_hits_cap():
     region = admissible_region_search(
-        CONSTANT, X0, KAPPA, DELTA, dims=1, sigma_cap=1.7, seed=0
+        CONSTANT, X0, KAPPA, DELTA, KAPPA_E, DELTA_E, dims=1, sigma_cap=1.7, seed=0
     )
     assert region.sigma_hat == (1.7,)
 
@@ -139,7 +191,7 @@ def test_region_interior_points_actually_solve():
     # iteration converges — spot-check 20 random interior parameters
     from uqflow.newton import solve
 
-    region = admissible_region_search(COUPLED, X0, KAPPA, DELTA, dims=1, seed=0)
+    region = admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA_E, DELTA_E, dims=1, seed=0)
     sigma = region.sigma_hat[0]
     rng = np.random.default_rng(12)
     for _ in range(20):
@@ -153,11 +205,21 @@ def test_region_interior_points_actually_solve():
 
 def test_region_search_rejects_empty_budgets():
     with pytest.raises(InfeasibleRegionError):
-        admissible_region_search(COUPLED, X0, KAPPA, DELTA, kappa_e=KAPPA, dims=1)
+        admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA, DELTA_E, dims=1)
     with pytest.raises(InfeasibleRegionError):
-        admissible_region_search(
-            COUPLED, X0, KAPPA, DELTA, kappa_e=2 * KAPPA, delta_e=DELTA, dims=1
-        )
+        admissible_region_search(COUPLED, X0, KAPPA, DELTA, 2 * KAPPA, DELTA, dims=1)
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_region_search_rejects_a_singular_anchor():
+    # J = 1 + p is singular at p = -1: the probes of seed 1 reach past the
+    # left end of the box, so their anchor clip(Re g) = -1 is that point
+    hinge = NewtonProblem(
+        residual=lambda x, p: np.array([(1.0 + p[0]) * x[0] - 2.0]),
+        jacobian=lambda x, p: np.array([[1.0 + p[0]]]),
+    )
+    with pytest.raises(SingularJacobianError, match="iteration 0"):
+        admissible_region_search(hinge, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=1)
 
 
 def test_bound_constants_frozen_values():

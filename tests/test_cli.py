@@ -77,6 +77,10 @@ def test_empty_level_list_is_a_usage_error(capsys):
         (["certify", "--scalar-demo", "--lipschitz", "-1"], "want a finite number >= 0"),
         (["certify", "--scalar-demo", "--radius", "nan"], "want a finite number > 0"),
         (["certify", "--scalar-demo", "--probes", "0"], "bad probe count"),
+        (["certify", "--scalar-demo", "--kappa-e", "-1", "--sigma-hat", "0.5"], "finite number > 0"),
+        (["certify", "--scalar-demo", "--delta-e", "0"], "want a finite number > 0"),
+        (["certify", "--scalar-demo", "--delta-e", "inf"], "want a finite number > 0"),
+        (["solve", "--case", "bundled:demo3", "--max-iter", "-1"], "bad iteration cap"),
     ],
 )
 def test_bad_argument_is_a_usage_error(capsys, argv, message):
@@ -84,6 +88,44 @@ def test_bad_argument_is_a_usage_error(capsys, argv, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+def test_zero_iteration_cap_reports_the_start_point(capsys):
+    assert main(["solve", "--case", "bundled:demo3", "--max-iter", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "DID NOT CONVERGE in 0 iterations" in captured.out
+    assert "did not converge" in captured.err
+
+
+def test_unknown_rule_in_config_is_named(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("case = bundled:demo3\nrule = foo\n")
+    assert main(["uq-moments", "--config", str(cfg), "--levels", "0"]) == 1
+    assert "unknown rule kind 'foo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_coefficient_is_rejected(tmp_path, capsys, value):
+    moments = ["uq-moments", "--case", "bundled:case39", "--dims", "1", "--levels", "0"]
+    certify = ["certify", "--case", "bundled:case39", "--dims", "1", "--lipschitz", "10"]
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"coefficient = {value}\n")
+    for argv in (
+        moments + ["--coefficient", value],
+        moments + ["--config", str(cfg)],
+        certify + ["--coefficient", value],
+    ):
+        assert main(argv) == 1
+        assert f"coefficient must be finite, got {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("bus", "why"), [(2, "carries no load"), (31, "is the slack bus")])
+def test_inert_load_bus_is_rejected(tmp_path, capsys, bus, why):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"load_buses = {bus}\n")
+    argv = ["uq-moments", "--case", "bundled:case39", "--dims", "1", "--levels", "1"]
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert f"load term on bus {bus} {why}" in capsys.readouterr().err
 
 
 def test_sigma_hat_count_must_match_dims(capsys):

@@ -127,6 +127,15 @@ def test_perturbation_validation(demo):
         ).validate(demo)
 
 
+def test_perturbation_rejects_inert_load_terms(demo):
+    # demo bus 1 is the slack bus; bus 2 is a PV bus without load
+    for bus, why in ((1, "is the slack bus"), (2, "carries no load")):
+        with pytest.raises(CaseValidationError, match=f"load term on bus {bus} {why}"):
+            StochasticPerturbation(
+                dims=1, load_terms=(LoadTerm(bus=bus, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
+            ).validate(demo)
+
+
 def test_perturbation_rejects_duplicate_targets(case39):
     with pytest.raises(CaseValidationError, match="two load terms target bus 3"):
         StochasticPerturbation(
