@@ -28,7 +28,6 @@ from .analyticity import (
     ellipse_contains,
     estimate_perturbation_norms,
     mtilde_bound,
-    parameter_slopes,
 )
 from .case_io import (
     CaseFile,
@@ -66,6 +65,7 @@ from .newton import (
     cauchy_riemann_residual,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
+    parameter_slopes,
 )
 from .nodes1d import (
     chebyshev_coefficients,

@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import BoundUnavailableError, InfeasibleRegionError
-from .newton import NewtonProblem, _lu_with_pivot_check
+from .newton import NewtonProblem, ParameterSlopes, _lu_with_pivot_check, parameter_slopes
 
 __all__ = [
     "EllipseRegion",
@@ -27,7 +27,6 @@ __all__ = [
     "BoundConstants",
     "ConvergenceBound",
     "ellipse_contains",
-    "parameter_slopes",
     "estimate_perturbation_norms",
     "admissible_region_search",
     "bound_constants",
@@ -94,29 +93,6 @@ def ellipse_contains(region: EllipseRegion, g: Sequence[complex]) -> bool:
         if _elliptic_radius(z) > s_hat + 1e-12 * max(1.0, s_hat):
             return False
     return True
-
-
-class ParameterSlopes(NamedTuple):
-    """The affine model of a problem in its parameters at a fixed state x0.
-
-    ``j0``/``f0`` are J and f at (x0, 0); ``dj[k]``/``df[k]`` their unit
-    differences along parameter k, so J(x0, p) = j0 + sum_k p_k dj[k] for
-    real or complex p (likewise f).
-    """
-
-    j0: np.ndarray
-    f0: np.ndarray
-    dj: np.ndarray
-    df: np.ndarray
-
-
-def parameter_slopes(problem: NewtonProblem, x0: np.ndarray, dims: int) -> ParameterSlopes:
-    """Evaluate J and f at (x0, 0) and at (x0, e_k) for every parameter k."""
-    x0 = np.asarray(x0, dtype=float)
-    points = np.vstack([np.zeros(dims), np.eye(dims)])
-    j = np.array([np.real(problem.jacobian(x0, p)) for p in points])
-    f = np.array([np.real(problem.residual(x0, p)) for p in points])
-    return ParameterSlopes(j[0], f[0], j[1:] - j[0], f[1:] - f[0])
 
 
 @dataclass(frozen=True)

@@ -270,9 +270,14 @@ def _study_perturbation(
     return pert
 
 
+#: Version of the cached knot values; bumped whenever the knot solve changes
+#: them, so entries written by an older solve are misses.
+_CACHE_TAG = "uqflow-cache/2"
+
+
 def _cache_key(case_digest: str, cfg: ExperimentConfig, w: int) -> str:
     parts = [
-        "uqflow-cache/1",
+        _CACHE_TAG,
         case_digest,
         cfg.study,
         str(cfg.dims),

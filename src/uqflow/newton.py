@@ -6,17 +6,23 @@ a-priori Kantorovich certificate and one Newton solve for real and complex
 inputs alike: a complex start point or complex parameters run the
 complexified iteration on z = x_R + i x_I as one complex m x m LU solve,
 which is the same linear system as the real 2m x 2m block form
-[[J_R, -J_I], [J_I, J_R]].
+[[J_R, -J_I], [J_I, J_R]]. Every LU calls LAPACK getrf/getrs directly (d or
+z picked by dtype), which skips SciPy's per-call wrapper cost.
+
+A problem affine in its parameters is also described once by its slopes at
+a fixed state (parameter_slopes), which the region search reads its
+perturbation bounds from and chord_predictor turns into a Newton start.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, svdvals
+from scipy.linalg import get_lapack_funcs, svdvals
 
 from .errors import SingularJacobianError
 
@@ -45,17 +51,29 @@ class NewtonTrace:
     converged: bool
     iterations: int
     residual_norms: list[float]
-    step_norms: list[float]
     iterates: list[np.ndarray]
 
 
+@functools.cache
+def _getrf_getrs(dtype: np.dtype):
+    return get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+
+
 def _lu_with_pivot_check(matrix: np.ndarray, iteration: int):
-    lu, piv = lu_factor(matrix)
+    """LAPACK getrf of matrix, raising SingularJacobianError when a pivot of U
+    falls below 1e-14 * the largest one or is not finite. getrf reports an
+    exactly zero pivot through its info code, which the pivot test covers."""
+    lu, piv, _ = _getrf_getrs(matrix.dtype)[0](matrix)
     diag = np.abs(np.diag(lu))
-    scale = diag.max() if diag.size else 0.0
-    if scale == 0.0 or diag.min() < _PIVOT_REL_FLOOR * scale:
-        raise SingularJacobianError(iteration, float(diag.min(initial=0.0)), float(scale))
+    scale, low = (diag.max(), diag.min()) if diag.size else (0.0, 0.0)
+    if scale == 0.0 or not low >= _PIVOT_REL_FLOOR * scale:
+        raise SingularJacobianError(iteration, float(low), float(scale))
     return lu, piv
+
+
+def _lu_solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve with the factors of _lu_with_pivot_check; rhs takes their dtype."""
+    return _getrf_getrs(lu.dtype)[1](lu, piv, rhs.astype(lu.dtype, copy=False))[0]
 
 
 def solve(
@@ -69,28 +87,73 @@ def solve(
 
     Dtype-generic: the iterates take the dtype of x0 (at least float), and a
     complex residual or Jacobian, as complex params give, promotes them to
-    complex. Non-convergence within max_iter is reported through the
-    returned trace (converged=False), not an exception; a pivot collapsing
-    below 1e-14 * max-pivot raises SingularJacobianError, complex or not.
+    complex. Non-convergence within max_iter, or a residual that is no
+    longer finite, is reported through the returned trace (converged=False),
+    not an exception; a pivot collapsing below 1e-14 * max-pivot raises
+    SingularJacobianError, complex or not.
     """
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
     iterates = [x.copy()]
     residual_norms: list[float] = []
-    step_norms: list[float] = []
     for iteration in range(max_iter + 1):
         r = np.asarray(problem.residual(x, params))
         rn = float(np.abs(r).max()) if r.size else 0.0
         residual_norms.append(rn)
         if rn <= tol:
-            return NewtonTrace(x, True, iteration, residual_norms, step_norms, iterates)
-        if iteration == max_iter:
+            return NewtonTrace(x, True, iteration, residual_norms, iterates)
+        if iteration == max_iter or not math.isfinite(rn):
             break
-        lu, piv = _lu_with_pivot_check(np.asarray(problem.jacobian(x, params)), iteration)
-        step = lu_solve((lu, piv), r)
-        x = x - step
-        step_norms.append(float(np.linalg.norm(step)))
+        j = np.asarray(problem.jacobian(x, params))
+        lu, piv = _lu_with_pivot_check(j.astype(np.result_type(j, r), copy=False), iteration)
+        x = x - _lu_solve(lu, piv, r)
         iterates.append(x.copy())
-    return NewtonTrace(x, False, max_iter, residual_norms, step_norms, iterates)
+    return NewtonTrace(x, False, len(residual_norms) - 1, residual_norms, iterates)
+
+
+# --- the affine model in the parameters ----------------------------------------
+
+
+class ParameterSlopes(NamedTuple):
+    """The affine model of a problem in its parameters at a fixed state x0.
+
+    ``j0``/``f0`` are J and f at (x0, 0); ``dj[k]``/``df[k]`` their unit
+    differences along parameter k, so J(x0, p) = j0 + sum_k p_k dj[k] for
+    real or complex p (likewise f).
+    """
+
+    j0: np.ndarray
+    f0: np.ndarray
+    dj: np.ndarray
+    df: np.ndarray
+
+
+def parameter_slopes(problem: NewtonProblem, x0: np.ndarray, dims: int) -> ParameterSlopes:
+    """Evaluate J and f at (x0, 0) and at (x0, e_k) for every parameter k."""
+    x0 = np.asarray(x0, dtype=float)
+    points = np.vstack([np.zeros(dims), np.eye(dims)])
+    f = np.array([np.real(problem.residual(x0, p)) for p in points])
+    j = np.array([np.real(problem.jacobian(x0, p)) for p in points])
+    return ParameterSlopes(j[0], f[0], j[1:] - j[0], f[1:] - f[0])
+
+
+def chord_predictor(slopes: ParameterSlopes, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x_hat, tangent) such that x_hat + tangent @ q = x0 - J0^-1 f(x0, q).
+
+    For a residual affine in the parameters, f(x0, q) = f0 + q @ df, this is
+    one chord step from x0 at every q at once: x_hat = x0 - J0^-1 f0 and
+    tangent = -J0^-1 [df_1 ... df_d], the first-order continuation predictor
+    of the solution map anchored at x0. J0 must pass Newton's pivot test, or
+    SingularJacobianError is raised.
+    """
+    lu, piv = _lu_with_pivot_check(slopes.j0, 0)
+    # One right-hand side per getrs call: OpenBLAS spreads a many-column
+    # solve over its thread pool (at 67 x 5, twice as much CPU as wall time),
+    # and the woken threads keep spinning; one column stays on this thread.
+    x_hat = np.asarray(x0, dtype=float) - _lu_solve(lu, piv, slopes.f0)
+    tangent = np.zeros((len(x_hat), len(slopes.df)))
+    for k, df in enumerate(slopes.df):
+        tangent[:, k] = -_lu_solve(lu, piv, df)
+    return x_hat, tangent
 
 
 # --- Kantorovich certificate --------------------------------------------------
@@ -183,7 +246,7 @@ def kantorovich_certificate(
         raise SingularJacobianError(0, 0.0, float(sigma[0]))
     kappa = 1.0 / float(sigma[-1])
     lu, piv = _lu_with_pivot_check(j0, 0)
-    delta = float(np.linalg.norm(lu_solve((lu, piv), f0)))
+    delta = float(np.linalg.norm(_lu_solve(lu, piv, f0)))
     exact = lipschitz is not None
     lam = (
         float(lipschitz)

@@ -32,7 +32,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
-from .newton import NewtonProblem, NewtonTrace, solve
+from .newton import NewtonProblem, NewtonTrace, chord_predictor, parameter_slopes, solve
 
 BusKind = Literal["slack", "pv", "pq"]
 
@@ -523,6 +523,20 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
     return NewtonProblem(residual=res, jacobian=jac)
 
 
+def _knot_start(net: PowerNetwork, pert: StochasticPerturbation):
+    """The knot problem and its chord predictor (x_hat, T), anchored at the
+    case's stored operating point, or at the flat start where the stored
+    point is nonphysical or has a singular Jacobian."""
+    problem = parametric_problem(net, pert)
+    for init in ("from-case", "flat"):
+        u = _pack_state(net, initial_state(net, init))
+        try:
+            return problem, *chord_predictor(parameter_slopes(problem, u, pert.dims), u)
+        except (NonphysicalStateError, SingularJacobianError):
+            if init == "flat":
+                raise
+
+
 def qoi_sampler(
     net: PowerNetwork,
     pert: StochasticPerturbation,
@@ -531,16 +545,25 @@ def qoi_sampler(
 ):
     """Map one parameter row to the solved quantity of interest.
 
-    Every call solves from the same cold flat start, so values are
-    independent of evaluation order (warm starts would couple knots together).
+    Every call starts Newton from the same predictor x_hat + T q: one chord
+    step at q from the case's stored operating point x_c, with J, f and their
+    parameter slopes taken once at x_c (``newton.chord_predictor``). The
+    start is a pure function of q, so values do not depend on which knots
+    were solved before; warm starts from other knots would couple them. The
+    problem and the predictor are built on the first call, so a sampler that
+    is never called costs nothing.
     """
-    problem = parametric_problem(net, pert)
-    u0 = _pack_state(net, initial_state(net))
     k = net.position[qoi.bus]
+    start = None
 
     def sample(q: np.ndarray) -> float:
+        nonlocal start
         q_arr = np.asarray(q, dtype=float)
         try:
+            if start is None:
+                start = _knot_start(net, pert)
+            problem, x_hat, tangent = start
+            u0 = x_hat + tangent @ q_arr
             trace = solve(problem, u0, q_arr, tol=tol, max_iter=_KNOT_MAX_ITER)
         except (NonphysicalStateError, SingularJacobianError) as exc:
             exc.args = (f"{exc} at q={q_arr.tolist()}",)

@@ -15,10 +15,9 @@ from uqflow.analyticity import (
     ellipse_contains,
     estimate_perturbation_norms,
     mtilde_bound,
-    parameter_slopes,
 )
 from uqflow.errors import BoundUnavailableError, InfeasibleRegionError, SingularJacobianError
-from uqflow.newton import NewtonProblem
+from uqflow.newton import NewtonProblem, parameter_slopes
 
 # x^2 - q with the nominal q = 2: root sqrt(2), kappa = 1/3 at x0 = 1.5
 SHIFTED = NewtonProblem(
@@ -210,7 +209,6 @@ def test_region_search_rejects_empty_budgets():
         admissible_region_search(COUPLED, X0, KAPPA, DELTA, 2 * KAPPA, DELTA, dims=1)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_region_search_rejects_a_singular_anchor():
     # J = 1 + p is singular at p = -1: the probes of seed 1 reach past the
     # left end of the box, so their anchor clip(Re g) = -1 is that point

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+import uqflow.cli
+import uqflow.powerflow
 from uqflow.cli import main, parse_config_text
 from uqflow.errors import UqflowError
 
@@ -318,6 +321,54 @@ def test_truncated_cache_entry_is_recomputed(tmp_path):
     first = [r[:-1] for r in _csv_rows(out1.read_text(), "uq-moments")]
     second = [r[:-1] for r in _csv_rows(out2.read_text(), "uq-moments")]
     assert first == second
+
+
+_DEMO_MOMENTS = [
+    "uq-moments",
+    "--case",
+    "bundled:demo-3bus",
+    "--dims",
+    "1",
+    "--qoi",
+    "voltage:3",
+    "--levels",
+    "1",
+]
+
+
+def test_entry_under_the_previous_cache_tag_is_a_miss(tmp_path, monkeypatch):
+    # uqflow-cache/1 entries hold knots solved from the flat start, whose
+    # last bits differ from today's solve: reading one would change the CSV
+    cache = tmp_path / "cache"
+    args = _DEMO_MOMENTS + ["--cache", str(cache)]
+    with monkeypatch.context() as patch:
+        patch.setattr(uqflow.cli, "_CACHE_TAG", "uqflow-cache/1")
+        assert main(args) == 0
+    (old,) = cache.glob("*.json")
+    payload = json.loads(old.read_text())
+    payload["values"] = (np.asarray(payload["values"]) + 1.0).tolist()
+    stale = json.dumps(payload)
+    old.write_text(stale)
+    out, fresh = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(out)]) == 0
+    assert old.read_text() == stale
+    assert len(list(cache.glob("*.json"))) == 2
+    assert main(_DEMO_MOMENTS + ["--out", str(fresh)]) == 0
+    got = [r[:-1] for r in _csv_rows(out.read_text(), "uq-moments")]
+    assert got == [r[:-1] for r in _csv_rows(fresh.read_text(), "uq-moments")]
+
+
+def test_warm_cached_op_builds_no_problem(tmp_path, monkeypatch):
+    builds = []
+    build = uqflow.powerflow.parametric_problem
+    monkeypatch.setattr(
+        uqflow.powerflow, "parametric_problem", lambda *a: builds.append(a) or build(*a)
+    )
+    args = _DEMO_MOMENTS + ["--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "a.csv")]
+    assert main(args) == 0
+    assert len(builds) == 1  # the cold op solves its knots on one problem
+    assert main(args) == 0
+    assert len(builds) == 1
 
 
 def test_config_file_with_flag_override(tmp_path):

@@ -55,16 +55,25 @@ def test_newton_nonconvergence_reported_not_raised():
     )
     trace = solve(problem, np.array([0.7]), tol=1e-12, max_iter=8)
     assert not trace.converged
-
-
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_singular_jacobian_raises():
-    problem = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] ** 2]),
-        jacobian=lambda x, p: np.array([[0.0]]),
+    # a residual that turns NaN ends the iteration there, not at a pivot test
+    blows_up = NewtonProblem(
+        residual=lambda x, p: np.array([math.nan if x[0] > 1.2 else x[0] ** 2 - 2.0]),
+        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
     )
-    with pytest.raises(SingularJacobianError):
-        solve(problem, np.array([1.0]))
+    trace = solve(blows_up, np.array([1.3]))
+    assert not trace.converged
+    assert trace.iterations == 0 and math.isnan(trace.residual_norms[-1])
+
+
+def test_singular_jacobian_raises():
+    # an exactly zero pivot raises without a LinAlgWarning; a NaN one is unusable too
+    for entry in (0.0, math.nan):
+        problem = NewtonProblem(
+            residual=lambda x, p: np.array([x[0] ** 2]),
+            jacobian=lambda x, p: np.array([[entry]]),
+        )
+        with pytest.raises(SingularJacobianError):
+            solve(problem, np.array([1.0]))
 
 
 def test_lipschitz_estimate_for_quadratic():
@@ -144,7 +153,6 @@ def test_real_start_at_complex_parameter_turns_complex():
     assert trace.x[0] == reference.x[0]
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_complex_jacobian_raises():
     # J = [[1, i], [i, -1]] is singular (det = -1 - i^2 = 0); its real part is not
     problem = NewtonProblem(

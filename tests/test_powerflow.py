@@ -10,13 +10,17 @@ from hypothesis import strategies as st
 
 import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
+from uqflow.cli import _study_perturbation
 from uqflow.errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
+from uqflow.newton import solve
 from uqflow.powerflow import (
     AdmittanceTerm,
     LoadTerm,
     QuantityOfInterest,
+    StateVector,
     StochasticPerturbation,
     _affine_parts,
+    _expand_state,
     _pack_state,
     gb_matrices,
     initial_state,
@@ -26,6 +30,7 @@ from uqflow.powerflow import (
     solve_power_flow,
     solve_power_flow_complexified,
 )
+from uqflow.sparse_grid import GridRule, build_plan
 
 
 @pytest.fixture(scope="module")
@@ -330,7 +335,7 @@ def test_load_term_shifts_schedule(demo):
     )
 
 
-def test_qoi_sampler_cold_start_deterministic(demo):
+def test_qoi_sampler_deterministic(demo):
     pert = StochasticPerturbation(
         dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
     )
@@ -363,6 +368,93 @@ def test_qoi_sampler_names_point_of_singular_jacobian(demo, monkeypatch):
     with pytest.raises(SingularJacobianError, match=r"iteration 2.* at q=\[0\.25\]") as exc:
         sample(np.array([0.25]))
     assert exc.value.iteration == 2
+
+
+def _recorded_sample(sample, q):
+    """sample(q) and the NewtonTrace of the knot solve it ran."""
+    traces = []
+
+    def recording(*args, **kwargs):
+        traces.append(solve(*args, **kwargs))
+        return traces[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uqflow.powerflow, "solve", recording)
+        value = sample(q)
+    (trace,) = traces
+    return value, trace
+
+
+# (case, study, dims, qoi): the CLI's studies with their default terms
+_STUDIES = [
+    *(("case39", kind, dims, "voltage:22") for kind in ("load", "admittance") for dims in range(1, 5)),
+    ("demo", "load", 1, "voltage:3"),
+    ("demo", "admittance", 3, "angle:3"),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_STUDIES), st.data())
+def test_predictor_start_matches_flat_start(demo, case39, study, data):
+    """At random q in the box the sampler's predictor start reaches the
+    flat-start solution, in no more Newton iterations."""
+    case, kind, dims, text = study
+    net = {"case39": case39, "demo": demo}[case]
+    pert = _study_perturbation(net, kind, dims, 0.5)
+    qoi = QuantityOfInterest.parse(text)
+    q = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)))
+    value, trace = _recorded_sample(qoi_sampler(net, pert, qoi), q)
+    problem = parametric_problem(net, pert)
+    # the start is one chord step at q from the stored operating point
+    u_c = _pack_state(net, initial_state(net, "from-case"))
+    j_c = problem.jacobian(u_c, np.zeros(dims))
+    chord = u_c - np.linalg.solve(j_c, problem.residual(u_c, q))
+    np.testing.assert_allclose(trace.iterates[0], chord, rtol=0.0, atol=1e-10)
+    flat = solve(problem, _pack_state(net, initial_state(net)), q, tol=1e-12, max_iter=25)
+    assert flat.converged
+    theta, v = _expand_state(net, flat.x)
+    reference = quantity_of_interest(net, StateVector(theta, v), qoi)
+    assert abs(value - reference) <= 1e-12
+    assert trace.iterations <= flat.iterations
+
+
+def test_nonphysical_stored_point_falls_back_to_the_flat_start(demo):
+    """A stored magnitude of 0 at a PQ bus leaves no usable anchor at the
+    case's point; the sampler then anchors its predictor at the flat start."""
+    buses = tuple(dataclasses.replace(b, v0=0.0) if b.kind == "pq" else b for b in demo.buses)
+    zeroed = dataclasses.replace(demo, buses=buses)
+    pert = _study_perturbation(demo, "load", 1, 0.5)
+    qoi = QuantityOfInterest.parse("voltage:3")
+    u_c = _pack_state(zeroed, initial_state(zeroed, "from-case"))
+    with pytest.raises(NonphysicalStateError):
+        parametric_problem(zeroed, pert).residual(u_c, np.zeros(1))
+    for q in ([-0.5], [0.0], [0.8]):
+        got = qoi_sampler(zeroed, pert, qoi)(np.array(q))
+        assert got == pytest.approx(qoi_sampler(demo, pert, qoi)(np.array(q)), abs=1e-12)
+
+
+def _load_study_knots(case39):
+    pert = _study_perturbation(case39, "load", 4, 0.5)
+    return pert, build_plan(GridRule("smolyak", "clenshaw_curtis"), 2, 4).knots
+
+
+def test_knot_value_does_not_depend_on_solve_order(case39):
+    """A knot solved first by a fresh sampler and the same knot solved after
+    every other knot give the same float, bit for bit."""
+    pert, knots = _load_study_knots(case39)
+    qoi = QuantityOfInterest.parse("voltage:22")
+    shared = qoi_sampler(case39, pert, qoi)
+    in_order = [shared(q) for q in knots]
+    for i in (0, 7, len(knots) // 2, len(knots) - 1):
+        assert qoi_sampler(case39, pert, qoi)(knots[i]) == in_order[i]
+        assert shared(knots[i]) == in_order[i]
+
+
+def test_load_study_knots_converge_in_three_iterations(case39):
+    pert, knots = _load_study_knots(case39)
+    sample = qoi_sampler(case39, pert, QuantityOfInterest.parse("voltage:22"))
+    assert len(knots) == 41
+    assert max(_recorded_sample(sample, q)[1].iterations for q in knots) <= 3
 
 
 def test_complexified_solve_real_limit(demo):
