@@ -99,17 +99,19 @@ def combination_coefficients(
 
     c(i) = sum over j in {0,1}^dims with i+j admissible of (-1)^|j|; the
     telescoping-difference algebra collapses to this for any downward-closed
-    index set. Zero-weight terms are kept here and dropped by build_plan.
+    index set. All (N, 2^dims, dims) bumped indices i+j are tested in one
+    broadcast. Zero-weight terms are kept here and dropped by build_plan.
     """
-    coeffs: dict[tuple[int, ...], int] = {}
-    for index in admissible_indices(rule, w, dims):
-        c = 0
-        for j in itertools.product((0, 1), repeat=dims):
-            bumped = tuple(a + b for a, b in zip(index, j))
-            if rule.admissible(bumped, w):
-                c += -1 if sum(j) % 2 else 1
-        coeffs[index] = c
-    return coeffs
+    indices = admissible_indices(rule, w, dims)
+    corners = np.array(list(itertools.product((0, 1), repeat=dims)))
+    bumped = np.array(indices)[:, None, :] + corners
+    # g(i) of GridRule.level_weight, taken over the last axis.
+    if rule.kind == "hc":
+        weights = bumped.prod(axis=-1) - 1
+    else:
+        weights = bumped.sum(axis=-1) - dims
+    signs = 1 - 2 * (corners.sum(axis=1) % 2)
+    return dict(zip(indices, ((weights <= w) @ signs).tolist()))
 
 
 # --- node sets with exact identities ----------------------------------------
@@ -271,11 +273,49 @@ def _basis_lookup(plan: SparseGridPlan, coords) -> Callable[[int, int], np.ndarr
     return basis
 
 
+def _contract_terms(
+    surrogate: Surrogate, step: Callable[[int, int, np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Sum of coefficient * (every axis contracted) over the plan's terms.
+
+    step(dim, count, partial) contracts the leading count axis of partial,
+    which has dim axes contracted already, with node set `count` along
+    dimension dim. Terms are traversed depth first, grouped by the counts of
+    the axes not yet contracted: a group's partials are summed before its
+    shared axes are contracted, so each distinct count suffix
+    (counts[dim], ..., counts[-1]) is contracted once along dim, not once per
+    term (sum factorization). One partial sum per depth is alive at a time.
+    """
+    dims = surrogate.plan.dims
+    # Sorting on the reversed counts makes every group contiguous at every depth.
+    pairs = sorted(
+        zip(surrogate.plan.terms, surrogate.term_tensors()),
+        key=lambda pair: pair[0].counts[::-1],
+    )
+
+    def contract(group: list, depth: int) -> np.ndarray:
+        # group shares counts[depth:]; returns its sum with axes < depth contracted.
+        if depth == 0:
+            return sum(term.coefficient * tensor for term, tensor in group)
+        total = None
+        for count, sub in itertools.groupby(group, key=lambda pair: pair[0].counts[depth - 1]):
+            part = step(depth - 1, count, contract(list(sub), depth - 1))
+            if total is None:
+                total = part
+            else:
+                total += part
+        return total
+
+    return contract(pairs, dims)
+
+
 def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
     """Evaluate the combination-form interpolant at one point or a batch.
 
     Accepts (dims,) or (P, dims); returns a scalar / (n_out,) row for a
-    single point and (P,) / (P, n_out) for a batch.
+    single point and (P,) / (P, n_out) for a batch. Cost: one per-point
+    contraction along dim for each distinct count suffix
+    (counts[dim], ..., counts[-1]) of the plan's terms (see _contract_terms).
     """
     plan = surrogate.plan
     pts = np.asarray(points, dtype=float)
@@ -285,13 +325,14 @@ def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
         raise ValueError(f"points have {pts.shape[1]} columns, plan wants {plan.dims}")
 
     basis = _basis_lookup(plan, pts.T)
-    out = np.zeros((pts.shape[0], surrogate.n_out))
-    for term, tensor in zip(plan.terms, surrogate.term_tensors()):
-        acc = np.tensordot(basis(0, term.counts[0]), tensor, axes=(1, 0))
-        for dim in range(1, plan.dims):
-            acc = np.einsum("pm,pm...->p...", basis(dim, term.counts[dim]), acc)
-        out += term.coefficient * acc
 
+    def step(dim: int, count: int, partial: np.ndarray) -> np.ndarray:
+        # The first contraction adds the point axis in front: (P, counts..., n_out).
+        if dim == 0:
+            return np.tensordot(basis(0, count), partial, axes=(1, 0))
+        return np.einsum("pm,pm...->p...", basis(dim, count), partial)
+
+    out = _contract_terms(surrogate, step)
     if surrogate.scalar:
         out = out[:, 0]
     return out[0] if single else out
@@ -300,27 +341,25 @@ def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
 def evaluate_on_grid(surrogate: Surrogate, axes) -> np.ndarray:
     """Evaluate the interpolant on the tensor grid axes[0] x ... x axes[-1].
 
-    Each term's value tensor is contracted with one (len(axes[d]), count)
-    basis matrix per axis, so the cost grows with the grid size times the
-    term's counts rather than with the points times the term's full tensor.
-    Rows come in C order (meshgrid(indexing="ij").ravel()), shaped (P,) or
-    (P, n_out) as evaluate_surrogate returns for the flattened grid.
+    Value tensors are contracted with one (len(axes[d]), count) basis matrix
+    per axis. Cost: one such contraction along d for each distinct count
+    suffix (counts[d], ..., counts[-1]) of the plan's terms, since terms that
+    share the counts of their uncontracted axes are summed first (see
+    _contract_terms). Rows come in C order
+    (meshgrid(indexing="ij").ravel()), shaped (P,) or (P, n_out) as
+    evaluate_surrogate returns for the flattened grid.
     """
     plan = surrogate.plan
     if len(axes) != plan.dims:
         raise ValueError(f"got {len(axes)} axes, plan wants {plan.dims}")
     basis = _basis_lookup(plan, axes)
-    out = np.zeros((surrogate.n_out, *map(len, axes)))
-    for term, tensor in zip(plan.terms, surrogate.term_tensors()):
-        # Contracting the leading axis appends the grid axis at the end, so
-        # after every axis the layout is (n_out, len(axes[0]), ...).
-        for dim, count in enumerate(term.counts):
-            tensor = np.tensordot(tensor, basis(dim, count), axes=(0, 1))
-        # In place: tensor is a new tensordot result here, and a fresh
-        # temporary per term costs as much as the contractions on large grids.
-        tensor *= term.coefficient
-        out += tensor
-    out = out.reshape(surrogate.n_out, -1).T
+
+    # Contracting the leading axis appends the grid axis at the end, so after
+    # every axis the layout is (n_out, len(axes[0]), ...).
+    def step(dim: int, count: int, partial: np.ndarray) -> np.ndarray:
+        return np.tensordot(partial, basis(dim, count), axes=(0, 1))
+
+    out = _contract_terms(surrogate, step).reshape(surrogate.n_out, -1).T
     return out[:, 0] if surrogate.scalar else out
 
 
@@ -376,16 +415,6 @@ def _key_to_text(key: tuple) -> str:
     return f"gl:{key[1]}:{key[2]}"
 
 
-def _key_from_text(text: str) -> tuple:
-    if text == "gl0":
-        return ("gl0",)
-    if text.startswith("gl:"):
-        _, count, j = text.split(":")
-        return ("gl", int(count), int(j))
-    p, q = text.split("/")
-    return ("cc", int(p), int(q))
-
-
 def plan_to_dict(plan: SparseGridPlan) -> dict:
     return {
         "format": _PLAN_FORMAT,
@@ -420,10 +449,9 @@ def surrogate_from_json(text: str) -> Surrogate:
     rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
     plan = build_plan(rule, payload["w"], payload["dims"])
     stored_knots = np.asarray(payload["knots"], dtype=float).reshape(-1, plan.dims)
-    stored_keys = [
-        tuple(_key_from_text(t) for t in combo) for combo in payload["keys"]
-    ]
-    if stored_keys != plan.knot_keys or not np.array_equal(stored_knots, plan.knots):
+    if payload["keys"] != plan_to_dict(plan)["keys"] or not np.array_equal(
+        stored_knots, plan.knots
+    ):
         raise CacheMismatchError("cached knot set does not match the rebuilt plan")
     values = np.asarray(payload["values"], dtype=float)
     return Surrogate(plan=plan, values=values, scalar=payload["scalar"])

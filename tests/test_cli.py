@@ -295,6 +295,31 @@ def test_surrogate_cache_roundtrip(tmp_path):
     assert first == second
 
 
+def test_warm_csv_matches_the_cold_csv_byte_for_byte(tmp_path):
+    # Three dimensions, so the warm op's grouped contraction sums terms.
+    args = [
+        "uq-moments",
+        "--case",
+        "bundled:case39",
+        "--dims",
+        "3",
+        "--levels",
+        "1,2,3",
+        "--cache",
+        str(tmp_path / "cache"),
+        "--out",
+    ]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert main(args + [str(cold)]) == 0
+    assert main(args + [str(warm)]) == 0
+
+    def without_wall_ms(path):
+        return [line.rpartition(",")[0] for line in path.read_text().splitlines()]
+
+    assert without_wall_ms(cold)[1] == "w,knots,mean,var"
+    assert without_wall_ms(warm) == without_wall_ms(cold)
+
+
 def test_truncated_cache_entry_is_recomputed(tmp_path):
     cache = tmp_path / "cache"
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
+import json
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uqflow.errors import CacheMismatchError
 from uqflow.moments import quadrature_plan
 from uqflow.sparse_grid import (
     GridRule,
     Surrogate,
+    _basis_lookup,
     admissible_indices,
     build_plan,
     build_surrogate,
@@ -82,6 +88,30 @@ def test_combination_coefficients_telescope():
     for rule in (SMOLYAK, GridRule("td", "clenshaw_curtis"), GridRule("hc", "clenshaw_curtis")):
         for w in range(4):
             assert sum(combination_coefficients(rule, w, 3).values()) == 1
+
+
+def _brute_force_coefficients(rule, w, dims):
+    # One Python tuple per bumped index: the definition, kept as the oracle.
+    coeffs = {}
+    for index in admissible_indices(rule, w, dims):
+        c = 0
+        for j in itertools.product((0, 1), repeat=dims):
+            bumped = tuple(a + b for a, b in zip(index, j))
+            if rule.admissible(bumped, w):
+                c += -1 if sum(j) % 2 else 1
+        coeffs[index] = c
+    return coeffs
+
+
+@pytest.mark.parametrize("kind", ["smolyak", "td", "hc"])
+def test_combination_coefficients_match_the_double_loop(kind):
+    rule = GridRule(kind, "clenshaw_curtis")
+    for dims in range(1, 7):
+        for w in range(6):
+            got = combination_coefficients(rule, w, dims)
+            assert got == _brute_force_coefficients(rule, w, dims)
+            assert list(got) == admissible_indices(rule, w, dims)
+            assert all(type(c) is int for c in got.values())
 
 
 def test_plan_terms_are_the_nonzero_coefficients():
@@ -191,6 +221,67 @@ def test_grid_evaluation_matches_pointwise(kind, family, dims, w, n_out, orders,
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
+def _per_term_points(surrogate, pts):
+    # Every term contracted on its own and then summed: the oracle for the
+    # grouped traversal, shaped (P, n_out).
+    plan = surrogate.plan
+    basis = _basis_lookup(plan, pts.T)
+    out = np.zeros((pts.shape[0], surrogate.n_out))
+    for term, tensor in zip(plan.terms, surrogate.term_tensors()):
+        acc = np.tensordot(basis(0, term.counts[0]), tensor, axes=(1, 0))
+        for dim in range(1, plan.dims):
+            acc = np.einsum("pm,pm...->p...", basis(dim, term.counts[dim]), acc)
+        out += term.coefficient * acc
+    return out
+
+
+def _per_term_grid(surrogate, axes):
+    plan = surrogate.plan
+    basis = _basis_lookup(plan, axes)
+    out = np.zeros((surrogate.n_out, *map(len, axes)))
+    for term, tensor in zip(plan.terms, surrogate.term_tensors()):
+        for dim, count in enumerate(term.counts):
+            tensor = np.tensordot(tensor, basis(dim, count), axes=(0, 1))
+        out += term.coefficient * tensor
+    return out.reshape(surrogate.n_out, -1).T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["smolyak", "td", "hc"]),
+    family=st.sampled_from(["clenshaw_curtis", "gauss_legendre"]),
+    dims=st.integers(1, 6),
+    w=st.integers(0, 4),
+    n_out=st.sampled_from([1, 3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example("smolyak", "clenshaw_curtis", 6, 4, 3, 0)
+@example("td", "gauss_legendre", 5, 4, 1, 1)
+def test_grouped_contraction_matches_the_per_term_loop(kind, family, dims, w, n_out, seed):
+    """Summing terms over shared count suffixes before contracting moves the
+    result by round-off only, and the order of plan.terms does not matter."""
+    rng = np.random.default_rng(seed)
+    plan = build_plan(GridRule(kind, family), w, dims)
+    values = rng.standard_normal((plan.n_knots, n_out))
+    surrogate = Surrogate(plan=plan, values=values, scalar=False)
+    # Up to 3 points per axis; the first axis also hits the knot 0.0 exactly.
+    axes = [np.sort(rng.uniform(-1.0, 1.0, rng.integers(1, 4))) for _ in range(dims)]
+    axes[0] = np.append(axes[0], 0.0)
+    pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+    bound = 8 * np.finfo(float).eps * sum(abs(t.coefficient) for t in plan.terms)
+    bound *= np.abs(values).max()
+
+    want = _per_term_points(surrogate, pts)
+    assert np.abs(evaluate_surrogate(surrogate, pts) - want).max() <= bound
+    assert np.abs(evaluate_on_grid(surrogate, axes) - _per_term_grid(surrogate, axes)).max() <= bound
+
+    terms = list(plan.terms)
+    random.Random(seed).shuffle(terms)
+    shuffled = Surrogate(plan=dataclasses.replace(plan, terms=terms), values=values, scalar=False)
+    assert np.abs(evaluate_surrogate(shuffled, pts) - want).max() <= bound
+    assert np.abs(evaluate_on_grid(shuffled, axes) - want).max() <= bound
+
+
 def test_surrogate_json_roundtrip():
     plan = build_plan(SMOLYAK, 2, 2)
     surrogate = build_surrogate(plan, lambda q: math.exp(q[0] - q[1]))
@@ -207,3 +298,38 @@ def test_surrogate_json_rejects_garbage():
     text = surrogate_to_json(surrogate)
     with pytest.raises(Exception):
         surrogate_from_json(text.replace("smolyak", "simpson"))
+
+
+@pytest.mark.parametrize("field", ["keys", "knots"])
+def test_surrogate_json_rejects_one_tampered_knot(field):
+    plan = build_plan(GridRule("td", "gauss_legendre"), 3, 2)
+    payload = json.loads(surrogate_to_json(build_surrogate(plan, lambda q: float(q.sum()))))
+    if field == "keys":
+        payload["keys"][4][1] = "gl:9:0"
+    else:
+        payload["knots"][4][1] = float(np.nextafter(payload["knots"][4][1], 2.0))
+    with pytest.raises(CacheMismatchError):
+        surrogate_from_json(json.dumps(payload))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["smolyak", "td", "hc"]),
+    family=st.sampled_from(["clenshaw_curtis", "gauss_legendre"]),
+    dims=st.integers(1, 4),
+    w=st.integers(0, 3),
+    n_out=st.sampled_from([None, 1, 3]),
+    data=st.data(),
+)
+def test_surrogate_json_roundtrip_is_bitwise(kind, family, dims, w, n_out, data):
+    plan = build_plan(GridRule(kind, family), w, dims)
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = data.draw(st.lists(finite, min_size=plan.n_knots * (n_out or 1), max_size=plan.n_knots * (n_out or 1)))
+    values = np.array(rows, dtype=float).reshape(plan.n_knots, n_out or 1)
+    surrogate = Surrogate(plan=plan, values=values, scalar=n_out is None)
+    clone = surrogate_from_json(surrogate_to_json(surrogate))
+    assert clone.values.tobytes() == values.tobytes()
+    assert clone.scalar == surrogate.scalar
+    assert clone.plan.knots.tobytes() == plan.knots.tobytes()
+    assert clone.plan.knot_keys == plan.knot_keys
+    assert clone.plan.terms == plan.terms
