@@ -276,15 +276,14 @@ def _basis_lookup(plan: SparseGridPlan, coords) -> Callable[[int, int], np.ndarr
 def _contract_terms(
     surrogate: Surrogate, step: Callable[[int, int, np.ndarray], np.ndarray]
 ) -> np.ndarray:
-    """Sum of coefficient * (every axis contracted) over the plan's terms.
+    """Sum over the plan's terms of coefficient * tensor, every axis contracted.
 
-    step(dim, count, partial) contracts the leading count axis of partial,
-    which has dim axes contracted already, with node set `count` along
-    dimension dim. Terms are traversed depth first, grouped by the counts of
-    the axes not yet contracted: a group's partials are summed before its
-    shared axes are contracted, so each distinct count suffix
-    (counts[dim], ..., counts[-1]) is contracted once along dim, not once per
-    term (sum factorization). One partial sum per depth is alive at a time.
+    step(dim, count, partial) contracts the leading axis of partial with node
+    set `count` along dimension dim. Terms are grouped depth first by the
+    counts of their uncontracted axes, and a group is summed before those
+    axes are contracted (sum factorization): each distinct count suffix
+    (counts[dim], ..., counts[-1]) is contracted once along dim. One partial
+    sum per depth is alive at a time.
     """
     dims = surrogate.plan.dims
     # Sorting on the reversed counts makes every group contiguous at every depth.
@@ -314,8 +313,8 @@ def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
 
     Accepts (dims,) or (P, dims); returns a scalar / (n_out,) row for a
     single point and (P,) / (P, n_out) for a batch. Cost: one per-point
-    contraction along dim for each distinct count suffix
-    (counts[dim], ..., counts[-1]) of the plan's terms (see _contract_terms).
+    contraction along d per distinct count suffix (counts[d], ...,
+    counts[-1]) of the plan's terms (see _contract_terms).
     """
     plan = surrogate.plan
     pts = np.asarray(points, dtype=float)
@@ -342,12 +341,10 @@ def evaluate_on_grid(surrogate: Surrogate, axes) -> np.ndarray:
     """Evaluate the interpolant on the tensor grid axes[0] x ... x axes[-1].
 
     Value tensors are contracted with one (len(axes[d]), count) basis matrix
-    per axis. Cost: one such contraction along d for each distinct count
-    suffix (counts[d], ..., counts[-1]) of the plan's terms, since terms that
-    share the counts of their uncontracted axes are summed first (see
-    _contract_terms). Rows come in C order
-    (meshgrid(indexing="ij").ravel()), shaped (P,) or (P, n_out) as
-    evaluate_surrogate returns for the flattened grid.
+    per axis. Cost: one such contraction along d per distinct count suffix
+    (counts[d], ..., counts[-1]) of the plan's terms (see _contract_terms).
+    Rows come in C order (meshgrid(indexing="ij").ravel()), shaped (P,) or
+    (P, n_out) as evaluate_surrogate returns for the flattened grid.
     """
     plan = surrogate.plan
     if len(axes) != plan.dims:

@@ -273,13 +273,14 @@ def test_grouped_contraction_matches_the_per_term_loop(kind, family, dims, w, n_
 
     want = _per_term_points(surrogate, pts)
     assert np.abs(evaluate_surrogate(surrogate, pts) - want).max() <= bound
-    assert np.abs(evaluate_on_grid(surrogate, axes) - _per_term_grid(surrogate, axes)).max() <= bound
+    grid_want = _per_term_grid(surrogate, axes)
+    assert np.abs(evaluate_on_grid(surrogate, axes) - grid_want).max() <= bound
 
     terms = list(plan.terms)
     random.Random(seed).shuffle(terms)
     shuffled = Surrogate(plan=dataclasses.replace(plan, terms=terms), values=values, scalar=False)
     assert np.abs(evaluate_surrogate(shuffled, pts) - want).max() <= bound
-    assert np.abs(evaluate_on_grid(shuffled, axes) - want).max() <= bound
+    assert np.abs(evaluate_on_grid(shuffled, axes) - grid_want).max() <= bound
 
 
 def test_surrogate_json_roundtrip():
@@ -323,8 +324,9 @@ def test_surrogate_json_rejects_one_tampered_knot(field):
 )
 def test_surrogate_json_roundtrip_is_bitwise(kind, family, dims, w, n_out, data):
     plan = build_plan(GridRule(kind, family), w, dims)
+    size = plan.n_knots * (n_out or 1)
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    rows = data.draw(st.lists(finite, min_size=plan.n_knots * (n_out or 1), max_size=plan.n_knots * (n_out or 1)))
+    rows = data.draw(st.lists(finite, min_size=size, max_size=size))
     values = np.array(rows, dtype=float).reshape(plan.n_knots, n_out or 1)
     surrogate = Surrogate(plan=plan, values=values, scalar=n_out is None)
     clone = surrogate_from_json(surrogate_to_json(surrogate))
