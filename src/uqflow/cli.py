@@ -339,8 +339,8 @@ def _level_result(
         cache_path = Path(cfg.cache_dir) / f"{_cache_key(case_digest, cfg, w)}.json"
         try:
             surrogate = surrogate_from_json(cache_path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError, KeyError, CacheMismatchError):
-            pass  # a missing, unreadable or stale entry is a miss, written below
+        except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError, CacheMismatchError):
+            pass  # a missing, unreadable, corrupt or stale entry is a miss, written below
     if surrogate is None:
         surrogate = build_surrogate(build_plan(cfg.rule, w, cfg.dims), sample)
         if cache_path is not None:
@@ -373,9 +373,19 @@ def _load_network(cfg_case: str):
     return case, to_network(case)
 
 
-def _require_qoi_bus(net: PowerNetwork, qoi: QuantityOfInterest) -> None:
-    if qoi.bus not in net.position:
-        raise CaseValidationError(f"quantity of interest references unknown bus {qoi.bus}")
+def _study_setup(
+    args: argparse.Namespace, need_reference: bool
+) -> tuple[ExperimentConfig, Callable[[np.ndarray], float], str]:
+    """Config, memoized QoI sampler and case digest of a study command."""
+    cfg = _experiment_config(args, need_reference)
+    case, net = _load_network(cfg.case)
+    if cfg.qoi.bus not in net.position:
+        raise CaseValidationError(f"quantity of interest references unknown bus {cfg.qoi.bus}")
+    pert = _study_perturbation(
+        net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
+    )
+    digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
+    return cfg, _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol)), digest
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +448,7 @@ def cmd_grid_info(args: argparse.Namespace) -> int:
 
 
 def cmd_uq_moments(args: argparse.Namespace) -> int:
-    cfg = _experiment_config(args, need_reference=False)
-    case, net = _load_network(cfg.case)
-    _require_qoi_bus(net, cfg.qoi)
-    pert = _study_perturbation(
-        net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
-    )
-    digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-    sample = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol))
+    cfg, sample, digest = _study_setup(args, need_reference=False)
     rows = []
     for w in cfg.levels:
         r = _level_result(cfg, sample, w, digest)
@@ -455,14 +458,7 @@ def cmd_uq_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_uq_convergence(args: argparse.Namespace) -> int:
-    cfg = _experiment_config(args, need_reference=True)
-    case, net = _load_network(cfg.case)
-    _require_qoi_bus(net, cfg.qoi)
-    pert = _study_perturbation(
-        net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
-    )
-    digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-    sample = _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol))
+    cfg, sample, digest = _study_setup(args, need_reference=True)
     # The reference level runs first: with nested node families every lower
     # level then reuses its solves through the memo.
     reference = _level_result(cfg, sample, cfg.reference_level, digest)

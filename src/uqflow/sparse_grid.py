@@ -3,9 +3,10 @@
 A plan fixes a rule (index-set shape + node family), a budget w, and a
 dimension count; it enumerates the admissible multi-indices, folds the
 telescoping differences into integer combination coefficients, and takes the
-exact set union of the surviving tensor grids. Knot identity is integer-based
-(see nodes1d), so the union never compares floats and a model function is
-evaluated exactly once per unique knot.
+exact set union of the surviving tensor grids. Each distinct 1D node, named
+by its exact key (see nodes1d), gets an integer id; the union is one sort of
+the id tuples of every term's grid, so it never compares floats and a model
+function is evaluated exactly once per unique knot.
 """
 
 from __future__ import annotations
@@ -72,24 +73,35 @@ class GridRule:
         return self.level_weight(index) <= w
 
 
+def _downward_closed(
+    dims: int, first: int, fits: Callable[[tuple[int, ...]], bool]
+) -> list[tuple[int, ...]]:
+    """Every dims-tuple of entries >= first that fits, in lexicographic order.
+
+    fits must be downward closed (lowering an entry keeps a tuple fitting), so
+    a prefix grows while the prefix padded with `first` still fits.
+    """
+    out: list[tuple[int, ...]] = []
+
+    def extend(prefix: tuple[int, ...]):
+        if len(prefix) == dims:
+            out.append(prefix)
+            return
+        pad = (first,) * (dims - len(prefix) - 1)
+        i = first
+        while fits(prefix + (i,) + pad):
+            extend(prefix + (i,))
+            i += 1
+
+    extend(())
+    return out
+
+
 def admissible_indices(rule: GridRule, w: int, dims: int) -> list[tuple[int, ...]]:
     """All 1-based level multi-indices with g(i) <= w, lexicographic order."""
     if w < 0 or dims < 1:
         raise ValueError(f"need w >= 0 and dims >= 1, got w={w}, dims={dims}")
-    out: list[tuple[int, ...]] = []
-
-    def extend(prefix: list[int]):
-        if len(prefix) == dims:
-            out.append(tuple(prefix))
-            return
-        pad = dims - len(prefix) - 1
-        i = 1
-        while rule.admissible(tuple(prefix + [i] + [1] * pad), w):
-            extend(prefix + [i])
-            i += 1
-
-    extend([])
-    return out
+    return _downward_closed(dims, 1, lambda index: rule.admissible(index, w))
 
 
 def combination_coefficients(
@@ -122,35 +134,38 @@ def _gl_unit_nodes(count: int) -> tuple[float, ...]:
     return tuple(gauss_nodes(count)[0].tolist())
 
 
-def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, list[tuple]]:
-    """Node values plus their exact identity keys for one count."""
+def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, list[str]]:
+    """Node values plus their exact identity keys, as cache text, for one count."""
     if family == "clenshaw_curtis":
-        keys = [("cc", p, q) for p, q in cc_node_keys(count)]
-        return clenshaw_curtis_nodes(count), keys
-    nodes = np.array(_gl_unit_nodes(count))
-    keys = []
-    for j in range(count):
-        if count % 2 == 1 and j == count // 2:
-            keys.append(("gl0",))  # the zero node is shared across odd counts
-        else:
-            keys.append(("gl", count, j))
-    return nodes, keys
+        return clenshaw_curtis_nodes(count), [f"{p}/{q}" for p, q in cc_node_keys(count)]
+    # The zero node of an odd count is shared across odd counts.
+    keys = [
+        "gl0" if count % 2 == 1 and j == count // 2 else f"gl:{count}:{j}"
+        for j in range(count)
+    ]
+    return np.array(_gl_unit_nodes(count)), keys
 
 
 @dataclass(frozen=True)
 class TensorTerm:
+    """One tensor grid of the combination form; rows holds its knots' plan rows in C order."""
+
     levels: tuple[int, ...]
     coefficient: int
     counts: tuple[int, ...]
+    rows: np.ndarray = field(compare=False, repr=False)
 
 
 @dataclass
 class SparseGridPlan:
     """Deterministic evaluation plan: terms plus the deduplicated knot union.
 
-    knots are sorted lexicographically by coordinate value (exact keys break
-    ties), so plans are reproducible across runs; knot_index maps each exact
-    key combination to its row in knots.
+    Every distinct 1D node has an integer id, its place in node_keys (sorted
+    by value, exact keys breaking ties); knot_ids holds one id per coordinate
+    of each knot, and knots their values. The union is taken by sorting the
+    id tuples of all terms, so knots come lexicographically by value and are
+    reproducible across runs. node_sets maps a count to its nodes and
+    barycentric weights.
     """
 
     rule: GridRule
@@ -158,11 +173,9 @@ class SparseGridPlan:
     dims: int
     terms: list[TensorTerm]
     knots: np.ndarray
-    knot_keys: list[tuple[tuple, ...]]
-    knot_index: dict[tuple[tuple, ...], int]
-    node_sets: dict[int, tuple[np.ndarray, np.ndarray, list[tuple]]] = field(
-        repr=False, default_factory=dict
-    )
+    knot_ids: np.ndarray
+    node_keys: list[str] = field(repr=False)
+    node_sets: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     @property
     def n_knots(self) -> int:
@@ -171,40 +184,51 @@ class SparseGridPlan:
 
 def build_plan(rule: GridRule, w: int, dims: int) -> SparseGridPlan:
     coeffs = combination_coefficients(rule, w, dims)
+    indices = [(i, c, tuple(rule.count(l) for l in i)) for i, c in coeffs.items() if c != 0]
+    node_sets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    count_keys: dict[int, list[str]] = {}
+    node_value: dict[str, float] = {}
+    for count in sorted({c for _, _, counts in indices for c in counts}):
+        nodes, keys = _family_nodes(rule.family, count)
+        node_sets[count] = (nodes, barycentric_weights(nodes))
+        count_keys[count] = keys
+        node_value.update(zip(keys, nodes.tolist()))
+    node_keys = sorted(node_value, key=lambda key: (node_value[key], key))
+    node_id = {key: n for n, key in enumerate(node_keys)}
+    count_ids = {c: np.array([node_id[k] for k in keys]) for c, keys in count_keys.items()}
+
+    # Each term's (counts..., dims) grid of ids, filled axis by axis by
+    # broadcasting, flattened in C order and stacked.
+    grids = []
+    for _, _, counts in indices:
+        grid = np.empty((*counts, dims), dtype=np.intp)
+        for d, count in enumerate(counts):
+            grid[..., d] = count_ids[count].reshape((-1,) + (1,) * (dims - 1 - d))
+        grids.append(grid.reshape(-1, dims))
+    stacked = np.concatenate(grids)
+    # Sorting the id rows, first column primary, makes equal knots neighbours.
+    order = np.lexsort(stacked.T[::-1])
+    ordered = stacked[order]
+    new = np.ones(len(ordered), dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    rows = np.empty(len(ordered), dtype=np.intp)
+    rows[order] = np.cumsum(new) - 1
+    knot_ids = ordered[new]
+
+    starts = np.cumsum([len(g) for g in grids])[:-1]
     terms = [
-        TensorTerm(levels=i, coefficient=c, counts=tuple(rule.count(l) for l in i))
-        for i, c in coeffs.items()
-        if c != 0
+        TensorTerm(levels=i, coefficient=c, counts=counts, rows=term_rows)
+        for (i, c, counts), term_rows in zip(indices, np.split(rows, starts))
     ]
-    node_sets: dict[int, tuple[np.ndarray, np.ndarray, list[tuple]]] = {}
-    for term in terms:
-        for count in term.counts:
-            if count not in node_sets:
-                nodes, keys = _family_nodes(rule.family, count)
-                node_sets[count] = (nodes, barycentric_weights(nodes), keys)
-
-    seen: dict[tuple[tuple, ...], tuple[float, ...]] = {}
-    for term in terms:
-        per_dim = [
-            list(zip(node_sets[c][2], node_sets[c][0].tolist())) for c in term.counts
-        ]
-        for combo in itertools.product(*per_dim):
-            key = tuple(k for k, _ in combo)
-            if key not in seen:
-                seen[key] = tuple(v for _, v in combo)
-
-    ordered = sorted(seen.items(), key=lambda item: (item[1], item[0]))
-    knot_keys = [k for k, _ in ordered]
-    knots = np.array([v for _, v in ordered], dtype=float).reshape(len(ordered), dims)
-    knot_index = {k: row for row, k in enumerate(knot_keys)}
+    node_values = np.array([node_value[key] for key in node_keys])
     return SparseGridPlan(
         rule=rule,
         w=w,
         dims=dims,
         terms=terms,
-        knots=knots,
-        knot_keys=knot_keys,
-        knot_index=knot_index,
+        knots=node_values[knot_ids],
+        knot_ids=knot_ids,
+        node_keys=node_keys,
         node_sets=node_sets,
     )
 
@@ -223,28 +247,17 @@ class Surrogate:
     plan: SparseGridPlan
     values: np.ndarray
     scalar: bool
-    _tensors: list[np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def n_out(self) -> int:
         return self.values.shape[1]
 
     def term_tensors(self) -> list[np.ndarray]:
-        # Value blocks reshaped per term, gathered once and reused.
-        if self._tensors is None:
-            tensors = []
-            plan = self.plan
-            for term in plan.terms:
-                key_lists = [plan.node_sets[c][2] for c in term.counts]
-                rows = [
-                    plan.knot_index[combo]
-                    for combo in itertools.product(*key_lists)
-                ]
-                tensors.append(
-                    self.values[rows].reshape(*term.counts, self.n_out)
-                )
-            self._tensors = tensors
-        return self._tensors
+        """Each term's value block, shaped (counts..., n_out)."""
+        return [
+            self.values[term.rows].reshape(*term.counts, self.n_out)
+            for term in self.plan.terms
+        ]
 
 
 def build_surrogate(plan: SparseGridPlan, f: Callable) -> Surrogate:
@@ -266,7 +279,7 @@ def _basis_lookup(plan: SparseGridPlan, coords) -> Callable[[int, int], np.ndarr
 
     def basis(dim: int, count: int) -> np.ndarray:
         if (dim, count) not in cache:
-            nodes, bw, _ = plan.node_sets[count]
+            nodes, bw = plan.node_sets[count]
             cache[dim, count] = barycentric_basis(nodes, bw, coords[dim])
         return cache[dim, count]
 
@@ -376,25 +389,13 @@ def polynomial_space(rule: GridRule, w: int, dims: int) -> np.ndarray:
     smolyak: sum of f(p_n) <= w with f = 0, 1, ceil(log2 p); td: sum p_n <= w;
     hc: prod (p_n + 1) <= w + 1. Rows are lexicographically sorted.
     """
-    out: list[tuple[int, ...]] = []
 
-    def feasible(degrees: list[int], pad_zero: int) -> bool:
-        full = tuple(degrees + [0] * pad_zero)
+    def fits(degrees: tuple[int, ...]) -> bool:
         if rule.kind == "hc":
-            return math.prod(d + 1 for d in full) <= w + 1
-        return sum(_degree_cost(rule.kind, d) for d in full) <= w
+            return math.prod(d + 1 for d in degrees) <= w + 1
+        return sum(_degree_cost(rule.kind, d) for d in degrees) <= w
 
-    def extend(prefix: list[int]):
-        if len(prefix) == dims:
-            out.append(tuple(prefix))
-            return
-        pad = dims - len(prefix) - 1
-        p = 0
-        while feasible(prefix + [p], pad):
-            extend(prefix + [p])
-            p += 1
-
-    extend([])
+    out = _downward_closed(dims, 0, fits)
     return np.array(out, dtype=int).reshape(len(out), dims)
 
 
@@ -404,14 +405,6 @@ _PLAN_FORMAT = "uqflow-plan/1"
 _SURROGATE_FORMAT = "uqflow-surrogate/1"
 
 
-def _key_to_text(key: tuple) -> str:
-    if key[0] == "cc":
-        return f"{key[1]}/{key[2]}"
-    if key[0] == "gl0":
-        return "gl0"
-    return f"gl:{key[1]}:{key[2]}"
-
-
 def plan_to_dict(plan: SparseGridPlan) -> dict:
     return {
         "format": _PLAN_FORMAT,
@@ -419,7 +412,7 @@ def plan_to_dict(plan: SparseGridPlan) -> dict:
         "w": plan.w,
         "dims": plan.dims,
         "knots": plan.knots.tolist(),
-        "keys": [[_key_to_text(k) for k in combo] for combo in plan.knot_keys],
+        "keys": np.array(plan.node_keys, dtype=object)[plan.knot_ids].tolist(),
     }
 
 
@@ -436,19 +429,29 @@ def surrogate_from_json(text: str) -> Surrogate:
 
     The plan is reconstructed from (rule, w, dims) and compared against the
     stored knots and keys, so a cache written by a different build can never
-    be silently reused.
+    be silently reused. A payload of the wrong shape, or values that are not
+    one finite row per knot, raises CacheMismatchError too.
     """
     payload = json.loads(text)
-    if payload.get("format") != _SURROGATE_FORMAT:
-        raise CacheMismatchError(
-            f"unexpected format tag {payload.get('format')!r}"
-        )
-    rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
-    plan = build_plan(rule, payload["w"], payload["dims"])
-    stored_knots = np.asarray(payload["knots"], dtype=float).reshape(-1, plan.dims)
-    if payload["keys"] != plan_to_dict(plan)["keys"] or not np.array_equal(
+    if not isinstance(payload, dict) or payload.get("format") != _SURROGATE_FORMAT:
+        raise CacheMismatchError("not a surrogate payload of format " + _SURROGATE_FORMAT)
+    w, dims, scalar = payload.get("w"), payload.get("dims"), payload.get("scalar")
+    if type(w) is not int or type(dims) is not int or type(scalar) is not bool:
+        raise CacheMismatchError("cached w and dims must be ints and scalar a bool")
+    try:
+        rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
+        plan = build_plan(rule, w, dims)
+        stored_knots = np.asarray(payload["knots"], dtype=float)
+        values = np.asarray(payload["values"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CacheMismatchError(f"malformed cache entry: {exc!r}") from None
+    if payload.get("keys") != plan_to_dict(plan)["keys"] or not np.array_equal(
         stored_knots, plan.knots
     ):
         raise CacheMismatchError("cached knot set does not match the rebuilt plan")
-    values = np.asarray(payload["values"], dtype=float)
-    return Surrogate(plan=plan, values=values, scalar=payload["scalar"])
+    n_out = values.shape[1] if values.ndim == 2 else 0
+    if values.shape[:1] != (plan.n_knots,) or n_out < 1 or (scalar and n_out != 1):
+        raise CacheMismatchError(f"cached values of shape {values.shape} do not fit the plan")
+    if not np.isfinite(values).all():
+        raise CacheMismatchError("cached values are not all finite")
+    return Surrogate(plan=plan, values=values, scalar=scalar)

@@ -295,6 +295,10 @@ def test_surrogate_cache_roundtrip(tmp_path):
     assert first == second
 
 
+def _without_wall_ms(path):
+    return [line.rpartition(",")[0] for line in path.read_text().splitlines()]
+
+
 def test_warm_csv_matches_the_cold_csv_byte_for_byte(tmp_path):
     # Three dimensions, so the warm op's grouped contraction sums terms.
     args = [
@@ -313,11 +317,8 @@ def test_warm_csv_matches_the_cold_csv_byte_for_byte(tmp_path):
     assert main(args + [str(cold)]) == 0
     assert main(args + [str(warm)]) == 0
 
-    def without_wall_ms(path):
-        return [line.rpartition(",")[0] for line in path.read_text().splitlines()]
-
-    assert without_wall_ms(cold)[1] == "w,knots,mean,var"
-    assert without_wall_ms(warm) == without_wall_ms(cold)
+    assert _without_wall_ms(cold)[1] == "w,knots,mean,var"
+    assert _without_wall_ms(warm) == _without_wall_ms(cold)
 
 
 def test_truncated_cache_entry_is_recomputed(tmp_path):
@@ -346,6 +347,42 @@ def test_truncated_cache_entry_is_recomputed(tmp_path):
     first = [r[:-1] for r in _csv_rows(out1.read_text(), "uq-moments")]
     second = [r[:-1] for r in _csv_rows(out2.read_text(), "uq-moments")]
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda p: json.dumps({**p, "values": p["values"][:-1]}).encode(),
+        lambda p: json.dumps([p]).encode(),
+        lambda p: json.dumps({**p, "w": str(p["w"])}).encode(),
+        lambda p: json.dumps({**p, "values": [[None] for _ in p["values"]]}).encode(),
+        lambda p: b"\xff" + json.dumps(p).encode(),
+    ],
+    ids=["values one row short", "list payload", "w as text", "null values", "invalid utf-8"],
+)
+def test_corrupt_cache_entry_is_recomputed(tmp_path, corrupt):
+    cache = tmp_path / "cache"
+    args = [
+        "uq-moments",
+        "--case",
+        "bundled:case39",
+        "--dims",
+        "2",
+        "--levels",
+        "2",
+        "--cache",
+        str(cache),
+        "--out",
+    ]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert main(args + [str(cold)]) == 0
+    (entry,) = cache.glob("*.json")
+    text = entry.read_text()
+    entry.write_bytes(corrupt(json.loads(text)))
+    assert main(args + [str(warm)]) == 0
+    assert entry.read_text() == text
+
+    assert _without_wall_ms(warm) == _without_wall_ms(cold)
 
 
 _DEMO_MOMENTS = [

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from uqflow.errors import CacheMismatchError
 from uqflow.moments import quadrature_plan
+from uqflow.nodes1d import cc_node_keys, clenshaw_curtis_nodes, gauss_nodes
 from uqflow.sparse_grid import (
     GridRule,
     Surrogate,
@@ -23,6 +25,7 @@ from uqflow.sparse_grid import (
     combination_coefficients,
     evaluate_on_grid,
     evaluate_surrogate,
+    plan_to_dict,
     polynomial_space,
     surrogate_from_json,
     surrogate_to_json,
@@ -333,5 +336,108 @@ def test_surrogate_json_roundtrip_is_bitwise(kind, family, dims, w, n_out, data)
     assert clone.values.tobytes() == values.tobytes()
     assert clone.scalar == surrogate.scalar
     assert clone.plan.knots.tobytes() == plan.knots.tobytes()
-    assert clone.plan.knot_keys == plan.knot_keys
+    assert np.array_equal(clone.plan.knot_ids, plan.knot_ids)
     assert clone.plan.terms == plan.terms
+
+
+def _oracle_union(plan):
+    """The knot union walked term by term over (key, value) pairs into a dict
+    keyed by tuples of exact keys, sorted on (values, keys): the reference
+    for build_plan's sort of integer node ids. Returns the knots, their key
+    text and each term's knot rows in C order over counts."""
+
+    def key_values(count):
+        if plan.rule.family == "clenshaw_curtis":
+            keys = [("cc", p, q) for p, q in cc_node_keys(count)]
+            return list(zip(keys, clenshaw_curtis_nodes(count).tolist()))
+        keys = [
+            ("gl0",) if count % 2 == 1 and j == count // 2 else ("gl", count, j)
+            for j in range(count)
+        ]
+        return list(zip(keys, gauss_nodes(count)[0].tolist()))
+
+    def text(key):
+        if key[0] == "cc":
+            return f"{key[1]}/{key[2]}"
+        return "gl0" if key[0] == "gl0" else f"gl:{key[1]}:{key[2]}"
+
+    seen = {}
+    for term in plan.terms:
+        for combo in itertools.product(*(key_values(c) for c in term.counts)):
+            seen.setdefault(tuple(k for k, _ in combo), tuple(v for _, v in combo))
+    ordered = sorted(seen.items(), key=lambda item: (item[1], item[0]))
+    knots = np.array([v for _, v in ordered], dtype=float).reshape(len(ordered), plan.dims)
+    index = {k: row for row, (k, _) in enumerate(ordered)}
+    rows = [
+        [
+            index[tuple(k for k, _ in combo)]
+            for combo in itertools.product(*(key_values(c) for c in term.counts))
+        ]
+        for term in plan.terms
+    ]
+    return knots, [[text(k) for k in key] for key, _ in ordered], rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["smolyak", "td", "hc"]),
+    family=st.sampled_from(["clenshaw_curtis", "gauss_legendre"]),
+    dims=st.integers(1, 6),
+    w=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example("smolyak", "clenshaw_curtis", 6, 4, 0)
+@example("smolyak", "gauss_legendre", 6, 4, 1)
+@example("hc", "gauss_legendre", 3, 4, 2)
+def test_knot_union_matches_the_tuple_key_oracle(kind, family, dims, w, seed):
+    plan = build_plan(GridRule(kind, family), w, dims)
+    knots, keys, rows = _oracle_union(plan)
+    assert plan.knots.tobytes() == knots.tobytes()
+    assert plan_to_dict(plan)["keys"] == keys
+    values = np.random.default_rng(seed).standard_normal((plan.n_knots, 2))
+    surrogate = Surrogate(plan=plan, values=values, scalar=False)
+    for term, tensor, term_rows in zip(plan.terms, surrogate.term_tensors(), rows):
+        assert np.array_equal(tensor, values[term_rows].reshape(*term.counts, 2))
+
+    order = list(range(len(plan.terms)))
+    random.Random(seed).shuffle(order)
+    shuffled = dataclasses.replace(plan, terms=[plan.terms[t] for t in order])
+    tensors = Surrogate(plan=shuffled, values=values, scalar=False).term_tensors()
+    for t, tensor in zip(order, tensors):
+        want = values[rows[t]].reshape(*plan.terms[t].counts, 2)
+        assert np.array_equal(tensor, want)
+
+
+_FIXTURES = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize(
+    "name", ["surrogate_td_gauss_w3_d2.json", "surrogate_smolyak_cc_w2_d3.json"]
+)
+def test_cache_text_written_before_the_id_union_round_trips(name):
+    # Written by the tuple-key union: existing caches must stay hits.
+    text = (_FIXTURES / name).read_text()
+    assert surrogate_to_json(surrogate_from_json(text)) == text
+
+
+_CORRUPTIONS = {
+    "values one row short": lambda p: {**p, "values": p["values"][:-1]},
+    "list payload": lambda p: [p],
+    "w as text": lambda p: {**p, "w": str(p["w"])},
+    "null values": lambda p: {**p, "values": [[None] for _ in p["values"]]},
+    "infinite value": lambda p: {**p, "values": [[math.inf]] + p["values"][1:]},
+    "scalar as int": lambda p: {**p, "scalar": 1},
+    "scalar with two columns": lambda p: {**p, "values": [row * 2 for row in p["values"]]},
+    "no columns": lambda p: {**p, "values": [[] for _ in p["values"]]},
+    "ragged values": lambda p: {**p, "values": [p["values"][0] * 2] + p["values"][1:]},
+    "rule missing": lambda p: {k: v for k, v in p.items() if k != "rule"},
+    "unknown rule": lambda p: {**p, "rule": {**p["rule"], "kind": "simpson"}},
+}
+
+
+@pytest.mark.parametrize("how", list(_CORRUPTIONS))
+def test_surrogate_json_rejects_a_corrupt_entry(how):
+    plan = build_plan(SMOLYAK, 2, 2)
+    payload = json.loads(surrogate_to_json(build_surrogate(plan, lambda q: float(q.sum()))))
+    with pytest.raises(CacheMismatchError):
+        surrogate_from_json(json.dumps(_CORRUPTIONS[how](payload)))
