@@ -272,7 +272,7 @@ def _study_perturbation(
 
 #: Version of the cached knot values; bumped whenever the knot solve changes
 #: them, so entries written by an older solve are misses.
-_CACHE_TAG = "uqflow-cache/2"
+_CACHE_TAG = "uqflow-cache/3"
 
 
 def _cache_key(case_digest: str, cfg: ExperimentConfig, w: int) -> str:
@@ -338,7 +338,7 @@ def _level_result(
     if cfg.cache_dir is not None:
         cache_path = Path(cfg.cache_dir) / f"{_cache_key(case_digest, cfg, w)}.json"
         try:
-            surrogate = surrogate_from_json(cache_path.read_text())
+            surrogate = surrogate_from_json(cache_path.read_text(), (cfg.rule, w, cfg.dims))
         except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError, CacheMismatchError):
             pass  # a missing, unreadable, corrupt or stale entry is a miss, written below
     if surrogate is None:

@@ -11,7 +11,8 @@ z picked by dtype), which skips SciPy's per-call wrapper cost.
 
 A problem affine in its parameters is also described once by its slopes at
 a fixed state (parameter_slopes), which the region search reads its
-perturbation bounds from and chord_predictor turns into a Newton start.
+perturbation bounds from and taylor_predictor turns into a second-order
+Newton start.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ _PIVOT_REL_FLOOR = 1e-14
 
 #: Central-difference step of cauchy_riemann_residual.
 _CR_STEP = 1e-4
+
+#: Imaginary step of the complex-step directional derivative in taylor_predictor.
+_COMPLEX_STEP = 1e-20
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,7 @@ def _lu_with_pivot_check(matrix: np.ndarray, iteration: int):
     falls below 1e-14 * the largest one or is not finite. getrf reports an
     exactly zero pivot through its info code, which the pivot test covers."""
     lu, piv, _ = _getrf_getrs(matrix.dtype)[0](matrix)
-    diag = np.abs(np.diag(lu))
+    diag = np.abs(lu.diagonal())
     scale, low = (diag.max(), diag.min()) if diag.size else (0.0, 0.0)
     if scale == 0.0 or not low >= _PIVOT_REL_FLOOR * scale:
         raise SingularJacobianError(iteration, float(low), float(scale))
@@ -92,8 +96,9 @@ def solve(
     not an exception; a pivot collapsing below 1e-14 * max-pivot raises
     SingularJacobianError, complex or not.
     """
+    # Every step makes a new x, so the iterates are recorded without copies.
     x = np.array(x0, dtype=np.result_type(np.asarray(x0), float))
-    iterates = [x.copy()]
+    iterates = [x]
     residual_norms: list[float] = []
     for iteration in range(max_iter + 1):
         r = np.asarray(problem.residual(x, params))
@@ -104,9 +109,10 @@ def solve(
         if iteration == max_iter or not math.isfinite(rn):
             break
         j = np.asarray(problem.jacobian(x, params))
-        lu, piv = _lu_with_pivot_check(j.astype(np.result_type(j, r), copy=False), iteration)
+        j = j.astype(np.promote_types(j.dtype, r.dtype), copy=False)
+        lu, piv = _lu_with_pivot_check(j, iteration)
         x = x - _lu_solve(lu, piv, r)
-        iterates.append(x.copy())
+        iterates.append(x)
     return NewtonTrace(x, False, len(residual_norms) - 1, residual_norms, iterates)
 
 
@@ -136,24 +142,62 @@ def parameter_slopes(problem: NewtonProblem, x0: np.ndarray, dims: int) -> Param
     return ParameterSlopes(j[0], f[0], j[1:] - j[0], f[1:] - f[0])
 
 
-def chord_predictor(slopes: ParameterSlopes, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x_hat, tangent) such that x_hat + tangent @ q = x0 - J0^-1 f(x0, q).
+class Predictor(NamedTuple):
+    """Second-order Taylor model x_hat + T q + 1/2 H[q, q] of a solution map.
 
-    For a residual affine in the parameters, f(x0, q) = f0 + q @ df, this is
-    one chord step from x0 at every q at once: x_hat = x0 - J0^-1 f0 and
-    tangent = -J0^-1 [df_1 ... df_d], the first-order continuation predictor
-    of the solution map anchored at x0. J0 must pass Newton's pivot test, or
-    SingularJacobianError is raised.
+    ``taylor`` holds [T, H/2] side by side, shape (m, d + d^2): the tangent
+    T (m, d) and the curvature H (m, d, d) flattened row-major. Calling the
+    predictor at q multiplies it with the monomials [q, q q^T], which gives
+    the Newton start.
+    """
+
+    x_hat: np.ndarray
+    taylor: np.ndarray
+
+    def __call__(self, q: np.ndarray) -> np.ndarray:
+        return self.x_hat + self.taylor @ np.concatenate([q, (q[:, None] * q).ravel()])
+
+
+def taylor_predictor(
+    problem: NewtonProblem, slopes: ParameterSlopes, x0: np.ndarray
+) -> Predictor:
+    """Second-order continuation predictor of the solution map, anchored at x0.
+
+    For a residual affine in the parameters, f(x0, q) = f0 + q @ df, one
+    chord step from x0 at every q at once is x_hat + T q = x0 - J0^-1 f(x0, q):
+    x_hat = x0 - J0^-1 f0 and T = -J0^-1 [df_1 ... df_d]. Differentiating
+    f(x(q), q) = 0 twice, with f affine in q, gives the curvature
+
+        H_jk = -J0^-1 (D_x J[T_j] T_k + dJ_j T_k + dJ_k T_j),
+
+    where D_x J[T_j] is the complex-step derivative Im J(x0 + i h T_j, 0) / h
+    (exact to rounding, because the problem is analytic and dtype-generic).
+    Everything reuses the one LU of J0, which must pass Newton's pivot test,
+    or SingularJacobianError is raised.
     """
     lu, piv = _lu_with_pivot_check(slopes.j0, 0)
+    x0 = np.asarray(x0, dtype=float)
+    dims = len(slopes.df)
     # One right-hand side per getrs call: OpenBLAS spreads a many-column
     # solve over its thread pool (at 67 x 5, twice as much CPU as wall time),
     # and the woken threads keep spinning; one column stays on this thread.
-    x_hat = np.asarray(x0, dtype=float) - _lu_solve(lu, piv, slopes.f0)
-    tangent = np.zeros((len(x_hat), len(slopes.df)))
+    x_hat = x0 - _lu_solve(lu, piv, slopes.f0)
+    tangent = np.zeros((len(x_hat), dims))
     for k, df in enumerate(slopes.df):
         tangent[:, k] = -_lu_solve(lu, piv, df)
-    return x_hat, tangent
+    zero = np.zeros(dims)
+    # bend[j][:, k] = D_x J[T_j] T_k and turn[j][:, k] = dJ_j T_k
+    bend = [
+        np.imag(problem.jacobian(x0 + 1j * _COMPLEX_STEP * t, zero)) / _COMPLEX_STEP @ tangent
+        for t in tangent.T
+    ]
+    turn = slopes.dj @ tangent
+    curvature = np.zeros((len(x_hat), dims, dims))
+    for j in range(dims):
+        for k in range(j, dims):
+            rhs = bend[j][:, k] + turn[j][:, k] + turn[k][:, j]
+            curvature[:, j, k] = curvature[:, k, j] = -_lu_solve(lu, piv, rhs)
+    return Predictor(x_hat, np.hstack([tangent, 0.5 * curvature.reshape(len(x_hat), -1)]))
 
 
 # --- Kantorovich certificate --------------------------------------------------

@@ -8,7 +8,9 @@ vectors over the E row-sorted edges of ``PowerNetwork.pattern`` (every bus
 diagonal and both ends of every branch), the flow terms take cos/sin of the E
 angle differences only, per-bus injections are segment sums over each bus's
 row of edges, and the Jacobian is scattered from the edge values into the
-m x m matrix of the unknowns through flat indices cached per network.
+m x m matrix of the unknowns through flat indices cached per network. The
+per-bus state is one stacked vector [theta; V] and the injections one stacked
+[P; Q], so each kernel step is one NumPy call for both halves.
 
 All evaluation kernels are dtype-generic: called with complex angles,
 magnitudes, or parameters they compute the analytic extension of the real
@@ -32,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
-from .newton import NewtonProblem, NewtonTrace, chord_predictor, parameter_slopes, solve
+from .newton import NewtonProblem, NewtonTrace, parameter_slopes, solve, taylor_predictor
 
 BusKind = Literal["slack", "pv", "pq"]
 
@@ -135,9 +137,31 @@ class PowerNetwork:
 
     @cached_property
     def row_starts(self) -> np.ndarray:
-        """First edge of each bus row, the np.add.reduceat segments (none is
-        empty: every row holds its diagonal)."""
-        return np.flatnonzero(np.diff(self.pattern[0], prepend=-1))
+        """First entry of each bus row in the stacked edge values [P terms;
+        Q terms] of length 2E, the np.add.reduceat segments (none is empty:
+        every row holds its diagonal)."""
+        first = np.flatnonzero(np.diff(self.pattern[0], prepend=-1))
+        return np.concatenate([first, len(self.pattern[0]) + first])
+
+    @cached_property
+    def unknowns(self) -> np.ndarray:
+        """Positions of the unknowns [theta at non-slack; V at pq] in the
+        stacked per-bus state [theta; V], and of their equations in the
+        stacked injections [P; Q]."""
+        return np.concatenate([self.non_slack, self.n + self.pq])
+
+    @cached_property
+    def state_gather(self) -> np.ndarray:
+        """Positions in the stacked state [theta; V] of, in this order:
+        theta_k and theta_l of every pattern edge (k, l); V_k twice and V_l
+        twice, to scale both halves of the stacked edge terms; and every bus
+        V twice, to scale both halves of the stacked injections [P; Q]. One
+        gather then feeds the kernels with 1-D operands of equal length,
+        which NumPy runs faster than broadcast ones."""
+        rows, cols = self.pattern
+        v = self.n + np.arange(self.n)
+        r, c = self.n + rows, self.n + cols
+        return np.concatenate([rows, cols, r, r, c, c, v, v])
 
     @cached_property
     def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,31 +171,42 @@ class PowerNetwork:
         return G[rows, cols], B[rows, cols]
 
     @cached_property
-    def setpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-bus (theta, V) with the slack angle and PV/slack magnitudes set
-        and zeros where the unknowns go."""
-        theta = np.array([b.theta0 if b.kind == "slack" else 0.0 for b in self.buses])
-        v = np.array([b.v_set if b.kind != "pq" else 0.0 for b in self.buses])
-        return theta, v
+    def setpoints(self) -> np.ndarray:
+        """Stacked per-bus [theta; V] with the slack angle and PV/slack
+        magnitudes set and zeros where the unknowns go."""
+        theta = [b.theta0 if b.kind == "slack" else 0.0 for b in self.buses]
+        v = [b.v_set if b.kind != "pq" else 0.0 for b in self.buses]
+        return np.array(theta + v)
 
     @cached_property
-    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(diagonal, select, flat) for the concatenated edge blocks [dP/dtheta,
-        dP/dV, dQ/dtheta, dQ/dV] of the Jacobian: the bus diagonals in each
-        block, the block entries that land on an unknown row and column of
-        the m x m Jacobian [theta at non-slack; V at pq], and their flat
-        indices there."""
+    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(source, flat, diagonal, diagonal_source) of the Jacobian scatter.
+
+        The edge blocks [dP/dtheta, dP/dV, dQ/dtheta, dQ/dV] are read from
+        the pool [a, c, a V_l, c V_l, -a V_l, P, Q, -Q, P/V, Q/V] (five edge
+        segments, then five bus segments) that _jacobian_matrix builds:
+        block entries that land on an unknown row and column of the m x m
+        Jacobian [theta at non-slack; V at pq] come from pool[source] and go
+        to the column-major flat indices flat. The entries at positions
+        diagonal of that list are bus diagonals, which also add
+        pool[diagonal_source]."""
         rows, cols = self.pattern
-        nn = len(self.non_slack)
+        edges, nn = len(rows), len(self.non_slack)
         angle = np.full(self.n, -1)
         angle[self.non_slack] = np.arange(nn)
         magnitude = np.full(self.n, -1)
         magnitude[self.pq] = nn + np.arange(len(self.pq))
         r = np.concatenate([angle[rows], angle[rows], magnitude[rows], magnitude[rows]])
         c = np.concatenate([angle[cols], magnitude[cols], angle[cols], magnitude[cols]])
-        diagonal = np.flatnonzero(np.tile(rows == cols, 4))
         select = np.flatnonzero((r >= 0) & (c >= 0))
-        return diagonal, select, r[select] * self.n_unknowns + c[select]
+        block, edge = np.divmod(select, edges)
+        # pool segments per block: edge terms c V_l, a, -a V_l, c and bus
+        # diagonal terms -Q, P/V, P, Q/V
+        source = np.array([3, 0, 4, 1])[block] * edges + edge
+        diagonal = np.flatnonzero(rows[edge] == cols[edge])
+        bus = rows[edge[diagonal]]
+        diagonal_source = 5 * edges + np.array([2, 3, 0, 4])[block[diagonal]] * self.n + bus
+        return source, c[select] * self.n_unknowns + r[select], diagonal, diagonal_source
 
 
 @dataclass
@@ -230,63 +265,66 @@ def gb_matrices(
 # --- injections, mismatch, Jacobian ---------------------------------------------
 
 
-def _flows(net: PowerNetwork, G, B, theta, v):
-    # V-scaled flow terms on the pattern edges (k, l), th = theta_k - theta_l:
-    # a_kl = V_k (G_kl cos th + B_kl sin th)
-    # c_kl = V_k (G_kl sin th - B_kl cos th)
-    rows, cols = net.pattern
-    dtheta = theta[rows] - theta[cols]
-    ct = np.cos(dtheta)
-    st = np.sin(dtheta)
-    vk = v[rows]
-    return vk * (G * ct + B * st), vk * (G * st - B * ct)
+def _flows(net: PowerNetwork, G, B, s):
+    """Edge flow terms, their V_l-scaled values and the bus injections.
+
+    With th = theta_k - theta_l on pattern edge (k, l), the flow terms are
+    a_kl = V_k (G_kl cos th + B_kl sin th) and
+    c_kl = V_k (G_kl sin th - B_kl cos th), returned stacked as ac = [a; c]
+    (2E,); acv = ac * V_l, and the injections P_k = sum_l a_kl V_l and
+    Q_k = sum_l c_kl V_l over bus k's row of edges come stacked as [P; Q].
+    G and B are the edge values stacked twice, [G; G] and [B; B]. The last
+    value is every bus V twice, [V; V], for the Jacobian's diagonal.
+    """
+    e = len(G) // 2
+    g = s[net.state_gather]
+    dtheta = g[:e] - g[e : 2 * e]
+    trig = np.empty(3 * e, dtype=dtheta.dtype)  # cos, sin, -cos
+    np.cos(dtheta, out=trig[:e])
+    np.sin(dtheta, out=trig[e : 2 * e])
+    np.negative(trig[:e], out=trig[2 * e :])
+    ac = g[2 * e : 4 * e] * (G * trig[: 2 * e] + B * trig[e:])
+    acv = ac * g[4 * e : 6 * e]
+    return ac, acv, np.add.reduceat(acv, net.row_starts), g[6 * e :]
 
 
-def _injections(net: PowerNetwork, a, c, v):
-    # P_k = sum_l a_kl V_l and Q_k = sum_l c_kl V_l over bus k's row of edges.
-    vl = v[net.pattern[1]]
-    return np.add.reduceat(a * vl, net.row_starts), np.add.reduceat(c * vl, net.row_starts)
-
-
-def _expand_state(net: PowerNetwork, u: np.ndarray):
-    # Unknowns are [theta at non-slack; V at pq]; the rest are setpoints.
-    theta0, v0 = net.setpoints
-    theta = theta0.astype(u.dtype)
-    v = v0.astype(u.dtype)
-    nn = len(net.non_slack)
-    theta[net.non_slack] = u[:nn]
-    v[net.pq] = u[nn:]
-    return theta, v
+def _expand_state(net: PowerNetwork, u: np.ndarray) -> np.ndarray:
+    """Stacked per-bus [theta; V]: the unknowns u = [theta at non-slack; V at
+    pq] in one scatter over the setpoints."""
+    s = net.setpoints.astype(u.dtype)
+    s[net.unknowns] = u
+    return s
 
 
 def _pack_state(net: PowerNetwork, state: StateVector) -> np.ndarray:
     return np.concatenate([state.theta[net.non_slack], state.v[net.pq]])
 
 
-def _mismatch(net, v, p, q, p_sched, q_sched):
-    if not np.iscomplexobj(v) and np.any(v[net.pq] <= 0.0):
-        bad = net.buses[int(net.pq[np.argmax(v[net.pq] <= 0.0)])].id
+def _check_physical(net: PowerNetwork, u: np.ndarray) -> None:
+    """Raise NonphysicalStateError where a real state has a PQ magnitude
+    (the tail of u) at or below zero."""
+    v_pq = u[len(net.non_slack) :]
+    if v_pq.size and v_pq.dtype.kind != "c" and v_pq.min() <= 0.0:
+        bad = net.buses[int(net.pq[np.argmax(v_pq <= 0.0)])].id
         raise NonphysicalStateError(
             f"voltage magnitude at bus {bad} dropped to a nonphysical value"
         )
-    return np.concatenate(
-        [(p - p_sched)[net.non_slack], (q - q_sched)[net.pq]]
-    )
 
 
-def _jacobian_matrix(net, a, c, p, q, v):
+def _jacobian_matrix(net, ac, acv, inj, vv):
     # Off the diagonal dP/d[theta, V] = [c V_l, a] and dQ/d[theta, V] =
     # [-a V_l, c] per edge; the bus diagonals add [-Q, P / V] and [P, Q / V].
     # The entries at the rows and columns of the unknowns are scattered into
-    # a zeroed m x m array.
-    vl = v[net.pattern[1]]
-    diagonal, select, flat = net.jacobian_scatter
-    blocks = np.concatenate([c * vl, a, -a * vl, c])
-    blocks[diagonal] += np.concatenate([-q, p / v, p, q / v])
+    # a zeroed m x m array in Fortran order, which LAPACK's getrf then copies
+    # as it is instead of transposing.
+    source, flat, diagonal, diagonal_source = net.jacobian_scatter
+    pool = np.concatenate([ac, acv, -acv[: len(acv) // 2], inj, -inj[net.n :], inj / vv])
+    values = pool[source]
+    values[diagonal] += pool[diagonal_source]
     m = net.n_unknowns
-    jac = np.zeros(m * m, dtype=blocks.dtype)
-    jac[flat] = blocks[select]
-    return jac.reshape(m, m)
+    jac = np.zeros(m * m, dtype=values.dtype)
+    jac[flat] = values
+    return jac.reshape(m, m).T
 
 
 def initial_state(net: PowerNetwork, init: str = "flat") -> StateVector:
@@ -321,10 +359,11 @@ def solve_power_flow(
     problem = parametric_problem(net, StochasticPerturbation(dims=0))
     u0 = _pack_state(net, initial_state(net, init))
     trace = solve(problem, u0, np.zeros(0), tol=tol, max_iter=max_iter)
-    theta, v = _expand_state(net, trace.x)
-    p, q = _injections(net, *_flows(net, *net.gb_nominal, theta, v), v)
+    s = _expand_state(net, trace.x)
+    G, B, _ = _affine_parts(net, StochasticPerturbation(dims=0))(np.zeros(0))
+    p, q = np.split(_flows(net, G, B, s)[2], 2)
     return PowerFlowResult(
-        state=StateVector(theta=theta, v=v),
+        state=StateVector(theta=s[: net.n], v=s[net.n :]),
         trace=trace,
         converged=trace.converged,
         p_injection=p,
@@ -427,14 +466,17 @@ class StochasticPerturbation:
 
 
 def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
-    """Build q -> (G, B, P_sched, Q_sched) once per network and perturbation.
+    """Build q -> ([G; G], [B; B], [P_sched; Q_sched]) once per network and
+    perturbation.
 
-    G and B are value vectors on the pattern edges. All four are affine in q:
+    G and B are value vectors on the pattern edges, stacked twice for the two
+    halves of the edge terms in _flows. All are affine in q:
     G(q) = G0 + q @ dG (the same for B), with one slope row per dimension,
     shape (dims, E), taken from gb_matrices differences of the admittance
-    terms, and P_sched(q) = p_gen - p_load (1 + S_p q) with one row of load
-    coefficients per bus (the same for Q). Without admittance terms G and B
-    are the nominal edge arrays themselves. q may be complex.
+    terms, and the stacked schedule is gen - load (1 + S q) with one row of
+    load coefficients per bus and power (P rows, then Q rows). Without
+    admittance terms G and B are the same nominal arrays at every q. q may be
+    complex.
     """
     pert.validate(net)
     G0, B0 = net.gb_nominal
@@ -452,46 +494,25 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
             G1, B1 = gb_matrices(net, b_scale=bumped)
             dG[t.b_dim] += t.c_b * (G1[rows, cols] - G0)
             dB[t.b_dim] += t.c_b * (B1[rows, cols] - B0)
-    load_p = np.zeros((net.n, pert.dims))
-    load_q = np.zeros((net.n, pert.dims))
+    coefficients = np.zeros((2 * net.n, pert.dims))
     for t in pert.load_terms:
         k = net.position[t.bus]
-        load_p[k, t.p_dim] = t.c_p
-        load_q[k, t.q_dim] = t.c_q
-    p_gen = np.array([b.p_gen for b in net.buses])
-    p_load = np.array([b.p_load for b in net.buses])
-    q_gen = np.array([b.q_gen for b in net.buses])
-    q_load = np.array([b.q_load for b in net.buses])
+        coefficients[k, t.p_dim] = t.c_p
+        coefficients[net.n + k, t.q_dim] = t.c_q
+    gen = np.array([b.p_gen for b in net.buses] + [b.q_gen for b in net.buses])
+    load = np.array([b.p_load for b in net.buses] + [b.q_load for b in net.buses])
+
+    G2, B2 = np.concatenate([G0, G0]), np.concatenate([B0, B0])
 
     def parts(q):
         q = np.atleast_1d(np.asarray(q))
-        G, B = G0, B0
+        G, B = G2, B2
         if dG is not None:
-            G = G0 + q @ dG
-            B = B0 + q @ dB
-        ps = p_gen - p_load * (1.0 + load_p @ q)
-        qs = q_gen - q_load * (1.0 + load_q @ q)
-        return G, B, ps, qs
+            G, B = G0 + q @ dG, B0 + q @ dB
+            G, B = np.concatenate([G, G]), np.concatenate([B, B])
+        return G, B, gen - load * (1.0 + coefficients @ q)
 
     return parts
-
-
-def _last_call(fn):
-    """Memoize fn on its most recent array arguments, compared by dtype,
-    shape and bytes, so repeated calls at one point reuse the result."""
-    key = None
-    value = None
-
-    def call(*args):
-        nonlocal key, value
-        args = tuple(np.asarray(x) for x in args)
-        now = tuple((x.dtype, x.shape, x.tobytes()) for x in args)
-        if now != key:
-            value = fn(*args)
-            key = now
-        return value
-
-    return call
 
 
 def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> NewtonProblem:
@@ -501,37 +522,43 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
     what the Newton solve at a complex parameter point runs on. The
     q-dependent parts are built once per q, and the flow terms once per
     (state, q): the residual and the Jacobian of one Newton step share them.
+    Both are kept for the most recent point only, compared by dtype, shape
+    and bytes, so a repeated call at one point reuses them.
     """
-    parts = _last_call(_affine_parts(net, pert))
+    parts = _affine_parts(net, pert)
+    point_key = q_key = flows = q_parts = None
 
-    @_last_call
     def point(u, q):
-        G, B, ps, qs = parts(q)
-        theta, v = _expand_state(net, u)
-        a, c = _flows(net, G, B, theta, v)
-        p, qi = _injections(net, a, c, v)
-        return a, c, p, qi, v, ps, qs
+        nonlocal point_key, q_key, flows, q_parts
+        u, q = np.asarray(u), np.asarray(q)
+        key = (u.dtype, u.shape, u.tobytes(), q.dtype, q.shape, q.tobytes())
+        if key != point_key:
+            if key[3:] != q_key:
+                q_parts, q_key = parts(q), key[3:]
+            G, B, _ = q_parts
+            flows, point_key = _flows(net, G, B, _expand_state(net, u)), key
+        return flows, q_parts[2]
 
     def res(u, q):
-        _, _, p, qi, v, ps, qs = point(u, q)
-        return _mismatch(net, v, p, qi, ps, qs)
+        (_, _, inj, _), sched = point(u, q)
+        _check_physical(net, np.asarray(u))
+        return (inj - sched)[net.unknowns]
 
     def jac(u, q):
-        a, c, p, qi, v, _, _ = point(u, q)
-        return _jacobian_matrix(net, a, c, p, qi, v)
+        return _jacobian_matrix(net, *point(u, q)[0])
 
     return NewtonProblem(residual=res, jacobian=jac)
 
 
 def _knot_start(net: PowerNetwork, pert: StochasticPerturbation):
-    """The knot problem and its chord predictor (x_hat, T), anchored at the
-    case's stored operating point, or at the flat start where the stored
-    point is nonphysical or has a singular Jacobian."""
+    """The knot problem and its Taylor predictor, anchored at the case's
+    stored operating point, or at the flat start where the stored point is
+    nonphysical or has a singular Jacobian."""
     problem = parametric_problem(net, pert)
     for init in ("from-case", "flat"):
         u = _pack_state(net, initial_state(net, init))
         try:
-            return problem, *chord_predictor(parameter_slopes(problem, u, pert.dims), u)
+            return problem, taylor_predictor(problem, parameter_slopes(problem, u, pert.dims), u)
         except (NonphysicalStateError, SingularJacobianError):
             if init == "flat":
                 raise
@@ -545,15 +572,17 @@ def qoi_sampler(
 ):
     """Map one parameter row to the solved quantity of interest.
 
-    Every call starts Newton from the same predictor x_hat + T q: one chord
-    step at q from the case's stored operating point x_c, with J, f and their
-    parameter slopes taken once at x_c (``newton.chord_predictor``). The
-    start is a pure function of q, so values do not depend on which knots
-    were solved before; warm starts from other knots would couple them. The
-    problem and the predictor are built on the first call, so a sampler that
-    is never called costs nothing.
+    Every call starts Newton from the same second-order predictor
+    x_hat + T q + 1/2 H[q, q] (``newton.taylor_predictor``): x_hat + T q is
+    one chord step at q from the case's stored operating point x_c, and H
+    the curvature of the solution map, with J, f, their parameter slopes and
+    the curvature taken once at x_c. The start is a pure function of q, so
+    values do not depend on which knots were solved before; warm starts from
+    other knots would couple them. The problem and the predictor are built
+    on the first call, so a sampler that is never called costs nothing.
     """
-    k = net.position[qoi.bus]
+    # position of the quantity in the stacked per-bus state [theta; V]
+    k = net.position[qoi.bus] + (net.n if qoi.kind == "voltage" else 0)
     start = None
 
     def sample(q: np.ndarray) -> float:
@@ -562,9 +591,8 @@ def qoi_sampler(
         try:
             if start is None:
                 start = _knot_start(net, pert)
-            problem, x_hat, tangent = start
-            u0 = x_hat + tangent @ q_arr
-            trace = solve(problem, u0, q_arr, tol=tol, max_iter=_KNOT_MAX_ITER)
+            problem, predictor = start
+            trace = solve(problem, predictor(q_arr), q_arr, tol=tol, max_iter=_KNOT_MAX_ITER)
         except (NonphysicalStateError, SingularJacobianError) as exc:
             exc.args = (f"{exc} at q={q_arr.tolist()}",)
             raise
@@ -573,8 +601,7 @@ def qoi_sampler(
                 f"power flow did not converge at q={q_arr.tolist()} "
                 f"(residual {trace.residual_norms[-1]:.3e})"
             )
-        theta, v = _expand_state(net, trace.x)
-        return float(v[k] if qoi.kind == "voltage" else theta[k])
+        return float(_expand_state(net, trace.x)[k])
 
     return sample
 
@@ -591,5 +618,5 @@ def solve_power_flow_complexified(
     u0 = _pack_state(net, initial_state(net)).astype(complex)
     g = np.atleast_1d(np.asarray(g, dtype=complex))
     trace = solve(problem, u0, g, tol=tol, max_iter=_COMPLEX_MAX_ITER)
-    theta, v = _expand_state(net, trace.x)
-    return theta, v, trace
+    s = _expand_state(net, trace.x)
+    return s[: net.n], s[net.n :], trace

@@ -24,6 +24,7 @@ from .errors import CacheMismatchError
 from .nodes1d import (
     barycentric_basis,
     barycentric_weights,
+    cc_barycentric_weights,
     cc_node_keys,
     clenshaw_curtis_nodes,
     gauss_nodes,
@@ -134,16 +135,19 @@ def _gl_unit_nodes(count: int) -> tuple[float, ...]:
     return tuple(gauss_nodes(count)[0].tolist())
 
 
-def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, list[str]]:
-    """Node values plus their exact identity keys, as cache text, for one count."""
+def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """Node values, their barycentric weights and their exact identity keys,
+    as cache text, for one count."""
     if family == "clenshaw_curtis":
-        return clenshaw_curtis_nodes(count), [f"{p}/{q}" for p, q in cc_node_keys(count)]
+        keys = [f"{p}/{q}" for p, q in cc_node_keys(count)]
+        return clenshaw_curtis_nodes(count), cc_barycentric_weights(count), keys
     # The zero node of an odd count is shared across odd counts.
     keys = [
         "gl0" if count % 2 == 1 and j == count // 2 else f"gl:{count}:{j}"
         for j in range(count)
     ]
-    return np.array(_gl_unit_nodes(count)), keys
+    nodes = np.array(_gl_unit_nodes(count))
+    return nodes, barycentric_weights(nodes), keys
 
 
 @dataclass(frozen=True)
@@ -189,8 +193,8 @@ def build_plan(rule: GridRule, w: int, dims: int) -> SparseGridPlan:
     count_keys: dict[int, list[str]] = {}
     node_value: dict[str, float] = {}
     for count in sorted({c for _, _, counts in indices for c in counts}):
-        nodes, keys = _family_nodes(rule.family, count)
-        node_sets[count] = (nodes, barycentric_weights(nodes))
+        nodes, weights, keys = _family_nodes(rule.family, count)
+        node_sets[count] = (nodes, weights)
         count_keys[count] = keys
         node_value.update(zip(keys, nodes.tolist()))
     node_keys = sorted(node_value, key=lambda key: (node_value[key], key))
@@ -424,13 +428,17 @@ def surrogate_to_json(surrogate: Surrogate) -> str:
     return json.dumps(payload)
 
 
-def surrogate_from_json(text: str) -> Surrogate:
+def surrogate_from_json(
+    text: str, expect: tuple[GridRule, int, int] | None = None
+) -> Surrogate:
     """Rebuild a surrogate, re-deriving the plan and checking it bitwise.
 
     The plan is reconstructed from (rule, w, dims) and compared against the
     stored knots and keys, so a cache written by a different build can never
     be silently reused. A payload of the wrong shape, or values that are not
-    one finite row per knot, raises CacheMismatchError too.
+    one finite row per knot, raises CacheMismatchError too. With ``expect``,
+    an entry whose (rule, w, dims) differ from it is rejected before any plan
+    is built, so an edited level cannot make the check build a huge grid.
     """
     payload = json.loads(text)
     if not isinstance(payload, dict) or payload.get("format") != _SURROGATE_FORMAT:
@@ -440,6 +448,8 @@ def surrogate_from_json(text: str) -> Surrogate:
         raise CacheMismatchError("cached w and dims must be ints and scalar a bool")
     try:
         rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
+        if expect is not None and (rule, w, dims) != expect:
+            raise CacheMismatchError(f"cached (rule, w, dims) = {(rule, w, dims)} != {expect}")
         plan = build_plan(rule, w, dims)
         stored_knots = np.asarray(payload["knots"], dtype=float)
         values = np.asarray(payload["values"], dtype=float)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 import uqflow.cli
 import uqflow.powerflow
 from uqflow.cli import main, parse_config_text
-from uqflow.errors import UqflowError
+from uqflow.errors import CacheMismatchError, UqflowError
+from uqflow.sparse_grid import surrogate_from_json
 
 
 def _csv_rows(text: str, command: str) -> list[list[str]]:
@@ -385,6 +387,28 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, corrupt):
     assert _without_wall_ms(warm) == _without_wall_ms(cold)
 
 
+def test_entry_edited_to_another_level_is_rejected_before_any_plan(tmp_path):
+    """An entry whose w was edited to 14 is a miss found from the cache key
+    alone: rebuilding its 2-dim plan first would take seconds and gigabytes."""
+    cache = tmp_path / "cache"
+    args = ["uq-moments", "--case", "bundled:case39", "--dims", "2", "--levels", "2"]
+    args += ["--cache", str(cache), "--out"]
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    assert main(args + [str(cold)]) == 0
+    (entry,) = cache.glob("*.json")
+    text = entry.read_text()
+    edited = json.dumps({**json.loads(text), "w": 14})
+    entry.write_text(edited)
+    rule = uqflow.cli._grid_rule("smolyak", "cc")
+    start = time.perf_counter()
+    with pytest.raises(CacheMismatchError):
+        surrogate_from_json(edited, (rule, 2, 2))
+    assert time.perf_counter() - start < 0.1
+    assert main(args + [str(warm)]) == 0
+    assert entry.read_text() == text
+    assert _without_wall_ms(warm) == _without_wall_ms(cold)
+
+
 _DEMO_MOMENTS = [
     "uq-moments",
     "--case",
@@ -399,12 +423,13 @@ _DEMO_MOMENTS = [
 
 
 def test_entry_under_the_previous_cache_tag_is_a_miss(tmp_path, monkeypatch):
-    # uqflow-cache/1 entries hold knots solved from the flat start, whose
-    # last bits differ from today's solve: reading one would change the CSV
+    # uqflow-cache/2 entries hold knots solved from the first-order chord
+    # start, whose last bits differ from today's solve: reading one would
+    # change the CSV
     cache = tmp_path / "cache"
     args = _DEMO_MOMENTS + ["--cache", str(cache)]
     with monkeypatch.context() as patch:
-        patch.setattr(uqflow.cli, "_CACHE_TAG", "uqflow-cache/1")
+        patch.setattr(uqflow.cli, "_CACHE_TAG", "uqflow-cache/2")
         assert main(args) == 0
     (old,) = cache.glob("*.json")
     payload = json.loads(old.read_text())

@@ -11,7 +11,9 @@ from uqflow.newton import (
     cauchy_riemann_residual,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
+    parameter_slopes,
     solve,
+    taylor_predictor,
 )
 
 SCALAR = NewtonProblem(
@@ -166,3 +168,23 @@ def test_singular_complex_jacobian_raises():
 
 def test_cauchy_riemann_flags_nonanalytic_map():
     assert cauchy_riemann_residual(lambda g: g.conjugate(), 0.3 + 0.2j) > 0.1
+
+
+def test_taylor_predictor_hand_oracle():
+    # x^2 - (2 + 0.1 p) at x0 = 1.5: J0 = 3, f0 = 0.25, df = -0.1, D_x J[T] = 2 T,
+    # dJ = 0, so x_hat = 1.5 - 0.25 / 3, T = 0.1 / 3 and H = -2 T^2 / 3.
+    slopes = parameter_slopes(PARAMETRIC, np.array([1.5]), 1)
+    predictor = taylor_predictor(PARAMETRIC, slopes, np.array([1.5]))
+    tangent = 0.1 / 3.0
+    curvature = -2.0 * tangent**2 / 3.0
+    assert predictor.x_hat[0] == pytest.approx(1.5 - 0.25 / 3.0, abs=1e-15)
+    np.testing.assert_allclose(predictor.taylor, [[tangent, 0.5 * curvature]], rtol=1e-14)
+    q = np.array([0.7])
+    expected = 1.5 - 0.25 / 3.0 + tangent * 0.7 + 0.5 * curvature * 0.49
+    assert predictor(q)[0] == pytest.approx(expected, abs=1e-15)
+    # anchored at the root, the model is the Taylor polynomial of sqrt(2 + 0.1 p)
+    root = np.array([math.sqrt(2.0)])
+    at_root = taylor_predictor(PARAMETRIC, parameter_slopes(PARAMETRIC, root, 1), root)
+    np.testing.assert_allclose(
+        at_root.taylor, [[0.05 / math.sqrt(2.0), -0.5 * 0.0025 / 2.0**1.5]], rtol=1e-12
+    )

@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from uqflow.cli import main
 from uqflow.nodes1d import (
     barycentric_basis,
     barycentric_weights,
+    cc_barycentric_weights,
     cc_node_keys,
     chebyshev_coefficients,
     clenshaw_curtis_nodes,
@@ -101,6 +103,51 @@ def test_barycentric_basis_at_nodes_is_identity():
     nodes = clenshaw_curtis_nodes(5)
     basis = barycentric_basis(nodes, barycentric_weights(nodes), nodes)
     np.testing.assert_allclose(basis, np.eye(5), atol=1e-14)
+
+
+def test_closed_form_cc_weights_match_the_product():
+    for count in (1, 2, 3, 5, 9, 17, 33, 65):
+        np.testing.assert_allclose(
+            cc_barycentric_weights(count),
+            barycentric_weights(clenshaw_curtis_nodes(count)),
+            rtol=0.0,
+            atol=1e-13,
+        )
+
+
+def test_gauss_weights_reproduce_polynomials():
+    rng = np.random.default_rng(12)
+    for count in (4, 17, 65):
+        nodes = gauss_nodes(count)[0]
+        poly = np.polynomial.Polynomial(rng.standard_normal(count))
+        x = rng.uniform(-1.0, 1.0, 40)
+        basis = barycentric_basis(nodes, barycentric_weights(nodes), x)
+        scale = np.abs(poly(nodes)).max()
+        np.testing.assert_allclose(basis @ poly(nodes), poly(x), rtol=0.0, atol=1e-9 * scale)
+
+
+@pytest.mark.parametrize("count", [2049, 4097])
+def test_weights_stay_finite_at_thousands_of_nodes(count):
+    """The plain product of node gaps overflows from 2,049 nodes on."""
+    closed = cc_barycentric_weights(count)
+    assert np.isfinite(closed).all() and np.abs(closed).max() == 1.0
+    if count == 2049:  # the log-magnitude product, on a 2049 x 2049 gap matrix
+        logged = barycentric_weights(clenshaw_curtis_nodes(count))
+        assert np.isfinite(logged).all()
+        np.testing.assert_allclose(logged, closed, rtol=0.0, atol=1e-10)
+
+
+def test_level_11_mean_is_finite(tmp_path):
+    """At w = 11 (2,049 knots) the moments are finite and agree with w = 6,
+    where the 1-dim load study has long converged."""
+    out = tmp_path / "w.csv"
+    argv = ["uq-moments", "--case", "bundled:demo-3bus", "--dims", "1", "--qoi", "voltage:3"]
+    assert main(argv + ["--levels", "6,11", "--out", str(out)]) == 0
+    coarse, fine = (line.split(",") for line in out.read_text().splitlines()[2:])
+    assert fine[:2] == ["11", "2049"]
+    assert math.isfinite(float(fine[2])) and math.isfinite(float(fine[3]))
+    assert float(fine[2]) == pytest.approx(float(coarse[2]), rel=1e-12)
+    assert float(fine[3]) == pytest.approx(float(coarse[3]), rel=1e-9)
 
 
 def test_chebyshev_coefficients_geometric_decay():

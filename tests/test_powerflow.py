@@ -12,7 +12,7 @@ import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
 from uqflow.cli import _study_perturbation
 from uqflow.errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
-from uqflow.newton import solve
+from uqflow.newton import parameter_slopes, solve, taylor_predictor
 from uqflow.powerflow import (
     AdmittanceTerm,
     LoadTerm,
@@ -225,9 +225,13 @@ def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
     assembly of the scaled branches and loads, for real and complex q, and
     the assembled matrices are exactly zero off the pattern."""
     net, (pert, q) = case39_shifted, drawn
-    G, B, ps, qs = _affine_parts(net, pert)(q)
+    G2, B2, sched = _affine_parts(net, pert)(q)
     G_ref, B_ref, ps_ref, qs_ref = _direct_parts(net, pert, q)
     rows, cols = net.pattern
+    # G and B come stacked twice, once per half of the edge terms
+    G, B = G2[: len(rows)], B2[: len(rows)]
+    assert np.array_equal(G2[len(rows) :], G) and np.array_equal(B2[len(rows) :], B)
+    ps, qs = np.split(sched, 2)
 
     off_pattern = np.ones((net.n, net.n), dtype=bool)
     off_pattern[rows, cols] = False
@@ -251,10 +255,14 @@ def test_load_study_keeps_nominal_admittances(case39):
     pert = StochasticPerturbation(
         dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
     )
-    G, B, _, _ = _affine_parts(case39, pert)(np.array([0.3 + 0.2j]))
+    parts = _affine_parts(case39, pert)
+    G, B, _ = parts(np.array([0.3 + 0.2j]))
+    G_other, B_other, _ = parts(np.array([-0.7]))
+    assert G is G_other and B is B_other  # built once, not per q
     G0, B0 = case39.gb_nominal
-    assert G is G0 and B is B0
     assert G0.shape == B0.shape == case39.pattern[0].shape
+    assert np.array_equal(G, np.concatenate([G0, G0]))
+    assert np.array_equal(B, np.concatenate([B0, B0]))
 
 
 def _dense_oracle(net, pert, u, q):
@@ -262,7 +270,7 @@ def _dense_oracle(net, pert, u, q):
     assembled G(q), B(q)."""
     G, B, ps, qs = _direct_parts(net, pert, q)
     dtype = np.result_type(u, q)
-    theta, v = (x.astype(dtype) for x in net.setpoints)
+    theta, v = np.split(net.setpoints.astype(dtype), 2)
     nn = len(net.non_slack)
     theta[net.non_slack] = u[:nn]
     v[net.pq] = u[nn:]
@@ -296,6 +304,83 @@ def test_edge_kernels_match_dense_oracle(case39_shifted, drawn, seed, complex_st
     for got, ref in ((problem.residual(u, q), res_ref), (problem.jacobian(u, q), jac_ref)):
         assert got.shape == ref.shape and got.dtype == ref.dtype
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+# --- the earlier per-half kernels, kept as a bitwise oracle ---------------------
+#
+# These are the residual and Jacobian kernels as they stood before the stacked
+# [theta; V] and [P; Q] layout: separate theta and V, separate P and Q sums,
+# a row-major scatter. The stacked kernels must reproduce them bit for bit.
+
+
+def _oracle_scatter(net):
+    rows, cols = net.pattern
+    nn = len(net.non_slack)
+    angle = np.full(net.n, -1)
+    angle[net.non_slack] = np.arange(nn)
+    magnitude = np.full(net.n, -1)
+    magnitude[net.pq] = nn + np.arange(len(net.pq))
+    r = np.concatenate([angle[rows], angle[rows], magnitude[rows], magnitude[rows]])
+    c = np.concatenate([angle[cols], magnitude[cols], angle[cols], magnitude[cols]])
+    diagonal = np.flatnonzero(np.tile(rows == cols, 4))
+    select = np.flatnonzero((r >= 0) & (c >= 0))
+    return diagonal, select, r[select] * net.n_unknowns + c[select]
+
+
+def _oracle_kernels(net, G, B, p_sched, q_sched, u):
+    rows, cols = net.pattern
+    setpoints = np.split(net.setpoints, 2)
+    theta, v = (x.astype(u.dtype) for x in setpoints)
+    nn = len(net.non_slack)
+    theta[net.non_slack] = u[:nn]
+    v[net.pq] = u[nn:]
+    dtheta = theta[rows] - theta[cols]
+    ct = np.cos(dtheta)
+    st_ = np.sin(dtheta)
+    vk = v[rows]
+    a, c = vk * (G * ct + B * st_), vk * (G * st_ - B * ct)
+    vl = v[cols]
+    row_starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    p, q = np.add.reduceat(a * vl, row_starts), np.add.reduceat(c * vl, row_starts)
+    residual = np.concatenate([(p - p_sched)[net.non_slack], (q - q_sched)[net.pq]])
+    diagonal, select, flat = _oracle_scatter(net)
+    blocks = np.concatenate([c * vl, a, -a * vl, c])
+    blocks[diagonal] += np.concatenate([-q, p / v, p, q / v])
+    m = net.n_unknowns
+    jac = np.zeros(m * m, dtype=blocks.dtype)
+    jac[flat] = blocks[select]
+    return residual, jac.reshape(m, m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["load", "admittance"]),
+    st.integers(1, 4),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+)
+def test_kernels_match_the_per_half_oracle_bitwise(
+    case39, kind, dims, seed, complex_state, complex_q
+):
+    """Residual and Jacobian equal the earlier per-half kernels exactly, at
+    random real and complex states and parameters of the case39 studies."""
+    pert = _study_perturbation(case39, kind, dims, 0.5)
+    rng = np.random.default_rng(seed)
+    u = _pack_state(case39, initial_state(case39, "from-case"))
+    u = u + rng.uniform(-0.1, 0.1, case39.n_unknowns)
+    if complex_state:
+        u = u + 1j * rng.uniform(-0.05, 0.05, case39.n_unknowns)
+    q = rng.uniform(-1.0, 1.0, dims)
+    if complex_q:
+        q = q + 1j * rng.uniform(-0.5, 0.5, dims)
+    G2, B2, sched = _affine_parts(case39, pert)(q)
+    edges = len(case39.pattern[0])
+    res_ref, jac_ref = _oracle_kernels(case39, G2[:edges], B2[:edges], *np.split(sched, 2), u)
+    problem = parametric_problem(case39, pert)
+    for got, ref in ((problem.residual(u, q), res_ref), (problem.jacobian(u, q), jac_ref)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.array_equal(got, ref)
 
 
 def test_problem_reevaluates_when_point_changes(case39_shifted):
@@ -393,11 +478,40 @@ _STUDIES = [
 ]
 
 
+def _independent_start(net, pert, q):
+    """x_c - J0^-1 f(x_c, q) - 1/2 J0^-1 sum_jk q_j q_k (D_x J[T_j] T_k + dJ_j T_k
+    + dJ_k T_j) at the stored operating point x_c, with np.linalg.solve and
+    central differences of J along T_j in place of the LAPACK factors and
+    the complex step of newton.taylor_predictor."""
+    problem = parametric_problem(net, pert)
+    dims = pert.dims
+    u_c = _pack_state(net, initial_state(net, "from-case"))
+    zero = np.zeros(dims)
+    j_c = problem.jacobian(u_c, zero)
+    f_c = problem.residual(u_c, zero)
+    slope_f = [problem.residual(u_c, e) - f_c for e in np.eye(dims)]
+    slope_j = [problem.jacobian(u_c, e) - j_c for e in np.eye(dims)]
+    tangent = -np.linalg.solve(j_c, np.array(slope_f).T)
+    h = 1e-5
+    bend = [
+        (problem.jacobian(u_c + h * t, zero) - problem.jacobian(u_c - h * t, zero)) / (2 * h)
+        for t in tangent.T
+    ]
+    second = sum(
+        q[j] * q[k] * ((bend[j] + slope_j[j]) @ tangent[:, k] + slope_j[k] @ tangent[:, j])
+        for j in range(dims)
+        for k in range(dims)
+    )
+    chord = u_c - np.linalg.solve(j_c, problem.residual(u_c, q))
+    return chord - 0.5 * np.linalg.solve(j_c, second)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(_STUDIES), st.data())
 def test_predictor_start_matches_flat_start(demo, case39, study, data):
-    """At random q in the box the sampler's predictor start reaches the
-    flat-start solution, in no more Newton iterations."""
+    """At random q in the box the sampler starts from the second-order
+    predictor and reaches the flat-start solution, in no more Newton
+    iterations."""
     case, kind, dims, text = study
     net = {"case39": case39, "demo": demo}[case]
     pert = _study_perturbation(net, kind, dims, 0.5)
@@ -405,17 +519,37 @@ def test_predictor_start_matches_flat_start(demo, case39, study, data):
     q = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)))
     value, trace = _recorded_sample(qoi_sampler(net, pert, qoi), q)
     problem = parametric_problem(net, pert)
-    # the start is one chord step at q from the stored operating point
-    u_c = _pack_state(net, initial_state(net, "from-case"))
-    j_c = problem.jacobian(u_c, np.zeros(dims))
-    chord = u_c - np.linalg.solve(j_c, problem.residual(u_c, q))
-    np.testing.assert_allclose(trace.iterates[0], chord, rtol=0.0, atol=1e-10)
+    start = _independent_start(net, pert, q)
+    np.testing.assert_allclose(trace.iterates[0], start, rtol=0.0, atol=1e-9)
     flat = solve(problem, _pack_state(net, initial_state(net)), q, tol=1e-12, max_iter=25)
     assert flat.converged
-    theta, v = _expand_state(net, flat.x)
-    reference = quantity_of_interest(net, StateVector(theta, v), qoi)
+    s = _expand_state(net, flat.x)
+    reference = quantity_of_interest(net, StateVector(s[: net.n], s[net.n :]), qoi)
     assert abs(value - reference) <= 1e-12
     assert trace.iterations <= flat.iterations
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["load", "admittance"]), st.integers(1, 4), st.data())
+def test_predictor_error_is_third_order(case39, kind, dims, data):
+    """Along a ray t q the start misses the solved state by O(t^3): the
+    error falls about 8x per halving of t (a first-order predictor would
+    give 4x), from t = 0.2 down to 0.05."""
+    pert = _study_perturbation(case39, kind, dims, 0.5)
+    problem = parametric_problem(case39, pert)
+    u_c = _pack_state(case39, initial_state(case39, "from-case"))
+    predictor = taylor_predictor(problem, parameter_slopes(problem, u_c, dims), u_c)
+    direction = st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)
+    q = np.array(data.draw(direction.filter(lambda q: max(map(abs, q)) > 0.1)))
+    q /= np.abs(q).max()
+    errors = []
+    for t in (0.2, 0.1, 0.05):
+        start = predictor(t * q)
+        trace = solve(problem, start, t * q, tol=1e-12, max_iter=25)
+        assert trace.converged
+        errors.append(np.abs(start - trace.x).max())
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 7.0 <= coarse / fine <= 9.0
 
 
 def test_nonphysical_stored_point_falls_back_to_the_flat_start(demo):
