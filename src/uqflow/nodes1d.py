@@ -158,21 +158,23 @@ def gauss_nodes(count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    """Second-form barycentric weights of increasing nodes, normalized to
-    unit max magnitude.
+    """Second-form barycentric weights of distinct nodes, in any order,
+    normalized to unit max magnitude.
 
-    w_j = 1 / prod_{k != j} (x_j - x_k) has the sign (-1)^(m-1-j); its
-    magnitude is summed as logarithms, so no product over- or underflows at
-    any node count (the plain product does from about 2,049 nodes on).
+    w_j = 1 / prod_{k != j} (x_j - x_k) takes its sign from the count of
+    negative factors; its magnitude is summed as logarithms, so no product
+    over- or underflows at any node count (the plain product does from
+    about 2,049 nodes on).
     """
     x = np.asarray(nodes, dtype=float)
     m = x.size
     if m == 1:
         return np.ones(1)
-    gaps = np.abs(x[:, None] - x[None, :])
-    np.fill_diagonal(gaps, 1.0)
-    log_w = -np.log(gaps).sum(axis=1)
-    return _alternating(m) * np.exp(log_w - log_w.max())
+    diff = x[:, None] - x[None, :]
+    np.fill_diagonal(diff, 1.0)
+    log_w = -np.log(np.abs(diff)).sum(axis=1)
+    sign = np.where((diff < 0.0).sum(axis=1) % 2 == 0, 1.0, -1.0)
+    return sign * np.exp(log_w - log_w.max())
 
 
 def cc_barycentric_weights(count: int) -> np.ndarray:
@@ -180,15 +182,10 @@ def cc_barycentric_weights(count: int) -> np.ndarray:
     (-1)^(count-1-j), halved at both ends when there are interior nodes
     (Salzer 1972). This is what barycentric_weights gives for these nodes,
     without its rounding."""
-    w = _alternating(count)
+    w = np.where((count - 1 - np.arange(count)) % 2 == 0, 1.0, -1.0)
     if count > 2:
         w[[0, -1]] *= 0.5
     return w
-
-
-def _alternating(m: int) -> np.ndarray:
-    # (-1)^(m-1-j), the sign of 1 / prod_{k != j} (x_j - x_k) at increasing nodes
-    return np.where((m - 1 - np.arange(m)) % 2 == 0, 1.0, -1.0)
 
 
 def barycentric_basis(

@@ -360,8 +360,8 @@ def solve_power_flow(
     u0 = _pack_state(net, initial_state(net, init))
     trace = solve(problem, u0, np.zeros(0), tol=tol, max_iter=max_iter)
     s = _expand_state(net, trace.x)
-    G, B, _ = _affine_parts(net, StochasticPerturbation(dims=0))(np.zeros(0))
-    p, q = np.split(_flows(net, G, B, s)[2], 2)
+    G0, B0 = net.gb_nominal
+    p, q = np.split(_flows(net, np.tile(G0, 2), np.tile(B0, 2), s)[2], 2)
     return PowerFlowResult(
         state=StateVector(theta=s[: net.n], v=s[net.n :]),
         trace=trace,

@@ -6,12 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uqflow.moments import (
+    QuadraturePlan,
     default_orders,
     moment_estimates,
     monte_carlo_oracle,
     quadrature_plan,
 )
-from uqflow.sparse_grid import GridRule, build_plan, build_surrogate, polynomial_space
+from uqflow.sparse_grid import (
+    GridRule,
+    build_plan,
+    build_surrogate,
+    evaluate_on_grid,
+    evaluate_surrogate,
+    polynomial_space,
+)
 
 
 def test_uniform_linear_moments():
@@ -51,19 +59,38 @@ def test_variance_does_not_cancel_against_a_large_mean():
     assert columns.raw_variance[1] == 0.0
 
 
-def test_surrogate_and_callable_targets_agree():
-    from uqflow.sparse_grid import build_plan, build_surrogate, evaluate_surrogate
-
-    plan = quadrature_plan([4, 3])
+def _sine_surrogate():
     grid = build_plan(GridRule("smolyak", "clenshaw_curtis"), 2, 2)
-    surrogate = build_surrogate(grid, lambda q: float(np.sin(q[0]) + q[1] ** 2))
+    return build_surrogate(grid, lambda q: float(np.sin(q[0]) + q[1] ** 2))
+
+
+def test_surrogate_and_callable_targets_agree():
+    surrogate = _sine_surrogate()
+    plan = quadrature_plan([4, 3])
     direct = moment_estimates(surrogate, plan)
     wrapped = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), plan)
-    # The Surrogate target is contracted axis by axis on the grid, the callable
-    # point by point: the same Gauss sums in two summation orders, which may
-    # round apart in the last bit.
-    assert abs(direct.mean - wrapped.mean) <= 1e-15 * abs(wrapped.mean)
+    # The Surrogate target is contracted axis by axis on the grid (tensordot),
+    # the callable point by point (einsum): the same basis rows in two
+    # summation orders, whose values may round apart in the last bit at any
+    # barycentric weights (here at 2 of the 12 points; on a (5, 4) plan the
+    # means differ by 2 ulps with the product-formula weights too).
+    assert abs(direct.mean - wrapped.mean) <= np.spacing(abs(wrapped.mean))
     assert abs(direct.variance - wrapped.variance) <= 1e-15 * abs(wrapped.variance)
+
+
+def test_surrogate_and_callable_targets_agree_bitwise_on_shared_nodes():
+    """At points on {-1, 0, 1}^2, nodes of every Clenshaw-Curtis count but 1
+    (whose basis is the constant 1), every basis row is exact, so both paths
+    read the stored values with no rounding and agree bit for bit."""
+    surrogate = _sine_surrogate()
+    nodes, weights = np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 6.0
+    plan = QuadraturePlan(nodes=(nodes, nodes), weights=(weights, weights))
+    on_grid = evaluate_on_grid(surrogate, plan.nodes)
+    assert np.array_equal(on_grid, evaluate_surrogate(surrogate, plan.points))
+    direct = moment_estimates(surrogate, plan)
+    wrapped = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), plan)
+    assert direct.mean == wrapped.mean
+    assert direct.variance == wrapped.variance
 
 
 @settings(max_examples=60, deadline=None)

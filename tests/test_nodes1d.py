@@ -126,6 +126,20 @@ def test_gauss_weights_reproduce_polynomials():
         np.testing.assert_allclose(basis @ poly(nodes), poly(x), rtol=0.0, atol=1e-9 * scale)
 
 
+def test_weights_of_shuffled_nodes_follow_the_nodes():
+    """Node order is free: each weight, sign included, moves with its node,
+    and the interpolant is unchanged."""
+    rng = np.random.default_rng(13)
+    x = rng.uniform(-1.0, 1.0, 30)
+    for nodes in (clenshaw_curtis_nodes(17), gauss_nodes(12)[0], np.array([0.3, -0.7, 0.1])):
+        perm = rng.permutation(nodes.size)
+        shuffled = barycentric_weights(nodes[perm])
+        np.testing.assert_allclose(shuffled, barycentric_weights(nodes)[perm], rtol=1e-12)
+        poly = np.polynomial.Polynomial(rng.standard_normal(nodes.size))
+        basis = barycentric_basis(nodes[perm], shuffled, x)
+        np.testing.assert_allclose(basis @ poly(nodes[perm]), poly(x), rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("count", [2049, 4097])
 def test_weights_stay_finite_at_thousands_of_nodes(count):
     """The plain product of node gaps overflows from 2,049 nodes on."""

@@ -532,9 +532,9 @@ def test_predictor_start_matches_flat_start(demo, case39, study, data):
 @settings(max_examples=30, deadline=None)
 @given(st.sampled_from(["load", "admittance"]), st.integers(1, 4), st.data())
 def test_predictor_error_is_third_order(case39, kind, dims, data):
-    """Along a ray t q the start misses the solved state by O(t^3): the
-    error falls about 8x per halving of t (a first-order predictor would
-    give 4x), from t = 0.2 down to 0.05."""
+    """Along a ray t q the start misses the solved state by O(t^3): the slope
+    of log(error) against log(t), fitted from t = 0.2 down to 0.025, is about
+    3 (2.88 to 3.04 measured; the first-order chord step gives 2)."""
     pert = _study_perturbation(case39, kind, dims, 0.5)
     problem = parametric_problem(case39, pert)
     u_c = _pack_state(case39, initial_state(case39, "from-case"))
@@ -542,14 +542,15 @@ def test_predictor_error_is_third_order(case39, kind, dims, data):
     direction = st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)
     q = np.array(data.draw(direction.filter(lambda q: max(map(abs, q)) > 0.1)))
     q /= np.abs(q).max()
+    ts = np.array([0.2, 0.1, 0.05, 0.025])
     errors = []
-    for t in (0.2, 0.1, 0.05):
+    for t in ts:
         start = predictor(t * q)
         trace = solve(problem, start, t * q, tol=1e-12, max_iter=25)
         assert trace.converged
         errors.append(np.abs(start - trace.x).max())
-    for coarse, fine in zip(errors, errors[1:]):
-        assert 7.0 <= coarse / fine <= 9.0
+    slope = np.polyfit(np.log(ts), np.log(errors), 1)[0]
+    assert 2.6 <= slope <= 3.4
 
 
 def test_nonphysical_stored_point_falls_back_to_the_flat_start(demo):
