@@ -81,12 +81,10 @@ from .powerflow import (
     PowerFlowResult,
     PowerNetwork,
     QuantityOfInterest,
-    StateVector,
     StochasticPerturbation,
     initial_state,
     parametric_problem,
     qoi_sampler,
-    quantity_of_interest,
     solve_power_flow,
     solve_power_flow_complexified,
 )
@@ -137,7 +135,6 @@ __all__ = [
     "QuantityOfInterest",
     "SingularJacobianError",
     "SparseGridPlan",
-    "StateVector",
     "StochasticPerturbation",
     "Surrogate",
     "TensorTerm",
@@ -174,7 +171,6 @@ __all__ = [
     "polynomial_space",
     "qoi_sampler",
     "quadrature_plan",
-    "quantity_of_interest",
     "serialize_case",
     "solve_power_flow",
     "solve_power_flow_complexified",

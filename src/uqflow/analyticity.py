@@ -199,19 +199,18 @@ def admissible_region_search(
     delta: float,
     kappa_e: float,
     delta_e: float,
-    weights: Sequence[float] | None = None,
-    dims: int | None = None,
+    dims: int,
     sigma_cap: float = 2.0,
     seed: int = 0,
 ) -> EllipseRegion:
     """Largest certifiable polyellipse for the target extended constants.
 
-    Scales the direction ``weights`` (isotropic by default) by a common
-    factor found by bisection: a scale is accepted when both perturbation
-    inequalities, with the nominal ``kappa`` and ``delta``, hold at every
-    boundary probe (two axis vertices per dimension plus ``4 * dims`` random
-    points with all coordinates on the boundary; angles drawn once per call,
-    so the search is deterministic for a fixed seed).  This certifies the
+    One radius for all ``dims`` dimensions is found by bisection: a radius
+    is accepted when both perturbation inequalities, with the nominal
+    ``kappa`` and ``delta``, hold at every boundary probe (two axis vertices
+    per dimension plus ``4 * dims`` random points with all coordinates on
+    the boundary; angles drawn once per call, so the search is
+    deterministic for a fixed seed).  This certifies the
     inequalities at probes only -- it is a heuristic inner approximation,
     not a proof over the full boundary.  The parameter slopes are taken once
     per call; each probe only evaluates the problem at its own point.
@@ -220,7 +219,7 @@ def admissible_region_search(
     right-hand side nonpositive, or when the problem is not affine in the
     parameters at a probe, and SingularJacobianError when the real system
     at a probe's anchor is singular.  Returns the degenerate region (all
-    zeros) when no positive scale is certifiable.
+    zeros) when no positive radius is certifiable.
     """
     if kappa <= 0.0:
         raise InfeasibleRegionError(f"kappa must be positive, got {kappa}")
@@ -234,25 +233,12 @@ def admissible_region_search(
             f"({delta / kappa}) for a positive threshold"
         )
 
-    if weights is None:
-        if dims is None:
-            raise ValueError("provide weights or dims")
-        weights_arr = np.ones(dims)
-    else:
-        weights_arr = np.asarray(weights, dtype=float)
-        if dims is not None and weights_arr.size != dims:
-            raise ValueError(f"weights length {weights_arr.size} != dims {dims}")
-    if weights_arr.ndim != 1 or np.any(weights_arr <= 0.0):
-        raise ValueError("weights must be a 1-D vector of positive direction scales")
-    n = weights_arr.size
-
     rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(4 * n, n))
-    slopes = parameter_slopes(problem, x0, n)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(4 * dims, dims))
+    slopes = parameter_slopes(problem, x0, dims)
 
     def feasible(scale: float) -> bool:
-        sigma_hat = scale * weights_arr
-        for g in _boundary_probes(sigma_hat, angles):
+        for g in _boundary_probes(np.full(dims, scale), angles):
             anchor = np.clip(np.real(g), -1.0, 1.0)
             bounds = estimate_perturbation_norms(problem, x0, slopes, anchor, g - anchor)
             if not bounds.certifies(kappa, delta, kappa_e, delta_e):
@@ -260,7 +246,7 @@ def admissible_region_search(
         return True
 
     if feasible(sigma_cap):
-        return EllipseRegion(tuple(sigma_cap * weights_arr))
+        return EllipseRegion((sigma_cap,) * dims)
     lo, hi = 0.0, sigma_cap
     while hi - lo > _BISECTION_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
@@ -268,7 +254,7 @@ def admissible_region_search(
             lo = mid
         else:
             hi = mid
-    return EllipseRegion(tuple(lo * weights_arr))
+    return EllipseRegion((lo,) * dims)
 
 
 @dataclass(frozen=True)

@@ -48,7 +48,6 @@ from .powerflow import (
     PowerNetwork,
     QuantityOfInterest,
     StochasticPerturbation,
-    _pack_state,
     initial_state,
     parametric_problem,
     qoi_sampler,
@@ -180,7 +179,7 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
         if key in config:
             try:
                 return convert(config[key])
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise UqflowError(f"config key {key!r}: {exc}") from exc
         return default
 
@@ -204,7 +203,7 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
         coefficient=pick(args.coefficient, "coefficient", 0.5, float),
         load_buses=pick(None, "load_buses", None, _parse_int_list),
         branches=pick(None, "branches", None, _parse_int_list),
-        tol=pick(args.tol, "tol", 1e-12, float),
+        tol=pick(args.tol, "tol", 1e-12, _finite_argument(positive=True)),
         output=pick(args.out, "out", None, str),
         cache_dir=pick(args.cache, "cache", None, str),
     )
@@ -379,8 +378,6 @@ def _study_setup(
     """Config, memoized QoI sampler and case digest of a study command."""
     cfg = _experiment_config(args, need_reference)
     case, net = _load_network(cfg.case)
-    if cfg.qoi.bus not in net.position:
-        raise CaseValidationError(f"quantity of interest references unknown bus {cfg.qoi.bus}")
     pert = _study_perturbation(
         net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
     )
@@ -399,7 +396,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         f"case {case.name}: {net.n} buses, {len(net.branches)} branches, "
         f"base {net.base_mva:g} MVA"
     )
-    status = "converged" if result.converged else "DID NOT CONVERGE"
+    status = "converged" if result.trace.converged else "DID NOT CONVERGE"
     print(
         f"{status} in {result.trace.iterations} iterations; "
         f"final mismatch {result.trace.residual_norms[-1]:.3e} (tol {args.tol:g})"
@@ -408,11 +405,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
           f"{'P (pu)':>12} {'Q (pu)':>12}")
     for k, bus in enumerate(net.buses):
         print(
-            f"{bus.id:>5} {bus.kind:>6} {result.state.v[k]:>12.6f} "
-            f"{math.degrees(result.state.theta[k]):>13.6f} "
+            f"{bus.id:>5} {bus.kind:>6} {result.v[k]:>12.6f} "
+            f"{math.degrees(result.theta[k]):>13.6f} "
             f"{result.p_injection[k]:>12.6f} {result.q_injection[k]:>12.6f}"
         )
-    if not result.converged:
+    if not result.trace.converged:
         print("error: power flow did not converge", file=sys.stderr)
         return 1
     return 0
@@ -550,7 +547,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         case, net = _load_network(args.case)
         pert = _study_perturbation(net, args.study, dims, args.coefficient)
         problem = parametric_problem(net, pert)
-        x0 = _pack_state(net, initial_state(net, "flat"))
+        x0 = initial_state(net, "flat")
         cert = kantorovich_certificate(
             problem,
             x0,
@@ -687,7 +684,11 @@ def _add_common_study_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--seed", type=int, help="ignored; accepted so existing command lines still parse"
     )
-    sub.add_argument("--tol", type=float, help="knot-solve mismatch tolerance (default 1e-12)")
+    sub.add_argument(
+        "--tol",
+        type=_finite_argument(positive=True),
+        help="knot-solve mismatch tolerance (default 1e-12)",
+    )
     sub.add_argument("--cache", help="directory for surrogate JSON caching")
     sub.add_argument("--out", help="output file (default stdout)")
 
@@ -702,7 +703,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve a case and print the operating point")
     p_solve.add_argument("--case", required=True, help="case path or bundled:<name>")
     p_solve.add_argument("--init", choices=["flat", "from-case"], default="flat")
-    p_solve.add_argument("--tol", type=float, default=1e-10)
+    p_solve.add_argument("--tol", type=_finite_argument(positive=True), default=1e-10)
     p_solve.add_argument("--max-iter", type=_count_argument("iteration cap", 0), default=20)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -95,7 +95,11 @@ def _uniform_recurrence(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _monic_eval(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: int):
-    # Monic p_n and derivative via the three-term recurrence.
+    # Monic p_n and derivative via the three-term recurrence, up to one
+    # power-of-two factor per node. p_k shrinks about 2x per step and would
+    # underflow from n ~ 1,035, so every 16 steps each node's four running
+    # values are scaled by the power of two that brings their largest into
+    # [0.5, 1). The scaling is exact, so p_n / p_n' does not change.
     p_prev = np.zeros_like(x)
     p_cur = np.ones_like(x)
     d_prev = np.zeros_like(x)
@@ -106,6 +110,10 @@ def _monic_eval(x: np.ndarray, a: np.ndarray, b: np.ndarray, n: int):
         d_next = p_cur + (x - a[k]) * d_cur - bk * d_prev
         p_prev, p_cur = p_cur, p_next
         d_prev, d_cur = d_cur, d_next
+        if k % 16 == 15:
+            running = np.array([p_prev, p_cur, d_prev, d_cur])
+            shift = -np.frexp(np.abs(running).max(axis=0))[1]
+            p_prev, p_cur, d_prev, d_cur = np.ldexp(running, shift)
     return p_cur, d_cur
 
 

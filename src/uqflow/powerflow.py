@@ -33,7 +33,12 @@ from typing import Literal
 
 import numpy as np
 
-from .errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
+from .errors import (
+    CaseValidationError,
+    NonconvergenceError,
+    NonphysicalStateError,
+    SingularJacobianError,
+)
 from .newton import NewtonProblem, NewtonTrace, parameter_slopes, solve, taylor_predictor
 
 BusKind = Literal["slack", "pv", "pq"]
@@ -209,14 +214,6 @@ class PowerNetwork:
         return source, c[select] * self.n_unknowns + r[select], diagonal, diagonal_source
 
 
-@dataclass
-class StateVector:
-    """Full per-bus polar state (angles in radians)."""
-
-    theta: np.ndarray
-    v: np.ndarray
-
-
 # --- admittance assembly -------------------------------------------------------
 
 
@@ -296,10 +293,6 @@ def _expand_state(net: PowerNetwork, u: np.ndarray) -> np.ndarray:
     return s
 
 
-def _pack_state(net: PowerNetwork, state: StateVector) -> np.ndarray:
-    return np.concatenate([state.theta[net.non_slack], state.v[net.pq]])
-
-
 def _check_physical(net: PowerNetwork, u: np.ndarray) -> None:
     """Raise NonphysicalStateError where a real state has a PQ magnitude
     (the tail of u) at or below zero."""
@@ -327,27 +320,27 @@ def _jacobian_matrix(net, ac, acv, inj, vv):
     return jac.reshape(m, m).T
 
 
-def initial_state(net: PowerNetwork, init: str = "flat") -> StateVector:
-    """flat: slack angle everywhere, 1.0 pu at pq buses; from-case: stored
-    operating point."""
+def initial_state(net: PowerNetwork, init: str = "flat") -> np.ndarray:
+    """Newton start u = [theta at non-slack; V at pq]. flat: the slack angle
+    everywhere and 1.0 pu; from-case: the stored operating point."""
     if init == "flat":
-        theta = np.full(net.n, net.buses[net.slack_pos].theta0)
-        v = np.array([b.v_set if b.kind != "pq" else 1.0 for b in net.buses])
-    elif init in ("from-case", "from_case"):
-        theta = np.array([b.theta0 for b in net.buses])
-        v = np.array([b.v_set if b.kind != "pq" else b.v0 for b in net.buses])
+        s = np.repeat([net.buses[net.slack_pos].theta0, 1.0], net.n)
+    elif init == "from-case":
+        s = np.array([b.theta0 for b in net.buses] + [b.v0 for b in net.buses])
     else:
         raise ValueError(f"unknown init {init!r} (want 'flat' or 'from-case')")
-    return StateVector(theta=theta, v=v)
+    return s[net.unknowns]
 
 
 @dataclass
 class PowerFlowResult:
-    state: StateVector
-    trace: NewtonTrace
-    converged: bool
+    """Per-bus angles (radians), magnitudes and injections of a solve."""
+
+    theta: np.ndarray
+    v: np.ndarray
     p_injection: np.ndarray
     q_injection: np.ndarray
+    trace: NewtonTrace
 
 
 def solve_power_flow(
@@ -357,18 +350,12 @@ def solve_power_flow(
     max_iter: int = 20,
 ) -> PowerFlowResult:
     problem = parametric_problem(net, StochasticPerturbation(dims=0))
-    u0 = _pack_state(net, initial_state(net, init))
-    trace = solve(problem, u0, np.zeros(0), tol=tol, max_iter=max_iter)
+    trace = solve(problem, initial_state(net, init), np.zeros(0), tol=tol, max_iter=max_iter)
     s = _expand_state(net, trace.x)
     G0, B0 = net.gb_nominal
     p, q = np.split(_flows(net, np.tile(G0, 2), np.tile(B0, 2), s)[2], 2)
-    return PowerFlowResult(
-        state=StateVector(theta=s[: net.n], v=s[net.n :]),
-        trace=trace,
-        converged=trace.converged,
-        p_injection=p,
-        q_injection=q,
-    )
+    theta, v = np.split(s, 2)
+    return PowerFlowResult(theta=theta, v=v, p_injection=p, q_injection=q, trace=trace)
 
 
 # --- quantities of interest ------------------------------------------------------
@@ -392,10 +379,11 @@ class QuantityOfInterest:
             )
         return cls(kind=kind, bus=bus_id)
 
-
-def quantity_of_interest(net: PowerNetwork, state: StateVector, qoi: QuantityOfInterest):
-    k = net.position[qoi.bus]
-    return state.v[k] if qoi.kind == "voltage" else state.theta[k]
+    def state_index(self, net: PowerNetwork) -> int:
+        """Position of the quantity in the stacked per-bus state [theta; V]."""
+        if self.bus not in net.position:
+            raise CaseValidationError(f"quantity of interest references unknown bus {self.bus}")
+        return net.position[self.bus] + (net.n if self.kind == "voltage" else 0)
 
 
 # --- stochastic perturbations ------------------------------------------------------
@@ -556,7 +544,7 @@ def _knot_start(net: PowerNetwork, pert: StochasticPerturbation):
     nonphysical or has a singular Jacobian."""
     problem = parametric_problem(net, pert)
     for init in ("from-case", "flat"):
-        u = _pack_state(net, initial_state(net, init))
+        u = initial_state(net, init)
         try:
             return problem, taylor_predictor(problem, parameter_slopes(problem, u, pert.dims), u)
         except (NonphysicalStateError, SingularJacobianError):
@@ -579,10 +567,10 @@ def qoi_sampler(
     the curvature taken once at x_c. The start is a pure function of q, so
     values do not depend on which knots were solved before; warm starts from
     other knots would couple them. The problem and the predictor are built
-    on the first call, so a sampler that is never called costs nothing.
+    on the first call, so a sampler that is never called costs nothing; a
+    quantity on a bus the network lacks is refused when the sampler is made.
     """
-    # position of the quantity in the stacked per-bus state [theta; V]
-    k = net.position[qoi.bus] + (net.n if qoi.kind == "voltage" else 0)
+    k = qoi.state_index(net)
     start = None
 
     def sample(q: np.ndarray) -> float:
@@ -597,7 +585,7 @@ def qoi_sampler(
             exc.args = (f"{exc} at q={q_arr.tolist()}",)
             raise
         if not trace.converged:
-            raise NonphysicalStateError(
+            raise NonconvergenceError(
                 f"power flow did not converge at q={q_arr.tolist()} "
                 f"(residual {trace.residual_norms[-1]:.3e})"
             )
@@ -615,7 +603,7 @@ def solve_power_flow_complexified(
     """Solve at a complex parameter point from a flat start; returns the
     complex (theta, v) and the NewtonTrace."""
     problem = parametric_problem(net, pert)
-    u0 = _pack_state(net, initial_state(net)).astype(complex)
+    u0 = initial_state(net).astype(complex)
     g = np.atleast_1d(np.asarray(g, dtype=complex))
     trace = solve(problem, u0, g, tol=tol, max_iter=_COMPLEX_MAX_ITER)
     s = _expand_state(net, trace.x)

@@ -148,6 +148,30 @@ def test_bad_qoi_is_reported_not_raised(capsys):
         assert "bad quantity of interest" in capsys.readouterr().err
 
 
+def test_unknown_qoi_bus_is_reported(capsys):
+    argv = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--levels", "1"]
+    assert main(argv + ["--qoi", "voltage:99"]) == 1
+    assert "error: quantity of interest references unknown bus 99" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
+    moments = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--qoi", "voltage:3"]
+    for argv in (
+        ["solve", "--case", "bundled:demo3"],
+        moments + ["--levels", "1"],
+        ["uq-convergence", "--case", "bundled:demo3", "--dims", "1", "--levels", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--tol", value])
+        assert exc.value.code == 2
+        assert f"bad value '{value}': want a finite number > 0" in capsys.readouterr().err
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"tol = {value}\n")
+    assert main(moments + ["--levels", "1", "--config", str(cfg)]) == 1
+    assert f"config key 'tol': bad value '{value}'" in capsys.readouterr().err
+
+
 def test_bad_config_value_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("case = bundled:demo3\ndims = abc\n")

@@ -7,6 +7,8 @@ import pytest
 
 from uqflow.cli import main
 from uqflow.nodes1d import (
+    _monic_eval,
+    _uniform_recurrence,
     barycentric_basis,
     barycentric_weights,
     cc_barycentric_weights,
@@ -16,6 +18,7 @@ from uqflow.nodes1d import (
     gauss_nodes,
     level_to_count,
 )
+from uqflow.sparse_grid import GridRule, build_plan
 
 
 def test_level_to_count_doubling():
@@ -80,6 +83,47 @@ def test_gauss_nodes_exactly_symmetric():
         assert np.array_equal(nodes, -nodes[::-1]), count
         if count % 2 == 1:
             assert nodes[count // 2] == 0.0, count
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 100, 600, 1000])
+def test_rescaled_recurrence_keeps_the_newton_step_bitwise(count):
+    """Scaling the recurrence by powers of two is exact: wherever the plain
+    recurrence stays normal, p_n / p_n' is bit for bit the plain one."""
+    a, b = _uniform_recurrence(count + 1)
+    x = np.linspace(-0.99, 0.99, 64)
+    p, dp = np.zeros_like(x), np.ones_like(x)  # p_{k-1}, p_k
+    d, dd = np.zeros_like(x), np.zeros_like(x)
+    for k in range(count):
+        bk = b[k] if k > 0 else 0.0
+        p, dp, d, dd = dp, (x - a[k]) * dp - bk * p, dd, dp + (x - a[k]) * dd - bk * d
+    assert np.abs(dp).min() >= np.finfo(float).tiny
+    scaled_p, scaled_d = _monic_eval(x, a, b, count)
+    assert np.array_equal(scaled_p / scaled_d, dp / dd)
+
+
+# End weights at 1,035 and 2,049 nodes from the Legendre formula
+# 1 / ((1 - x^2) P_n'(x)^2) in 50-digit arithmetic (mpmath).
+_END_WEIGHTS = {1035: 3.4603325657694055544e-6, 2049: 8.8332905756690473066e-7}
+
+
+@pytest.mark.parametrize("count", [1020, 1034, 1035, 2049])
+def test_gauss_nodes_past_a_thousand_nodes(count):
+    """The monic recurrence underflowed from 1,035 nodes on; the rule now
+    matches numpy's to the last bit in the nodes. numpy's own end weights
+    are off by up to 7e-8 relative there, so the end weight is checked
+    against a high-precision value instead."""
+    nodes, weights = gauss_nodes(count)
+    ref_nodes, ref_weights = np.polynomial.legendre.leggauss(count)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0.0, atol=2.3e-16)
+    np.testing.assert_allclose(weights, ref_weights / 2.0, rtol=1e-7)
+    assert weights.sum() == pytest.approx(1.0, abs=1e-14)
+    if count in _END_WEIGHTS:
+        assert weights[0] == pytest.approx(_END_WEIGHTS[count], rel=1e-10)
+
+
+def test_gauss_plan_at_level_11():
+    plan = build_plan(GridRule("smolyak", "gauss_legendre"), 11, 1)
+    assert len(plan.knots) == 2049
 
 
 def test_gauss_quadrature_exactness():

@@ -11,22 +11,24 @@ from hypothesis import strategies as st
 import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
 from uqflow.cli import _study_perturbation
-from uqflow.errors import CaseValidationError, NonphysicalStateError, SingularJacobianError
+from uqflow.errors import (
+    CaseValidationError,
+    NonconvergenceError,
+    NonphysicalStateError,
+    SingularJacobianError,
+)
 from uqflow.newton import parameter_slopes, solve, taylor_predictor
 from uqflow.powerflow import (
     AdmittanceTerm,
     LoadTerm,
     QuantityOfInterest,
-    StateVector,
     StochasticPerturbation,
     _affine_parts,
     _expand_state,
-    _pack_state,
     gb_matrices,
     initial_state,
     parametric_problem,
     qoi_sampler,
-    quantity_of_interest,
     solve_power_flow,
     solve_power_flow_complexified,
 )
@@ -45,19 +47,19 @@ def case39():
 
 def test_demo_solution_frozen(demo):
     result = solve_power_flow(demo, tol=1e-10)
-    assert result.converged
+    assert result.trace.converged
     assert result.trace.iterations <= 5
     np.testing.assert_allclose(
-        result.state.theta, [0.0, -0.05237956, -0.17470709], atol=1e-7
+        result.theta, [0.0, -0.05237956, -0.17470709], atol=1e-7
     )
-    np.testing.assert_allclose(result.state.v, [1.0, 1.05, 0.94895234], atol=1e-7)
+    np.testing.assert_allclose(result.v, [1.0, 1.05, 0.94895234], atol=1e-7)
 
 
 def test_demo_respects_setpoints(demo):
     result = solve_power_flow(demo)
-    assert result.state.v[0] == 1.0  # slack magnitude pinned
-    assert result.state.v[1] == 1.05  # pv magnitude pinned
-    assert result.state.theta[0] == 0.0  # slack angle reference
+    assert result.v[0] == 1.0  # slack magnitude pinned
+    assert result.v[1] == 1.05  # pv magnitude pinned
+    assert result.theta[0] == 0.0  # slack angle reference
 
 
 def test_demo_power_balance(demo):
@@ -71,7 +73,7 @@ def test_demo_power_balance(demo):
 
 def test_case39_flat_start_converges(case39):
     result = solve_power_flow(case39, tol=1e-10)
-    assert result.converged
+    assert result.trace.converged
     assert result.trace.iterations <= 10
     assert result.trace.residual_norms[-1] < 1e-8
 
@@ -82,21 +84,21 @@ def test_case39_matches_stored_operating_point(case39):
     result = solve_power_flow(case39, tol=1e-10)
     v0 = np.array([b.v0 for b in case39.buses])
     theta0 = np.array([b.theta0 for b in case39.buses])
-    assert np.max(np.abs(result.state.v - v0)) < 1e-6
-    assert np.max(np.abs(result.state.theta - theta0)) < 1e-5
+    assert np.max(np.abs(result.v - v0)) < 1e-6
+    assert np.max(np.abs(result.theta - theta0)) < 1e-5
 
 
 def test_case39_v22_in_physical_band(case39):
     result = solve_power_flow(case39, tol=1e-10)
-    v22 = quantity_of_interest(case39, result.state, QuantityOfInterest.parse("voltage:22"))
+    v22 = result.v[case39.position[22]]
     assert 0.8 < v22 < 1.2
 
 
 def test_case_start_agrees_with_flat_start(case39):
     flat = solve_power_flow(case39, init="flat", tol=1e-10)
     warm = solve_power_flow(case39, init="from-case", tol=1e-10)
-    assert warm.converged and warm.trace.iterations <= flat.trace.iterations
-    np.testing.assert_allclose(warm.state.v, flat.state.v, atol=1e-8)
+    assert warm.trace.converged and warm.trace.iterations <= flat.trace.iterations
+    np.testing.assert_allclose(warm.v, flat.v, atol=1e-8)
 
 
 def test_quantity_of_interest_parse():
@@ -109,11 +111,32 @@ def test_quantity_of_interest_parse():
 
 
 def test_quantity_of_interest_lookup(demo):
+    voltage, angle = QuantityOfInterest.parse("voltage:3"), QuantityOfInterest.parse("angle:2")
+    assert voltage.state_index(demo) == demo.n + 2
+    assert angle.state_index(demo) == 1
     result = solve_power_flow(demo)
-    v3 = quantity_of_interest(demo, result.state, QuantityOfInterest.parse("voltage:3"))
-    assert v3 == pytest.approx(0.9489523351354909, abs=1e-9)
-    a2 = quantity_of_interest(demo, result.state, QuantityOfInterest.parse("angle:2"))
-    assert a2 == pytest.approx(result.state.theta[1], abs=0.0)
+    state = np.concatenate([result.theta, result.v])
+    assert state[voltage.state_index(demo)] == pytest.approx(0.9489523351354909, abs=1e-9)
+    assert state[angle.state_index(demo)] == result.theta[1]
+
+
+@pytest.mark.parametrize("name", ["bundled:case39", "bundled:demo-3bus"])
+@pytest.mark.parametrize("init", ["flat", "from-case"])
+def test_initial_state_is_the_packed_per_bus_start(name, init):
+    """The unknowns [theta at non-slack; V at pq] of the per-bus start, with
+    the setpoints at the slack and PV buses, bit for bit."""
+    net = to_network(load_case(name))
+    if init == "flat":
+        theta = np.full(net.n, net.buses[net.slack_pos].theta0)
+        v = np.array([b.v_set if b.kind != "pq" else 1.0 for b in net.buses])
+    else:
+        theta = np.array([b.theta0 for b in net.buses])
+        v = np.array([b.v_set if b.kind != "pq" else b.v0 for b in net.buses])
+    packed = np.concatenate([theta[net.non_slack], v[net.pq]])
+    u = initial_state(net, init)
+    assert u.dtype == packed.dtype and u.tobytes() == packed.tobytes()
+    with pytest.raises(ValueError, match="unknown init"):
+        initial_state(net, "from_case")
 
 
 def test_perturbation_validation(demo):
@@ -296,7 +319,7 @@ def test_edge_kernels_match_dense_oracle(case39_shifted, drawn, seed, complex_st
     admittance terms."""
     net, (pert, q) = case39_shifted, drawn
     rng = np.random.default_rng(seed)
-    u = _pack_state(net, initial_state(net)) + rng.uniform(-0.1, 0.1, net.n_unknowns)
+    u = initial_state(net) + rng.uniform(-0.1, 0.1, net.n_unknowns)
     if complex_state:
         u = u + 1j * rng.uniform(-0.05, 0.05, net.n_unknowns)
     problem = parametric_problem(net, pert)
@@ -367,7 +390,7 @@ def test_kernels_match_the_per_half_oracle_bitwise(
     random real and complex states and parameters of the case39 studies."""
     pert = _study_perturbation(case39, kind, dims, 0.5)
     rng = np.random.default_rng(seed)
-    u = _pack_state(case39, initial_state(case39, "from-case"))
+    u = initial_state(case39, "from-case")
     u = u + rng.uniform(-0.1, 0.1, case39.n_unknowns)
     if complex_state:
         u = u + 1j * rng.uniform(-0.05, 0.05, case39.n_unknowns)
@@ -386,7 +409,7 @@ def test_kernels_match_the_per_half_oracle_bitwise(
 def test_problem_reevaluates_when_point_changes(case39_shifted):
     """One problem evaluated at q1, q2, q1 (and at q1 with a complex dtype,
     and at a second state) gives what a fresh problem gives each time."""
-    u1 = _pack_state(case39_shifted, initial_state(case39_shifted))
+    u1 = initial_state(case39_shifted)
     u2 = u1 + 0.01
     q1 = np.array([0.4, -0.3, 0.7])
     q2 = np.array([-0.6, 0.2, 0.1])
@@ -406,7 +429,7 @@ def test_load_term_shifts_schedule(demo):
     )
     pert.validate(demo)
     problem = parametric_problem(demo, pert)
-    u = _pack_state(demo, initial_state(demo, "flat"))
+    u = initial_state(demo, "flat")
     base = problem.residual(u, np.array([0.0]))
     shifted = problem.residual(u, np.array([1.0]))
     diff = shifted - base
@@ -455,6 +478,22 @@ def test_qoi_sampler_names_point_of_singular_jacobian(demo, monkeypatch):
     assert exc.value.iteration == 2
 
 
+def test_knot_out_of_iterations_is_a_nonconvergence_error(demo):
+    pert = _study_perturbation(demo, "load", 1, 0.5)
+    sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"), tol=1e-300)
+    with pytest.raises(NonconvergenceError, match=r"did not converge at q=\[0\.25\]"):
+        sample(np.array([0.25]))
+
+
+def test_unknown_qoi_bus_is_refused_when_the_sampler_is_made(demo):
+    qoi = QuantityOfInterest.parse("voltage:99")
+    message = "quantity of interest references unknown bus 99"
+    with pytest.raises(CaseValidationError, match=message):
+        qoi.state_index(demo)
+    with pytest.raises(CaseValidationError, match=message):
+        qoi_sampler(demo, _study_perturbation(demo, "load", 1, 0.5), qoi)
+
+
 def _recorded_sample(sample, q):
     """sample(q) and the NewtonTrace of the knot solve it ran."""
     traces = []
@@ -485,7 +524,7 @@ def _independent_start(net, pert, q):
     the complex step of newton.taylor_predictor."""
     problem = parametric_problem(net, pert)
     dims = pert.dims
-    u_c = _pack_state(net, initial_state(net, "from-case"))
+    u_c = initial_state(net, "from-case")
     zero = np.zeros(dims)
     j_c = problem.jacobian(u_c, zero)
     f_c = problem.residual(u_c, zero)
@@ -521,10 +560,9 @@ def test_predictor_start_matches_flat_start(demo, case39, study, data):
     problem = parametric_problem(net, pert)
     start = _independent_start(net, pert, q)
     np.testing.assert_allclose(trace.iterates[0], start, rtol=0.0, atol=1e-9)
-    flat = solve(problem, _pack_state(net, initial_state(net)), q, tol=1e-12, max_iter=25)
+    flat = solve(problem, initial_state(net), q, tol=1e-12, max_iter=25)
     assert flat.converged
-    s = _expand_state(net, flat.x)
-    reference = quantity_of_interest(net, StateVector(s[: net.n], s[net.n :]), qoi)
+    reference = _expand_state(net, flat.x)[qoi.state_index(net)]
     assert abs(value - reference) <= 1e-12
     assert trace.iterations <= flat.iterations
 
@@ -537,7 +575,7 @@ def test_predictor_error_is_third_order(case39, kind, dims, data):
     3 (2.88 to 3.04 measured; the first-order chord step gives 2)."""
     pert = _study_perturbation(case39, kind, dims, 0.5)
     problem = parametric_problem(case39, pert)
-    u_c = _pack_state(case39, initial_state(case39, "from-case"))
+    u_c = initial_state(case39, "from-case")
     predictor = taylor_predictor(problem, parameter_slopes(problem, u_c, dims), u_c)
     direction = st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)
     q = np.array(data.draw(direction.filter(lambda q: max(map(abs, q)) > 0.1)))
@@ -560,7 +598,7 @@ def test_nonphysical_stored_point_falls_back_to_the_flat_start(demo):
     zeroed = dataclasses.replace(demo, buses=buses)
     pert = _study_perturbation(demo, "load", 1, 0.5)
     qoi = QuantityOfInterest.parse("voltage:3")
-    u_c = _pack_state(zeroed, initial_state(zeroed, "from-case"))
+    u_c = initial_state(zeroed, "from-case")
     with pytest.raises(NonphysicalStateError):
         parametric_problem(zeroed, pert).residual(u_c, np.zeros(1))
     for q in ([-0.5], [0.0], [0.8]):
@@ -631,7 +669,7 @@ def test_jacobian_matches_finite_differences(case39):
     """Complex-step derivative: J e_j = Im f(u + i h e_j) / h, exact to
     round-off for the analytic mismatch, at random real q."""
     problem = parametric_problem(case39, _MIXED)
-    u0 = _pack_state(case39, initial_state(case39, "flat"))
+    u0 = initial_state(case39, "flat")
     rng = np.random.default_rng(4)
     h = 1e-20
     for _ in range(3):
@@ -650,7 +688,7 @@ def test_jacobian_matches_finite_differences(case39):
 def test_jacobian_matches_central_differences_at_complex_point(case39):
     """The complex Jacobian is the derivative of the analytic extension."""
     problem = parametric_problem(case39, _MIXED)
-    u0 = _pack_state(case39, initial_state(case39, "flat"))
+    u0 = initial_state(case39, "flat")
     rng = np.random.default_rng(5)
     h = 1e-6
     for _ in range(3):
