@@ -210,10 +210,10 @@ def admissible_region_search(
     ``kappa`` and ``delta``, hold at every boundary probe (two axis vertices
     per dimension plus ``4 * dims`` random points with all coordinates on
     the boundary; angles drawn once per call, so the search is
-    deterministic for a fixed seed).  This certifies the
-    inequalities at probes only -- it is a heuristic inner approximation,
-    not a proof over the full boundary.  The parameter slopes are taken once
-    per call; each probe only evaluates the problem at its own point.
+    deterministic for a fixed seed).  This certifies the inequalities at
+    probes only -- it is a heuristic inner approximation, not a proof over
+    the full boundary.  The parameter slopes are taken once per call; each
+    probe only evaluates the problem at its own point.
 
     Raises InfeasibleRegionError when the targets make either inequality's
     right-hand side nonpositive, or when the problem is not affine in the
