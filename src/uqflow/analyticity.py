@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -287,6 +287,17 @@ class ConvergenceBound(NamedTuple):
     bound: float
 
 
+def _finite(name: str, compute: Callable[[], float]) -> float:
+    """compute(), or BoundUnavailableError naming it if it overflows or is not finite."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise BoundUnavailableError(f"{name} is not finite ({value!r}); no rate bound")
+    return value
+
+
 def bound_constants(
     sigma_hat: EllipseRegion | Sequence[float], m_tilde: float
 ) -> BoundConstants:
@@ -305,6 +316,8 @@ def bound_constants(
         a = exp(d* sigma (1/(sigma log^2 2) + 1/(log 2 sqrt(2 sigma)) + 2 C2))
         c1 = 4 m_tilde (2/(e^sigma - 1)) a / (e d* sigma)
         q_coef = c1 / exp(sigma d* C2) * max(1, c1)^N / |1 - c1|.
+
+    Raises BoundUnavailableError naming a constant that overflows a float.
     """
     if isinstance(sigma_hat, EllipseRegion):
         radii = sigma_hat.sigma_hat
@@ -326,18 +339,20 @@ def bound_constants(
     mu2 = log2 / (n * (1.0 + log_2n))
     c2_tilde = 1.0 + math.sqrt(math.pi / (2.0 * sigma)) / log2
     delta_star = (math.e * log2 - 1.0) / c2_tilde
-    a_coef = math.exp(
+    a_exponent = (
         delta_star
         * sigma
         * (1.0 / (sigma * log2**2) + 1.0 / (log2 * math.sqrt(2.0 * sigma)) + 2.0 * c2_tilde)
     )
+    a_coef = _finite("a_coef", lambda: math.exp(a_exponent))
     c_sigma = 2.0 / (math.exp(sigma) - 1.0)
-    c1 = 4.0 * m_tilde * c_sigma * a_coef / (math.e * delta_star * sigma)
+    c1 = _finite("c1", lambda: 4.0 * m_tilde * c_sigma * a_coef / (math.e * delta_star * sigma))
     mu3 = sigma * delta_star * c2_tilde / (1.0 + 2.0 * log_2n)
     if abs(c1 - 1.0) < _C1_DEGENERACY_TOL:
         q_coef = math.inf
     else:
-        q_coef = c1 / math.exp(sigma * delta_star * c2_tilde) * max(1.0, c1) ** n / abs(c1 - 1.0)
+        scale = c1 / math.exp(sigma * delta_star * c2_tilde)
+        q_coef = _finite("q_coef", lambda: scale * max(1.0, c1) ** n / abs(c1 - 1.0))
     return BoundConstants(
         sigma=sigma,
         n_dims=n,
@@ -365,7 +380,8 @@ def convergence_bound(constants: BoundConstants, w: int, eta: int) -> Convergenc
         c1 / |1 - c1| * max(1, c1)^N * eta^(-mu1).
 
     Raises BoundUnavailableError when ``c1`` is within 1e-9 of 1, where the
-    shared ``1/|1 - c1|`` factor blows up.
+    shared ``1/|1 - c1|`` factor blows up, and when the prefactor or the bound
+    overflows a float.
     """
     if eta < 1:
         raise ValueError(f"eta must be >= 1, got {eta}")
@@ -377,9 +393,11 @@ def convergence_bound(constants: BoundConstants, w: int, eta: int) -> Convergenc
     n = constants.n_dims
     if w > n / math.log(2.0):
         rate = n * constants.sigma / 2.0 ** (1.0 / n)
-        bound = constants.q_coef * eta**constants.mu3 * math.exp(-rate * eta**constants.mu2)
+        decay = math.exp(-rate * eta**constants.mu2)
+        bound = _finite("bound", lambda: constants.q_coef * eta**constants.mu3 * decay)
         return ConvergenceBound("sub-exponential", float(bound))
-    prefactor = constants.c1 / abs(1.0 - constants.c1) * max(1.0, constants.c1) ** n
+    c1 = constants.c1
+    prefactor = _finite("algebraic prefactor", lambda: c1 / abs(1.0 - c1) * max(1.0, c1) ** n)
     return ConvergenceBound("algebraic", float(prefactor * eta**-constants.mu1))
 
 

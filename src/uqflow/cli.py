@@ -110,18 +110,6 @@ def parse_config_text(text: str) -> dict[str, str]:
     return entries
 
 
-def _parse_levels(text: str) -> tuple[int, ...]:
-    try:
-        levels = tuple(int(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise UqflowError(f"bad level list {text!r}: {exc}") from None
-    if not levels:
-        raise UqflowError(f"bad level list {text!r}: no entries")
-    if min(levels) < 0:
-        raise UqflowError(f"bad level list {text!r}: levels must be >= 0")
-    return levels
-
-
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip() != "")
 
@@ -179,7 +167,7 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
         if key in config:
             try:
                 return convert(config[key])
-            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            except (TypeError, ValueError, argparse.ArgumentTypeError, UqflowError) as exc:
                 raise UqflowError(f"config key {key!r}: {exc}") from exc
         return default
 
@@ -195,9 +183,9 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
     return ExperimentConfig(
         case=case,
         rule=rule,
-        levels=pick(args.levels, "levels", (1, 2, 3), _parse_levels),
+        levels=pick(args.levels, "levels", (1, 2, 3), _levels_argument),
         reference_level=reference,
-        dims=pick(args.dims, "dims", 2, int),
+        dims=pick(args.dims, "dims", 2, _dims_argument),
         qoi=qoi,
         study=pick(args.study, "study", "load", str),
         coefficient=pick(args.coefficient, "coefficient", 0.5, float),
@@ -205,7 +193,7 @@ def _experiment_config(args: argparse.Namespace, need_reference: bool) -> Experi
         branches=pick(None, "branches", None, _parse_int_list),
         tol=pick(args.tol, "tol", 1e-12, _finite_argument(positive=True)),
         output=pick(args.out, "out", None, str),
-        cache_dir=pick(args.cache, "cache", None, str),
+        cache_dir=pick(args.cache, "cache", None, _directory_argument),
     )
 
 
@@ -226,8 +214,6 @@ def _study_perturbation(
     conductance and susceptance together (explicit ``branches`` list of
     1-based table rows, or the first ``dims`` rows).
     """
-    if dims < 1:
-        raise UqflowError(f"dims must be >= 1, got {dims}")
     if not math.isfinite(coefficient):
         raise UqflowError(f"coefficient must be finite, got {coefficient}")
     c = coefficient
@@ -416,8 +402,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_parse_case(args: argparse.Namespace) -> int:
-    case = load_case(args.case)
-    net = to_network(case)
+    case, net = _load_network(args.case)
     print(f"name: {case.name}")
     print(f"version: {case.version}")
     print(f"base_mva: {case.base_mva:g}")
@@ -432,13 +417,11 @@ def cmd_parse_case(args: argparse.Namespace) -> int:
 
 
 def cmd_grid_info(args: argparse.Namespace) -> int:
-    rule = _grid_rule(args.rule or "smolyak", args.family or "cc")
-    dims = args.dims if args.dims is not None else 2
-    levels = args.levels if args.levels is not None else (0, 1, 2, 3, 4)
+    rule = _grid_rule(args.rule, args.family)
     rows = []
-    for w in levels:
-        plan = build_plan(rule, w, dims)
-        space = polynomial_space(rule, w, dims)
+    for w in args.levels:
+        plan = build_plan(rule, w, args.dims)
+        space = polynomial_space(rule, w, args.dims)
         rows.append([str(w), str(len(plan.knots)), str(len(plan.terms)), str(len(space))])
     _emit_csv("grid-info", ["w", "knots", "terms", "poly_dim"], rows, args.out)
     return 0
@@ -524,9 +507,7 @@ def _bound_schedule_lines(
 
 
 def cmd_certify(args: argparse.Namespace) -> int:
-    rule = _grid_rule(args.rule or "smolyak", args.family or "cc")
-    levels = args.levels if args.levels is not None else (1, 2, 3)
-    seed = args.seed if args.seed is not None else 0
+    rule = _grid_rule(args.rule, args.family)
     lines: list[str]
 
     if args.scalar_demo:
@@ -543,7 +524,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
     else:
         if args.case is None:
             raise UqflowError("certify needs --case or --scalar-demo")
-        dims = args.dims if args.dims is not None else 2
+        dims = args.dims
         case, net = _load_network(args.case)
         pert = _study_perturbation(net, args.study, dims, args.coefficient)
         problem = parametric_problem(net, pert)
@@ -555,7 +536,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             radius=args.radius,
             lipschitz=args.lipschitz,
             probe_count=args.probes,
-            seed=seed,
+            seed=args.seed,
         )
         lines = _certificate_lines(
             cert, f"{case.name} ({args.study} study, {dims} dims) from flat start"
@@ -590,7 +571,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             delta_e,
             dims=dims,
             sigma_cap=args.sigma_cap,
-            seed=seed,
+            seed=args.seed,
         )
         lines.append("region: certified by boundary-probe bisection")
 
@@ -604,7 +585,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             m_tilde = mtilde_bound(t_star_e, x0)
     else:
         lines.append("t_star_e: unavailable (h_e > 1)")
-    lines.extend(_bound_schedule_lines(region, m_tilde, rule, levels, dims))
+    lines.extend(_bound_schedule_lines(region, m_tilde, rule, args.levels, dims))
 
     text = "\n".join(lines) + "\n"
     if args.out is None:
@@ -619,10 +600,16 @@ def cmd_certify(args: argparse.Namespace) -> int:
 
 
 def _levels_argument(text: str) -> tuple[int, ...]:
+    """argparse type (and config converter): comma-separated levels >= 0."""
     try:
-        return _parse_levels(text)
-    except UqflowError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+        levels = tuple(int(part) for part in text.split(",") if part.strip() != "")
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}: {exc}") from None
+    if not levels:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}: no entries")
+    if min(levels) < 0:
+        raise argparse.ArgumentTypeError(f"bad level list {text!r}: levels must be >= 0")
+    return levels
 
 
 def _count_argument(what: str, least: int = 1):
@@ -641,6 +628,13 @@ def _count_argument(what: str, least: int = 1):
 
 
 _dims_argument = _count_argument("dimension count")
+
+
+def _directory_argument(text: str) -> str:
+    """argparse type: a non-empty path; '' would put cache entries in the CWD."""
+    if not text:
+        raise argparse.ArgumentTypeError("bad directory '': want a non-empty path")
+    return text
 
 
 def _sigma_hat_argument(text: str) -> tuple[float, ...]:
@@ -689,7 +683,7 @@ def _add_common_study_arguments(sub: argparse.ArgumentParser) -> None:
         type=_finite_argument(positive=True),
         help="knot-solve mismatch tolerance (default 1e-12)",
     )
-    sub.add_argument("--cache", help="directory for surrogate JSON caching")
+    sub.add_argument("--cache", type=_directory_argument, help="directory for surrogate JSON caching")
     sub.add_argument("--out", help="output file (default stdout)")
 
 
@@ -713,10 +707,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_parse.set_defaults(func=cmd_parse_case)
 
     p_grid = sub.add_parser("grid-info", help="sparse-grid size table")
-    p_grid.add_argument("--rule", choices=["smolyak", "td", "hc"])
-    p_grid.add_argument("--family", choices=["cc", "gauss"])
-    p_grid.add_argument("--dims", type=_dims_argument)
-    p_grid.add_argument("--levels", type=_levels_argument)
+    p_grid.add_argument("--rule", choices=["smolyak", "td", "hc"], default="smolyak")
+    p_grid.add_argument("--family", choices=["cc", "gauss"], default="cc")
+    p_grid.add_argument("--dims", type=_dims_argument, default=2)
+    p_grid.add_argument("--levels", type=_levels_argument, default=(0, 1, 2, 3, 4))
     p_grid.add_argument("--out")
     p_grid.set_defaults(func=cmd_grid_info)
 
@@ -732,16 +726,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="Kantorovich certificate + analyticity report")
     p_cert.add_argument("--case", help="case path or bundled:<name>")
     p_cert.add_argument("--scalar-demo", action="store_true", help="run the built-in scalar example")
-    p_cert.add_argument("--rule", choices=["smolyak", "td", "hc"])
-    p_cert.add_argument("--family", choices=["cc", "gauss"])
-    p_cert.add_argument("--levels", type=_levels_argument, help="levels for the bound schedule")
-    p_cert.add_argument("--dims", type=_dims_argument)
+    p_cert.add_argument("--rule", choices=["smolyak", "td", "hc"], default="smolyak")
+    p_cert.add_argument("--family", choices=["cc", "gauss"], default="cc")
+    p_cert.add_argument("--levels", type=_levels_argument, default=(1, 2, 3), help="bound schedule levels")
+    p_cert.add_argument("--dims", type=_dims_argument, default=2)
     ignored = "ignored; accepted so study command lines still parse"
     p_cert.add_argument("--qoi", help=ignored)
     p_cert.add_argument("--study", choices=["load", "admittance"], default="load")
     p_cert.add_argument("--coefficient", type=float, default=0.5)
     p_cert.add_argument("--tol", type=float, help=ignored)
-    p_cert.add_argument("--seed", type=int)
+    p_cert.add_argument("--seed", type=int, default=0)
     p_cert.add_argument(
         "--lipschitz",
         type=_finite_argument(positive=False),
@@ -799,10 +793,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UqflowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (UqflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -62,16 +62,13 @@ class GridRule:
     def count(self, level: int) -> int:
         return level_to_count(level, self.growth)  # type: ignore[arg-type]
 
-    def level_weight(self, index: tuple[int, ...]) -> int:
-        """g(i); an index is admissible at budget w iff g(i) <= w."""
+    def admissible(self, index: tuple[int, ...], w: int) -> bool:
+        """Whether g(i) <= w: g(i) = prod(i) - 1 for hc, sum(i_n - 1) otherwise."""
         if any(i < 1 for i in index):
             raise ValueError(f"levels are 1-based, got {index}")
         if self.kind == "hc":
-            return math.prod(index) - 1
-        return sum(index) - len(index)
-
-    def admissible(self, index: tuple[int, ...], w: int) -> bool:
-        return self.level_weight(index) <= w
+            return math.prod(index) - 1 <= w
+        return sum(index) - len(index) <= w
 
 
 def _downward_closed(
@@ -108,23 +105,19 @@ def admissible_indices(rule: GridRule, w: int, dims: int) -> list[tuple[int, ...
 def combination_coefficients(
     rule: GridRule, w: int, dims: int
 ) -> dict[tuple[int, ...], int]:
-    """Integer weight of each admissible tensor term.
+    """Integer weight of each admissible tensor term, in admissible_indices order.
 
-    c(i) = sum over j in {0,1}^dims with i+j admissible of (-1)^|j|; the
-    telescoping-difference algebra collapses to this for any downward-closed
-    index set. All (N, 2^dims, dims) bumped indices i+j are tested in one
-    broadcast. Zero-weight terms are kept here and dropped by build_plan.
+    c(i) = sum over j in {0,1}^dims with i+j in I of (-1)^|j| is the product
+    over the axes n of the forward differences 1 - shift_n applied to the
+    indicator of I, so one pass per axis takes them on I alone: an index off
+    I counts 0, which is exact because I is downward closed (if i is off I,
+    so is every i+j). Zero-weight terms are kept here and dropped by build_plan.
     """
-    indices = admissible_indices(rule, w, dims)
-    corners = np.array(list(itertools.product((0, 1), repeat=dims)))
-    bumped = np.array(indices)[:, None, :] + corners
-    # g(i) of GridRule.level_weight, taken over the last axis.
-    if rule.kind == "hc":
-        weights = bumped.prod(axis=-1) - 1
-    else:
-        weights = bumped.sum(axis=-1) - dims
-    signs = 1 - 2 * (corners.sum(axis=1) % 2)
-    return dict(zip(indices, ((weights <= w) @ signs).tolist()))
+    coeff = dict.fromkeys(admissible_indices(rule, w, dims), 1)
+    for n in range(dims):
+        # The comprehension reads the previous pass before `coeff` is rebound.
+        coeff = {i: c - coeff.get(i[:n] + (i[n] + 1,) + i[n + 1 :], 0) for i, c in coeff.items()}
+    return coeff
 
 
 # --- node sets with exact identities ----------------------------------------
@@ -267,9 +260,7 @@ class Surrogate:
 def build_surrogate(plan: SparseGridPlan, f: Callable) -> Surrogate:
     """Evaluate f once per knot row, in knot order, and wrap the values."""
     rows = [f(plan.knots[k]) for k in range(plan.n_knots)]
-
-    first = np.atleast_1d(np.asarray(rows[0], dtype=float))
-    scalar = first.size == 1 and np.ndim(rows[0]) == 0
+    scalar = np.ndim(rows[0]) == 0
     values = np.array([np.atleast_1d(np.asarray(r, dtype=float)) for r in rows])
     return Surrogate(plan=plan, values=values, scalar=scalar)
 

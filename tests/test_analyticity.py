@@ -268,6 +268,24 @@ def test_degenerate_c1_refuses_to_quote_a_bound():
         convergence_bound(degenerate, w=2, eta=5)
 
 
+def test_overflowing_constants_refuse_to_quote_a_bound():
+    with pytest.raises(BoundUnavailableError, match="q_coef is not finite"):
+        bound_constants(EllipseRegion((1e-6, 1e-6)), m_tilde=1e150)
+    with pytest.raises(BoundUnavailableError, match="c1 is not finite"):
+        bound_constants(EllipseRegion((1e-6,)), m_tilde=1e300)
+    with pytest.raises(BoundUnavailableError, match="a_coef is not finite"):
+        bound_constants(EllipseRegion((1e3,)), m_tilde=1.0)
+    # Finite constants whose sub-exponential bound overflows: eta^mu3 > 1e308.
+    with pytest.raises(BoundUnavailableError, match="bound is not finite"):
+        convergence_bound(bound_constants(EllipseRegion((700.0,)), m_tilde=1.0), w=10, eta=1025)
+    # c1 ~ 1.999 at 1024 dims: q_coef is finite, c1 / |1 - c1| * c1^1024 is not.
+    region = EllipseRegion((2.0,) * 1024)
+    constants = bound_constants(region, 1.999e-9 / bound_constants(region, 1e-9).c1)
+    assert math.isfinite(constants.q_coef)
+    with pytest.raises(BoundUnavailableError, match="algebraic prefactor is not finite"):
+        convergence_bound(constants, w=1, eta=5)
+
+
 def test_mtilde_bound_values():
     assert mtilde_bound(0.5, np.array([3.0, 4.0])) == pytest.approx(5.5, abs=1e-15)
     t_star = 1.5 - math.sqrt(2.0)

@@ -172,6 +172,43 @@ def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
     assert f"config key 'tol': bad value '{value}'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        ("levels =", "config key 'levels': bad level list '': no entries"),
+        ("levels = -1", "config key 'levels': bad level list '-1': levels must be >= 0"),
+        ("levels = 1,x", "config key 'levels': bad level list '1,x'"),
+        ("dims = 0", "config key 'dims': bad dimension count '0'"),
+        ("dims = -3", "config key 'dims': bad dimension count '-3'"),
+        ("cache =", "config key 'cache': bad directory ''"),
+    ],
+    ids=[
+        "levels-empty", "levels-negative", "levels-not-int",
+        "dims-zero", "dims-negative", "cache-empty",
+    ],
+)
+def test_config_conversion_error_names_the_key(tmp_path, capsys, monkeypatch, line, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "exp.cfg").write_text(f"case = bundled:demo3\nqoi = voltage:3\n{line}\n")
+    key = line.split()[0]
+    argv = ["uq-moments", "--config", "exp.cfg"]
+    argv += [] if key == "levels" else ["--levels", "1"]
+    argv += [] if key == "dims" else ["--dims", "1"]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
+def test_empty_cache_flag_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--qoi", "voltage:3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--levels", "1", "--cache", ""])
+    assert exc.value.code == 2
+    assert "bad directory ''" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_bad_config_value_names_the_key(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("case = bundled:demo3\ndims = abc\n")
@@ -219,6 +256,23 @@ def test_grid_info_table(capsys):
     rows = _csv_rows(capsys.readouterr().out, "grid-info")
     assert rows[0] == ["w", "knots", "terms", "poly_dim"]
     assert [r[1] for r in rows[1:]] == ["1", "5", "13", "29", "65", "145"]
+
+
+def test_grid_info_reaches_19_dims(capsys):
+    assert main(["grid-info", "--dims", "19", "--levels", "0,1,2,3"]) == 0
+    rows = _csv_rows(capsys.readouterr().out, "grid-info")[1:]
+    assert [r[1] for r in rows] == ["1", "39", "761", "9957"]
+    assert [r[2] for r in rows] == ["1", "20", "210", "1540"]
+    assert [r[3] for r in rows] == [r[1] for r in rows]
+
+
+def test_certify_bound_schedule_at_19_dims(capsys):
+    argv = ["certify", "--case", "bundled:case39", "--dims", "19", "--lipschitz", "1"]
+    argv += ["--sigma-hat", "0.3", "--m-tilde", "2", "--levels", "1,2,3"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    for w, eta in ((1, 39), (2, 761), (3, 9957)):
+        assert f"bound w={w} eta={eta} " in out
 
 
 def test_uq_moments_demo(tmp_path):
@@ -583,6 +637,23 @@ def test_certify_case_with_supplied_region(capsys):
     out = capsys.readouterr().out
     assert "search skipped" in out
     assert "bound w=2" in out
+
+
+@pytest.mark.parametrize(
+    ("argv", "name"),
+    [
+        ("--case bundled:case39 --dims 2 --sigma-hat 1e-6 --m-tilde 1e150".split(), "q_coef"),
+        ("--case bundled:case39 --dims 8 --sigma-hat 0.01 --m-tilde 1e40".split(), "q_coef"),
+        ("--case bundled:demo3 --dims 1 --sigma-hat 1e-6 --m-tilde 1e300".split(), "c1"),
+        (["--scalar-demo", "--sigma-hat", "1e3", "--m-tilde", "1"], "a_coef"),
+        (["--scalar-demo", "--sigma-hat", "700", "--m-tilde", "1", "--levels", "2,10"], "bound"),
+    ],
+)
+def test_overflowing_bound_constant_is_an_error(capsys, argv, name):
+    assert main(["certify", "--lipschitz", "1", "--levels", "1", *argv]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {name} is not finite (inf)" in captured.err
+    assert "value=" not in captured.out
 
 
 def test_certify_needs_a_problem(capsys):

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,18 @@ def test_plan_terms_are_the_nonzero_coefficients():
             levels: c for levels, c in combination_coefficients(SMOLYAK, w, 2).items() if c != 0
         }
         assert {t.levels: t.coefficient for t in plan.terms} == nonzero
+
+
+def test_high_dimensional_plan_needs_little_memory():
+    # The coefficients are taken on the index set alone: no array grows with 2^dims.
+    tracemalloc.start()
+    try:
+        plan = build_plan(SMOLYAK, 2, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.n_knots == 545
+    assert peak < 64 * 2**20
 
 
 def test_quadrature_weights_positive_and_normalized():
