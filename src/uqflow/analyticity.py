@@ -134,6 +134,10 @@ def estimate_perturbation_norms(
     Taylor remainder is bounded entrywise by sum_k |Re v_k| |dJ_k|, exactly
     (likewise for the residual); the imaginary parts at g are
     sum_k Im v_k dJ_k. Norms are spectral (matrix) and Euclidean (vector).
+    A perturbation matrix with no nonzero entry has spectral norm exactly
+    0.0, which is returned without an SVD; any other takes one dense
+    complex SVD. The magnitudes |dJ_k|, |df_k| and the largest entries of
+    the model are read from ``slopes``, taken once per model.
 
     The real system at the anchor q must pass Newton's pivot test, or
     SingularJacobianError is raised. J and f at g are evaluated and checked
@@ -153,8 +157,8 @@ def estimate_perturbation_norms(
     f_g = np.asarray(problem.residual(x0, g), dtype=complex)
     j_gap = np.abs(j_g - slopes.j0 - np.tensordot(g, slopes.dj, axes=1)).max()
     f_gap = np.abs(f_g - slopes.f0 - g @ slopes.df).max()
-    j_top = max(np.abs(j_g).max(), np.abs(slopes.j0).max(), np.abs(slopes.dj).max())
-    f_top = max(np.abs(f_g).max(), np.abs(slopes.f0).max(), np.abs(slopes.df).max())
+    j_top = max(np.abs(j_g).max(), slopes.j_top)
+    f_top = max(np.abs(f_g).max(), slopes.f_top)
     if j_gap > _AFFINE_TOL * j_top or f_gap > _AFFINE_TOL * f_top:
         raise InfeasibleRegionError(
             f"the problem is not affine in the parameters: at g = {g.tolist()} "
@@ -162,10 +166,11 @@ def estimate_perturbation_norms(
         )
 
     re_v = np.abs(v.real)
-    q_hat = np.tensordot(re_v, np.abs(slopes.dj), axes=1)  # (m, m) remainder bound
-    p_hat = re_v @ np.abs(slopes.df)  # (m,) remainder bound
+    q_hat = np.tensordot(re_v, slopes.abs_dj, axes=1)  # (m, m) remainder bound
+    p_hat = re_v @ slopes.abs_df  # (m,) remainder bound
     # The real block [[Q, -J_I], [J_I, Q]] has the singular values of Q + i J_I.
-    e_norm = float(np.linalg.norm(q_hat + 1j * np.tensordot(v.imag, slopes.dj, axes=1), 2))
+    e = q_hat + 1j * np.tensordot(v.imag, slopes.dj, axes=1)
+    e_norm = float(np.linalg.norm(e, 2)) if e.any() else 0.0
     g_norm = float(np.hypot(np.linalg.norm(p_hat), np.linalg.norm(v.imag @ slopes.df)))
     return PerturbationBounds(e_norm=e_norm, g_norm=g_norm)
 
@@ -216,7 +221,8 @@ def admissible_region_search(
     probe only evaluates the problem at its own point.
 
     Raises InfeasibleRegionError when the targets make either inequality's
-    right-hand side nonpositive, or when the problem is not affine in the
+    right-hand side nonpositive, when cosh(sigma_cap) is not a finite float
+    (sigma_cap above about 710), or when the problem is not affine in the
     parameters at a probe, and SingularJacobianError when the real system
     at a probe's anchor is singular.  Returns the degenerate region (all
     zeros) when no positive radius is certifiable.
@@ -232,6 +238,13 @@ def admissible_region_search(
             f"delta_e/kappa_e ({delta_e / kappa_e}) must exceed delta/kappa "
             f"({delta / kappa}) for a positive threshold"
         )
+
+    with np.errstate(over="ignore"):
+        if not np.isfinite(np.cosh(sigma_cap)):
+            raise InfeasibleRegionError(
+                f"sigma_cap ({sigma_cap}) is too large: its ellipse vertex "
+                "cosh(sigma_cap) overflows a float"
+            )
 
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(4 * dims, dims))

@@ -51,7 +51,8 @@ class InfeasibleRegionError(UqflowError):
 
 
 class BoundUnavailableError(UqflowError):
-    """Bound constants degenerate (C1 too close to 1 for the 1/|1-C1| factor)."""
+    """A bound cannot be quoted: its constants degenerate (C1 too close to 1 for
+    the 1/|1-C1| factor) or overflow, or its inputs are not finite."""
 
 
 class CacheMismatchError(UqflowError):

@@ -16,8 +16,11 @@ from uqflow.analyticity import (
     estimate_perturbation_norms,
     mtilde_bound,
 )
+from uqflow.case_io import load_case, to_network
+from uqflow.cli import _study_perturbation
 from uqflow.errors import BoundUnavailableError, InfeasibleRegionError, SingularJacobianError
 from uqflow.newton import NewtonProblem, parameter_slopes
+from uqflow.powerflow import initial_state, parametric_problem
 
 # x^2 - q with the nominal q = 2: root sqrt(2), kappa = 1/3 at x0 = 1.5
 SHIFTED = NewtonProblem(
@@ -157,6 +160,20 @@ def test_perturbation_norms_match_the_direct_formula(m, dims, seed, data):
     assert est.g_norm == pytest.approx(g_direct, rel=1e-12, abs=0.0)
 
 
+def test_load_study_perturbation_is_exactly_zero():
+    # G and B do not depend on the loads, so every dJ_k is zero and the
+    # perturbation matrix has no nonzero entry: its norm is 0.0 with no SVD
+    net = to_network(load_case("bundled:case39"))
+    problem = parametric_problem(net, _study_perturbation(net, "load", 2, 0.5))
+    x0 = initial_state(net, "flat")
+    slopes = parameter_slopes(problem, x0, 2)
+    assert not slopes.dj.any()
+    q, v = np.array([0.3, -1.0]), np.array([0.2 + 0.5j, -0.7j])
+    est = estimate_perturbation_norms(problem, x0, slopes, q, v)
+    assert est.e_norm == 0.0
+    assert est.g_norm > 0.0
+
+
 def test_certifies_thresholds():
     est = _shifted_norms(2.0, 0.1j)
     assert est.certifies(KAPPA, DELTA, 2 * KAPPA, 3 * DELTA)
@@ -207,6 +224,14 @@ def test_region_search_rejects_empty_budgets():
         admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA, DELTA_E, dims=1)
     with pytest.raises(InfeasibleRegionError):
         admissible_region_search(COUPLED, X0, KAPPA, DELTA, 2 * KAPPA, DELTA, dims=1)
+
+
+@pytest.mark.parametrize("sigma_cap", [711.0, 800.0, math.inf])
+def test_region_search_rejects_an_overflowing_sigma_cap(sigma_cap):
+    with pytest.raises(InfeasibleRegionError, match=r"sigma_cap \(.*\) is too large"):
+        admissible_region_search(
+            COUPLED, X0, KAPPA, DELTA, KAPPA_E, DELTA_E, dims=1, sigma_cap=sigma_cap
+        )
 
 
 def test_region_search_rejects_a_singular_anchor():

@@ -3,11 +3,14 @@ from __future__ import annotations
 import json
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import uqflow.analyticity
 import uqflow.cli
+import uqflow.newton
 import uqflow.powerflow
 from uqflow.cli import main, parse_config_text
 from uqflow.errors import CacheMismatchError, UqflowError
@@ -654,6 +657,43 @@ def test_overflowing_bound_constant_is_an_error(capsys, argv, name):
     captured = capsys.readouterr()
     assert f"error: {name} is not finite (inf)" in captured.err
     assert "value=" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--case bundled:case39 --dims 1 --sigma-cap 1000 --m-tilde 2 --levels 1".split(),
+        "--scalar-demo --sigma-cap 800 --levels 1 --m-tilde 2".split(),
+    ],
+)
+def test_overflowing_sigma_cap_is_an_error(capsys, argv):
+    assert main(["certify", *argv]) == 1
+    assert "error: sigma_cap (" in capsys.readouterr().err
+
+
+def test_non_finite_lipschitz_probe_is_an_error(capsys):
+    argv = "certify --case bundled:case39 --dims 1 --radius 1e200 --m-tilde 2 --levels 1"
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: Lipschitz probe pair 0 of 64 at radius 1e+200 ")
+
+
+def test_certify_takes_few_dense_svds(capsys, monkeypatch):
+    # 64 Lipschitz probe pairs and 57 region-search probes: the Gram bound
+    # leaves a handful of exact SVDs, and the load study's all-zero
+    # perturbation matrices need no spectral norm at all
+    svdvals = mock.Mock(wraps=uqflow.newton.svdvals)
+    estimate = mock.Mock(wraps=uqflow.analyticity.estimate_perturbation_norms)
+    norm = mock.Mock(wraps=np.linalg.norm)
+    monkeypatch.setattr(uqflow.newton, "svdvals", svdvals)
+    monkeypatch.setattr(uqflow.analyticity, "estimate_perturbation_norms", estimate)
+    monkeypatch.setattr(np.linalg, "norm", norm)
+    argv = "certify --case bundled:case39 --dims 1 --m-tilde 2.0 --samples 0 --seed 0"
+    assert main(argv.split()) == 0
+    assert "lipschitz: 575.12781963168 (sampled (64 probes))" in capsys.readouterr().out
+    assert svdvals.call_count <= 16  # one of them is kappa's
+    assert estimate.call_count == 57
+    assert not [call for call in norm.call_args_list if call.args[1:] == (2,)]
 
 
 def test_certify_needs_a_problem(capsys):

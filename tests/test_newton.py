@@ -1,13 +1,23 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import svdvals
 
-from uqflow.errors import SingularJacobianError
+import uqflow.newton
+from uqflow.case_io import load_case, to_network
+from uqflow.cli import _study_perturbation
+from uqflow.errors import BoundUnavailableError, SingularJacobianError
 from uqflow.newton import (
+    _GRAM_BOUND_MARGIN,
     NewtonProblem,
+    _gram_bound,
+    _sample_ball,
     cauchy_riemann_residual,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
@@ -15,6 +25,7 @@ from uqflow.newton import (
     solve,
     taylor_predictor,
 )
+from uqflow.powerflow import initial_state, parametric_problem
 
 SCALAR = NewtonProblem(
     residual=lambda x, p: np.array([x[0] ** 2 - 2.0]),
@@ -188,3 +199,121 @@ def test_taylor_predictor_hand_oracle():
     np.testing.assert_allclose(
         at_root.taylor, [[0.05 / math.sqrt(2.0), -0.5 * 0.0025 / 2.0**1.5]], rtol=1e-12
     )
+
+
+# --- the pruned Lipschitz estimate against one SVD per probe pair ---------------
+
+
+def _exhaustive_lipschitz(problem, x0, params, radius, probe_count, seed):
+    """The estimate with an SVD of every probe pair: the oracle of the pruned loop."""
+    rng = np.random.default_rng(seed)
+    x0 = np.asarray(x0, dtype=float)
+    best = 0.0
+    for _ in range(probe_count):
+        u = _sample_ball(rng, x0, radius)
+        v = _sample_ball(rng, x0, radius)
+        gap = np.linalg.norm(u - v)
+        if gap == 0.0:
+            continue
+        ju = np.asarray(problem.jacobian(u, params), dtype=float)
+        jv = np.asarray(problem.jacobian(v, params), dtype=float)
+        best = max(best, float(svdvals(ju - jv)[0]) / gap)
+    return best
+
+
+@functools.cache
+def _case39_problem(study, dims):
+    net = to_network(load_case("bundled:case39"))
+    problem = parametric_problem(net, _study_perturbation(net, study, dims, 0.5))
+    return problem, initial_state(net, "flat")
+
+
+# probe radii both where the Gram bound prunes and below its 1e-50 floor
+_RADII = st.one_of(st.floats(1e-3, 2.0), st.floats(-100.0, -3.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    study=st.sampled_from(["load", "admittance"]),
+    dims=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    radius=_RADII,
+    probe_count=st.integers(1, 80),
+    data=st.data(),
+)
+def test_pruned_lipschitz_equals_the_exhaustive_max_on_case39(
+    study, dims, seed, radius, probe_count, data
+):
+    problem, x0 = _case39_problem(study, dims)
+    corner = st.floats(-1.0, 1.0, allow_subnormal=False)
+    params = np.array(data.draw(st.lists(corner, min_size=dims, max_size=dims)))
+    args = (problem, x0, params, radius, probe_count, seed)
+    assert estimate_jacobian_lipschitz(*args) == _exhaustive_lipschitz(*args)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 6),
+    kind=st.sampled_from(["tied rank one", "rank one", "linear", "sine"]),
+    seed=st.integers(0, 2**32 - 1),
+    radius=_RADII,
+    probe_count=st.integers(1, 40),
+)
+def test_pruned_lipschitz_equals_the_exhaustive_max_on_small_problems(
+    m, kind, seed, radius, probe_count
+):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, m))
+    w = rng.standard_normal(m)
+    w /= np.linalg.norm(w)
+    s = rng.standard_normal(m)
+    b = rng.standard_normal((m, m, m))
+    c = rng.uniform(0.5, 4.0)
+    jacobians = {
+        # D = c (u - v) w^T: rank one, so the Gram bound is sigma_1, and every
+        # pair's ratio ties at c up to rounding
+        "tied rank one": lambda x: a + c * np.outer(x, w),
+        # D = (s . (u - v)) w w^T: rank one, ratios that differ
+        "rank one": lambda x: a + (s @ x) * np.outer(w, w),
+        "linear": lambda x: a + np.tensordot(x, b, axes=1),
+        "sine": lambda x: a + np.sin(3.0 * np.tensordot(x, b, axes=1)),
+    }
+    problem = NewtonProblem(
+        residual=lambda x, p: np.zeros(m), jacobian=lambda x, p: jacobians[kind](x)
+    )
+    x0 = rng.uniform(-1.0, 1.0, size=m)
+    args = (problem, x0, None, radius, probe_count, seed)
+    assert estimate_jacobian_lipschitz(*args) == _exhaustive_lipschitz(*args)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(1, 8),
+    rank_one=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    exponent=st.integers(-40, 40),
+)
+def test_gram_bound_is_at_least_the_largest_singular_value(m, rank_one, seed, exponent):
+    rng = np.random.default_rng(seed)
+    if rank_one:
+        d = np.outer(rng.standard_normal(m), rng.standard_normal(m))
+    else:
+        d = rng.standard_normal((m, m))
+    d *= 10.0**exponent
+    sigma_1 = float(svdvals(d)[0])
+    bound = _gram_bound(d)
+    assert bound * (1.0 + _GRAM_BOUND_MARGIN) >= sigma_1
+    if rank_one:  # the tight case: only rounding separates the two
+        assert bound == pytest.approx(sigma_1, rel=1e-13)
+
+
+def test_non_finite_lipschitz_probe_is_a_named_error(monkeypatch):
+    # x^2 overflows at radius 1e200; the suite's warning filters stay on
+    problem = NewtonProblem(
+        residual=lambda x, p: x**3 / 3.0, jacobian=lambda x, p: np.diag(x**2)
+    )
+    seen = []
+    monkeypatch.setattr(uqflow.newton, "svdvals", lambda d: seen.append(d) or svdvals(d))
+    with pytest.raises(BoundUnavailableError, match=r"probe pair 0 of 64 at radius 1e\+200"):
+        estimate_jacobian_lipschitz(problem, np.array([0.5, -0.5]), radius=1e200)
+    assert seen == []
