@@ -14,12 +14,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import BoundUnavailableError, InfeasibleRegionError
-from .newton import NewtonProblem, ParameterSlopes, _lu_with_pivot_check, parameter_slopes
+from .newton import (
+    _STACK_ROWS,
+    NewtonProblem,
+    ParameterSlopes,
+    _lu_with_pivot_check,
+    _row_norms,
+    _stacked,
+    parameter_slopes,
+)
 
 __all__ = [
     "EllipseRegion",
@@ -120,6 +128,74 @@ class PerturbationBounds:
         return e_ok and g_ok
 
 
+def _rows_times(rows: np.ndarray, slopes: np.ndarray) -> np.ndarray:
+    """sum_k rows[p, k] slopes[k] for every row p of a (P, dims) stack: one
+    vector-matrix product per row, the size of a single probe's."""
+    flat = (rows[:, None, :] @ slopes.reshape(len(slopes), -1))[:, 0]
+    return flat.reshape((len(rows),) + slopes.shape[1:])
+
+
+def _probe_bounds(
+    problem: NewtonProblem,
+    x0: np.ndarray,
+    slopes: ParameterSlopes,
+    q: np.ndarray,
+    v: np.ndarray,
+    passed: set[bytes],
+) -> Iterator[PerturbationBounds]:
+    """PerturbationBounds at the probes g = q + v, rows of the (P, dims) q
+    and v, in row order.
+
+    The problem is evaluated at all the probes in one stacked call, and the
+    model side is taken for all of them at once. The model moves J only on
+    the support of dJ (``slopes.support``), so off it the gap to the model
+    is |J(g) - j0| and the remainder bounds are zero; a Jacobian that does
+    not depend on the parameters may come back as one matrix for all the
+    probes. Each bound is finished when it is asked for: the pivot test of
+    its anchor (skipped for an anchor in ``passed``, which gathers the
+    anchors that pass), the affine-gap test and the spectral norm. A caller
+    that stops at one probe never sees an error of a later one.
+    """
+    count, m = len(q), len(slopes.f0)
+    g = q + v
+    support = slopes.support
+    dj = slopes.dj.reshape(len(slopes.dj), -1)[:, support]  # (dims, S)
+    j_g = np.asarray(problem.jacobian(x0, g), dtype=complex)
+    f_g = _stacked(problem.residual(x0, g), (count, m), complex)
+    shift = (j_g - slopes.j0).reshape(j_g.shape[:-2] + (m * m,))
+    on_support = np.abs(shift[..., support] - _rows_times(g, dj)).max(axis=-1, initial=0.0)
+    shift[..., support] = 0.0
+    j_gap = np.maximum(np.abs(shift).max(axis=-1), on_support)
+    j_top = np.broadcast_to(np.maximum(np.abs(j_g).max(axis=(-2, -1)), slopes.j_top), (count,))
+    f_gap = np.abs(f_g - slopes.f0 - _rows_times(g, slopes.df)).max(axis=1)
+    f_top = np.maximum(np.abs(f_g).max(axis=1), slopes.f_top)
+
+    re_v = np.abs(v.real)
+    q_hat = _rows_times(re_v, np.abs(dj))  # (P, S) remainder bounds
+    j_im = _rows_times(v.imag, dj)
+    e_any = q_hat.any(axis=1) | j_im.any(axis=1)
+    p_hat = _rows_times(re_v, np.abs(slopes.df))  # (P, m) remainder bounds
+    g_norm = np.hypot(_row_norms(p_hat), _row_norms(_rows_times(v.imag, slopes.df)))
+
+    for k in range(count):
+        anchor = q[k].tobytes()
+        if anchor not in passed:
+            _lu_with_pivot_check(slopes.j0 + np.tensordot(q[k], slopes.dj, axes=1), 0)
+            passed.add(anchor)
+        if j_gap[k] > _AFFINE_TOL * j_top[k] or f_gap[k] > _AFFINE_TOL * f_top[k]:
+            raise InfeasibleRegionError(
+                f"the problem is not affine in the parameters: at g = {g[k].tolist()} "
+                f"J and f differ from the affine model by {j_gap[k]:.3e} and {f_gap[k]:.3e}"
+            )
+        e_norm = 0.0
+        if e_any[k]:
+            # The real block [[Q, -J_I], [J_I, Q]] has the singular values of Q + i J_I.
+            e = np.zeros(m * m, dtype=complex)
+            e[support] = q_hat[k] + 1j * j_im[k]
+            e_norm = float(np.linalg.norm(e.reshape(m, m), 2))
+        yield PerturbationBounds(e_norm=e_norm, g_norm=float(g_norm[k]))
+
+
 def estimate_perturbation_norms(
     problem: NewtonProblem,
     x0: np.ndarray,
@@ -136,13 +212,14 @@ def estimate_perturbation_norms(
     sum_k Im v_k dJ_k. Norms are spectral (matrix) and Euclidean (vector).
     A perturbation matrix with no nonzero entry has spectral norm exactly
     0.0, which is returned without an SVD; any other takes one dense
-    complex SVD. The magnitudes |dJ_k|, |df_k| and the largest entries of
-    the model are read from ``slopes``, taken once per model.
+    complex SVD. The support of dJ and the largest entries of the model are
+    read from ``slopes``, taken once per model.
 
     The real system at the anchor q must pass Newton's pivot test, or
     SingularJacobianError is raised. J and f at g are evaluated and checked
     against the model; a gap above 1e-10 of the largest entry involved
-    raises InfeasibleRegionError naming g.
+    raises InfeasibleRegionError naming g. This is the one-probe case of the
+    stacked evaluation that the region search runs.
     """
     x0 = np.asarray(x0, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -150,51 +227,24 @@ def estimate_perturbation_norms(
     dims = len(slopes.dj)
     if q.shape != (dims,) or v.shape != (dims,):
         raise ValueError(f"q and v need {dims} entries, got shapes {q.shape} and {v.shape}")
-    _lu_with_pivot_check(slopes.j0 + np.tensordot(q, slopes.dj, axes=1), 0)
-
-    g = q + v
-    j_g = np.asarray(problem.jacobian(x0, g), dtype=complex)
-    f_g = np.asarray(problem.residual(x0, g), dtype=complex)
-    j_gap = np.abs(j_g - slopes.j0 - np.tensordot(g, slopes.dj, axes=1)).max()
-    f_gap = np.abs(f_g - slopes.f0 - g @ slopes.df).max()
-    j_top = max(np.abs(j_g).max(), slopes.j_top)
-    f_top = max(np.abs(f_g).max(), slopes.f_top)
-    if j_gap > _AFFINE_TOL * j_top or f_gap > _AFFINE_TOL * f_top:
-        raise InfeasibleRegionError(
-            f"the problem is not affine in the parameters: at g = {g.tolist()} "
-            f"J and f differ from the affine model by {j_gap:.3e} and {f_gap:.3e}"
-        )
-
-    re_v = np.abs(v.real)
-    q_hat = np.tensordot(re_v, slopes.abs_dj, axes=1)  # (m, m) remainder bound
-    p_hat = re_v @ slopes.abs_df  # (m,) remainder bound
-    # The real block [[Q, -J_I], [J_I, Q]] has the singular values of Q + i J_I.
-    e = q_hat + 1j * np.tensordot(v.imag, slopes.dj, axes=1)
-    e_norm = float(np.linalg.norm(e, 2)) if e.any() else 0.0
-    g_norm = float(np.hypot(np.linalg.norm(p_hat), np.linalg.norm(v.imag @ slopes.df)))
-    return PerturbationBounds(e_norm=e_norm, g_norm=g_norm)
+    return next(_probe_bounds(problem, x0, slopes, q[None], v[None], set()))
 
 
-def _boundary_probes(sigma_hat: np.ndarray, angles: np.ndarray) -> list[np.ndarray]:
+def _boundary_probes(sigma_hat: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Probe points for a candidate polyellipse: axis vertices + random boundary.
 
     Per dimension, the real-axis crossing ``cosh`` and the imaginary-axis
     crossing ``i sinh`` (other coordinates held at the box center); plus one
     point per row of ``angles`` with every coordinate on its own ellipse
-    boundary simultaneously.
+    boundary simultaneously. One probe per row, in that order.
     """
     n = sigma_hat.size
-    probes: list[np.ndarray] = []
+    axes = np.zeros((n, 2, n), dtype=complex)
     for k in range(n):
-        axis_real = np.zeros(n, dtype=complex)
-        axis_real[k] = math.cosh(sigma_hat[k])
-        probes.append(axis_real)
-        axis_imag = np.zeros(n, dtype=complex)
-        axis_imag[k] = 1j * math.sinh(sigma_hat[k])
-        probes.append(axis_imag)
-    for row in angles:
-        probes.append(np.cosh(sigma_hat) * np.cos(row) + 1j * np.sinh(sigma_hat) * np.sin(row))
-    return probes
+        axes[k, 0, k] = math.cosh(sigma_hat[k])
+        axes[k, 1, k] = 1j * math.sinh(sigma_hat[k])
+    boundary = np.cosh(sigma_hat) * np.cos(angles) + 1j * np.sinh(sigma_hat) * np.sin(angles)
+    return np.concatenate([axes.reshape(2 * n, n), boundary])
 
 
 def admissible_region_search(
@@ -217,8 +267,11 @@ def admissible_region_search(
     the boundary; angles drawn once per call, so the search is
     deterministic for a fixed seed).  This certifies the inequalities at
     probes only -- it is a heuristic inner approximation, not a proof over
-    the full boundary.  The parameter slopes are taken once per call; each
-    probe only evaluates the problem at its own point.
+    the full boundary.  The parameter slopes are taken once per call.  Each
+    bisection step evaluates the problem at its probes in stacked calls of
+    up to ``newton._STACK_ROWS`` points, then decides the probes in order:
+    the first one that fails ends the step, and an error at a later probe
+    does not preempt it.  Each anchor's pivot test is taken once per call.
 
     Raises InfeasibleRegionError when the targets make either inequality's
     right-hand side nonpositive, when cosh(sigma_cap) is not a finite float
@@ -248,13 +301,18 @@ def admissible_region_search(
 
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=(4 * dims, dims))
+    x0 = np.asarray(x0, dtype=float)
     slopes = parameter_slopes(problem, x0, dims)
+    passed: set[bytes] = set()  # anchors whose real system passed the pivot test
 
     def feasible(scale: float) -> bool:
-        for g in _boundary_probes(np.full(dims, scale), angles):
-            anchor = np.clip(np.real(g), -1.0, 1.0)
-            bounds = estimate_perturbation_norms(problem, x0, slopes, anchor, g - anchor)
-            if not bounds.certifies(kappa, delta, kappa_e, delta_e):
+        g = _boundary_probes(np.full(dims, scale), angles)
+        anchor = np.clip(g.real, -1.0, 1.0)
+        for start in range(0, len(g), _STACK_ROWS):
+            q = anchor[start : start + _STACK_ROWS]
+            v = g[start : start + _STACK_ROWS] - q
+            bounds = _probe_bounds(problem, x0, slopes, q, v, passed)
+            if not all(b.certifies(kappa, delta, kappa_e, delta_e) for b in bounds):
                 return False
         return True
 

@@ -514,8 +514,8 @@ def cmd_certify(args: argparse.Namespace) -> int:
         dims = 1
         # x^2 - (2 + 0.1 q) is x^2 - 2 at q = 0; q drives the region search.
         problem = NewtonProblem(
-            residual=lambda x, p: np.array([x[0] ** 2 - (2.0 + 0.1 * p[0])]),
-            jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+            residual=lambda x, p: x[..., :1] ** 2 - (2.0 + 0.1 * p[..., :1]),
+            jacobian=lambda x, p: 2.0 * x[..., :1, None],
         )
         x0 = np.array([1.5])
         cert = kantorovich_certificate(problem, x0, params=np.zeros(dims), lipschitz=2.0)
@@ -735,7 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert.add_argument("--study", choices=["load", "admittance"], default="load")
     p_cert.add_argument("--coefficient", type=float, default=0.5)
     p_cert.add_argument("--tol", type=float, help=ignored)
-    p_cert.add_argument("--seed", type=int, default=0)
+    p_cert.add_argument("--seed", type=_count_argument("seed", 0), default=0)
     p_cert.add_argument(
         "--lipschitz",
         type=_finite_argument(positive=False),

@@ -10,7 +10,9 @@ angle differences only, per-bus injections are segment sums over each bus's
 row of edges, and the Jacobian is scattered from the edge values into the
 m x m matrix of the unknowns through flat indices cached per network. The
 per-bus state is one stacked vector [theta; V] and the injections one stacked
-[P; Q], so each kernel step is one NumPy call for both halves.
+[P; Q], so each kernel step is one NumPy call for both halves. Every kernel
+also takes a stack of points along leading axes, in the same NumPy calls,
+and gives each point the bits it gets alone.
 
 All evaluation kernels are dtype-generic: called with complex angles,
 magnitudes, or parameters they compute the analytic extension of the real
@@ -156,17 +158,27 @@ class PowerNetwork:
         return np.concatenate([self.non_slack, self.n + self.pq])
 
     @cached_property
+    def state_source(self) -> np.ndarray:
+        """Position of every entry of the stacked per-bus state [theta; V] in
+        [u; setpoints], the unknowns followed by the setpoints: an unknown is
+        read from u and any other entry from the setpoints, so building the
+        state takes no scatter."""
+        source = self.n_unknowns + np.arange(2 * self.n)
+        source[self.unknowns] = np.arange(self.n_unknowns)
+        return source
+
+    @cached_property
     def state_gather(self) -> np.ndarray:
-        """Positions in the stacked state [theta; V] of, in this order:
-        theta_k and theta_l of every pattern edge (k, l); V_k twice and V_l
-        twice, to scale both halves of the stacked edge terms; and every bus
-        V twice, to scale both halves of the stacked injections [P; Q]. One
-        gather then feeds the kernels with 1-D operands of equal length,
-        which NumPy runs faster than broadcast ones."""
+        """Positions in [u; setpoints] of, in this order: theta_k and theta_l
+        of every pattern edge (k, l); V_k twice and V_l twice, to scale both
+        halves of the stacked edge terms; and every bus V twice, to scale
+        both halves of the stacked injections [P; Q]. One gather then feeds
+        the kernels with operands of equal length, which NumPy runs faster
+        than broadcast ones."""
         rows, cols = self.pattern
         v = self.n + np.arange(self.n)
         r, c = self.n + rows, self.n + cols
-        return np.concatenate([rows, cols, r, r, c, c, v, v])
+        return self.state_source[np.concatenate([rows, cols, r, r, c, c, v, v])]
 
     @cached_property
     def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
@@ -184,16 +196,16 @@ class PowerNetwork:
         return np.array(theta + v)
 
     @cached_property
-    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(source, flat, diagonal, diagonal_source) of the Jacobian scatter.
+    def jacobian_scatter(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(source, flat, diagonal_source) of the Jacobian scatter.
 
         The edge blocks [dP/dtheta, dP/dV, dQ/dtheta, dQ/dV] are read from
         the pool [a, c, a V_l, c V_l, -a V_l, P, Q, -Q, P/V, Q/V] (five edge
         segments, then five bus segments) that _jacobian_matrix builds:
         block entries that land on an unknown row and column of the m x m
         Jacobian [theta at non-slack; V at pq] come from pool[source] and go
-        to the column-major flat indices flat. The entries at positions
-        diagonal of that list are bus diagonals, which also add
+        to the column-major flat indices flat. The bus diagonals come first
+        in that list, one per entry of diagonal_source, and also add
         pool[diagonal_source]."""
         rows, cols = self.pattern
         edges, nn = len(rows), len(self.non_slack)
@@ -204,14 +216,16 @@ class PowerNetwork:
         r = np.concatenate([angle[rows], angle[rows], magnitude[rows], magnitude[rows]])
         c = np.concatenate([angle[cols], magnitude[cols], angle[cols], magnitude[cols]])
         select = np.flatnonzero((r >= 0) & (c >= 0))
+        # bus diagonals first, so that their extra terms add to a leading slice
+        select = select[np.argsort(rows[select % edges] != cols[select % edges], kind="stable")]
         block, edge = np.divmod(select, edges)
         # pool segments per block: edge terms c V_l, a, -a V_l, c and bus
         # diagonal terms -Q, P/V, P, Q/V
         source = np.array([3, 0, 4, 1])[block] * edges + edge
-        diagonal = np.flatnonzero(rows[edge] == cols[edge])
+        diagonal = rows[edge] == cols[edge]
         bus = rows[edge[diagonal]]
         diagonal_source = 5 * edges + np.array([2, 3, 0, 4])[block[diagonal]] * self.n + bus
-        return source, c[select] * self.n_unknowns + r[select], diagonal, diagonal_source
+        return source, c[select] * self.n_unknowns + r[select], diagonal_source
 
 
 # --- admittance assembly -------------------------------------------------------
@@ -262,43 +276,54 @@ def gb_matrices(
 # --- injections, mismatch, Jacobian ---------------------------------------------
 
 
-def _flows(net: PowerNetwork, G, B, s):
+def _with_setpoints(net: PowerNetwork, u: np.ndarray) -> np.ndarray:
+    """[u; setpoints] (..., m + 2n): the unknowns, then the per-bus setpoints
+    broadcast over the stack, which net.state_source and net.state_gather
+    index."""
+    m = net.n_unknowns
+    z = np.empty(u.shape[:-1] + (m + 2 * net.n,), dtype=u.dtype)
+    z[..., :m] = u
+    z[..., m:] = net.setpoints
+    return z
+
+
+def _flows(net: PowerNetwork, G, B, u):
     """Edge flow terms, their V_l-scaled values and the bus injections.
 
     With th = theta_k - theta_l on pattern edge (k, l), the flow terms are
     a_kl = V_k (G_kl cos th + B_kl sin th) and
     c_kl = V_k (G_kl sin th - B_kl cos th), returned stacked as ac = [a; c]
-    (2E,); acv = ac * V_l, and the injections P_k = sum_l a_kl V_l and
+    (..., 2E); acv = ac * V_l, and the injections P_k = sum_l a_kl V_l and
     Q_k = sum_l c_kl V_l over bus k's row of edges come stacked as [P; Q].
     G and B are the edge values stacked twice, [G; G] and [B; B]. The last
-    value is every bus V twice, [V; V], for the Jacobian's diagonal.
+    value is every bus V twice, [V; V], for the Jacobian's diagonal. The
+    unknowns u (..., m) and G, B (..., 2E) broadcast over their leading axes.
     """
-    e = len(G) // 2
-    g = s[net.state_gather]
-    dtheta = g[:e] - g[e : 2 * e]
-    trig = np.empty(3 * e, dtype=dtheta.dtype)  # cos, sin, -cos
-    np.cos(dtheta, out=trig[:e])
-    np.sin(dtheta, out=trig[e : 2 * e])
-    np.negative(trig[:e], out=trig[2 * e :])
-    ac = g[2 * e : 4 * e] * (G * trig[: 2 * e] + B * trig[e:])
-    acv = ac * g[4 * e : 6 * e]
-    return ac, acv, np.add.reduceat(acv, net.row_starts), g[6 * e :]
+    e = G.shape[-1] // 2
+    g = _with_setpoints(net, u).take(net.state_gather, axis=-1)
+    dtheta = g[..., :e] - g[..., e : 2 * e]
+    trig = np.empty(dtheta.shape[:-1] + (3 * e,), dtype=dtheta.dtype)  # cos, sin, -cos
+    np.cos(dtheta, out=trig[..., :e])
+    np.sin(dtheta, out=trig[..., e : 2 * e])
+    np.negative(trig[..., :e], out=trig[..., 2 * e :])
+    ac = g[..., 2 * e : 4 * e] * (G * trig[..., : 2 * e] + B * trig[..., e:])
+    acv = ac * g[..., 4 * e : 6 * e]
+    return ac, acv, np.add.reduceat(acv, net.row_starts, axis=-1), g[..., 6 * e :]
 
 
 def _expand_state(net: PowerNetwork, u: np.ndarray) -> np.ndarray:
-    """Stacked per-bus [theta; V]: the unknowns u = [theta at non-slack; V at
-    pq] in one scatter over the setpoints."""
-    s = net.setpoints.astype(u.dtype)
-    s[net.unknowns] = u
-    return s
+    """Stacked per-bus [theta; V] (..., 2n) of the unknowns u (..., m) =
+    [theta at non-slack; V at pq] and the setpoints."""
+    return _with_setpoints(net, u).take(net.state_source, axis=-1)
 
 
 def _check_physical(net: PowerNetwork, u: np.ndarray) -> None:
     """Raise NonphysicalStateError where a real state has a PQ magnitude
-    (the tail of u) at or below zero."""
-    v_pq = u[len(net.non_slack) :]
+    (the tail of u) at or below zero; in a stack, the first such one."""
+    v_pq = u[..., len(net.non_slack) :]
     if v_pq.size and v_pq.dtype.kind != "c" and v_pq.min() <= 0.0:
-        bad = net.buses[int(net.pq[np.argmax(v_pq <= 0.0)])].id
+        column = np.argmax(v_pq.reshape(-1) <= 0.0) % v_pq.shape[-1]
+        bad = net.buses[int(net.pq[column])].id
         raise NonphysicalStateError(
             f"voltage magnitude at bus {bad} dropped to a nonphysical value"
         )
@@ -308,16 +333,18 @@ def _jacobian_matrix(net, ac, acv, inj, vv):
     # Off the diagonal dP/d[theta, V] = [c V_l, a] and dQ/d[theta, V] =
     # [-a V_l, c] per edge; the bus diagonals add [-Q, P / V] and [P, Q / V].
     # The entries at the rows and columns of the unknowns are scattered into
-    # a zeroed m x m array in Fortran order, which LAPACK's getrf then copies
-    # as it is instead of transposing.
-    source, flat, diagonal, diagonal_source = net.jacobian_scatter
-    pool = np.concatenate([ac, acv, -acv[: len(acv) // 2], inj, -inj[net.n :], inj / vv])
-    values = pool[source]
-    values[diagonal] += pool[diagonal_source]
+    # zeroed m x m arrays in Fortran order, which LAPACK's getrf then copies
+    # as they are instead of transposing. The scatter writes through the
+    # transpose, stack axes last, so that one point takes NumPy's 1-D path.
+    source, flat, diagonal_source = net.jacobian_scatter
+    e, n = acv.shape[-1] // 2, net.n
+    pool = np.concatenate([ac, acv, -acv[..., :e], inj, -inj[..., n:], inj / vv], axis=-1)
+    values = pool.take(source, axis=-1)
+    values[..., : len(diagonal_source)] += pool.take(diagonal_source, axis=-1)
     m = net.n_unknowns
-    jac = np.zeros(m * m, dtype=values.dtype)
-    jac[flat] = values
-    return jac.reshape(m, m).T
+    jac = np.zeros(values.shape[:-1] + (m, m), dtype=values.dtype)
+    jac.reshape(values.shape[:-1] + (m * m,)).T[flat] = values.T
+    return jac.swapaxes(-1, -2)
 
 
 def initial_state(net: PowerNetwork, init: str = "flat") -> np.ndarray:
@@ -351,10 +378,9 @@ def solve_power_flow(
 ) -> PowerFlowResult:
     problem = parametric_problem(net, StochasticPerturbation(dims=0))
     trace = solve(problem, initial_state(net, init), np.zeros(0), tol=tol, max_iter=max_iter)
-    s = _expand_state(net, trace.x)
     G0, B0 = net.gb_nominal
-    p, q = np.split(_flows(net, np.tile(G0, 2), np.tile(B0, 2), s)[2], 2)
-    theta, v = np.split(s, 2)
+    p, q = np.split(_flows(net, np.tile(G0, 2), np.tile(B0, 2), trace.x)[2], 2)
+    theta, v = np.split(_expand_state(net, trace.x), 2)
     return PowerFlowResult(theta=theta, v=v, p_injection=p, q_injection=q, trace=trace)
 
 
@@ -463,8 +489,8 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     shape (dims, E), taken from gb_matrices differences of the admittance
     terms, and the stacked schedule is gen - load (1 + S q) with one row of
     load coefficients per bus and power (P rows, then Q rows). Without
-    admittance terms G and B are the same nominal arrays at every q. q may be
-    complex.
+    admittance terms G and B are the same nominal arrays at every q, so they
+    carry no stack axes of q. q (..., dims) may be complex and stacked.
     """
     pert.validate(net)
     G0, B0 = net.gb_nominal
@@ -496,9 +522,12 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
         q = np.atleast_1d(np.asarray(q))
         G, B = G2, B2
         if dG is not None:
-            G, B = G0 + q @ dG, B0 + q @ dB
-            G, B = np.concatenate([G, G]), np.concatenate([B, B])
-        return G, B, gen - load * (1.0 + coefficients @ q)
+            # one vector-matrix product per row of a stack, so that every
+            # row gets the bits that it gets alone
+            row = q[..., None, :]
+            G, B = G0 + (row @ dG)[..., 0, :], B0 + (row @ dB)[..., 0, :]
+            G, B = np.concatenate([G, G], axis=-1), np.concatenate([B, B], axis=-1)
+        return G, B, gen - load * (1.0 + q @ coefficients.T)
 
     return parts
 
@@ -507,7 +536,10 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
     """NewtonProblem over (packed state, parameter row q), dtype-generic.
 
     Complex q (or complex state) evaluates the analytic extension, which is
-    what the Newton solve at a complex parameter point runs on. The
+    what the Newton solve at a complex parameter point runs on. States
+    (..., m) and parameter rows (..., dims) broadcast as NewtonProblem says;
+    without admittance terms the Jacobian does not depend on q and keeps the
+    stack shape of the state alone. The
     q-dependent parts are built once per q, and the flow terms once per
     (state, q): the residual and the Jacobian of one Newton step share them.
     Both are kept for the most recent point only, compared by dtype, shape
@@ -524,13 +556,13 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
             if key[3:] != q_key:
                 q_parts, q_key = parts(q), key[3:]
             G, B, _ = q_parts
-            flows, point_key = _flows(net, G, B, _expand_state(net, u)), key
+            flows, point_key = _flows(net, G, B, u), key
         return flows, q_parts[2]
 
     def res(u, q):
         (_, _, inj, _), sched = point(u, q)
         _check_physical(net, np.asarray(u))
-        return (inj - sched)[net.unknowns]
+        return (inj - sched).take(net.unknowns, axis=-1)
 
     def jac(u, q):
         return _jacobian_matrix(net, *point(u, q)[0])

@@ -110,8 +110,8 @@ def test_c2_univariate_rate_matches_ellipse_radius():
 def test_c3_kantorovich_certificate_scalar():
     """x^2 - 2 at 1.5 with exact curvature: h = 1/9, t* = 1.5 - sqrt(2)."""
     problem = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] ** 2 - 2.0]),
-        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+        residual=lambda x, p: x[..., :1] ** 2 - 2.0,
+        jacobian=lambda x, p: 2.0 * x[..., :1, None],
     )
     cert = kantorovich_certificate(problem, np.array([1.5]), lipschitz=2.0)
     assert cert.satisfied

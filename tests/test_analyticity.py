@@ -24,24 +24,20 @@ from uqflow.powerflow import initial_state, parametric_problem
 
 # x^2 - q with the nominal q = 2: root sqrt(2), kappa = 1/3 at x0 = 1.5
 SHIFTED = NewtonProblem(
-    residual=lambda x, p: np.array([x[0] ** 2 - p[0]]),
-    jacobian=lambda x, p: np.array(
-        [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
-    ),
+    residual=lambda x, p: x[..., :1] ** 2 - p[..., :1],
+    jacobian=lambda x, p: 2.0 * x[..., :1, None],
 )
 
 # x^2 - (2 + 0.1 q): the map used for region searches around q = 0
 COUPLED = NewtonProblem(
-    residual=lambda x, p: np.array([x[0] ** 2 - (2.0 + 0.1 * p[0])]),
-    jacobian=lambda x, p: np.array(
-        [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
-    ),
+    residual=lambda x, p: x[..., :1] ** 2 - (2.0 + 0.1 * p[..., :1]),
+    jacobian=lambda x, p: 2.0 * x[..., :1, None],
 )
 
 # no parameter coupling at all: every admissible radius certifies
 CONSTANT = NewtonProblem(
-    residual=lambda x, p: np.array([x[0] ** 2 - 2.0], dtype=np.asarray(x).dtype),
-    jacobian=lambda x, p: np.array([[2.0 * x[0]]], dtype=np.asarray(x).dtype),
+    residual=lambda x, p: x[..., :1] ** 2 - 2.0,
+    jacobian=lambda x, p: 2.0 * x[..., :1, None],
 )
 
 X0 = np.array([1.5])
@@ -99,10 +95,8 @@ def test_perturbation_norms_reject_a_non_affine_problem():
     # x^2 - p^2 bends in p: at g = 0.5i the residual is 2.5, while the unit
     # slope from p = 0 predicts 2.25 - 0.5i
     squared = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] ** 2 - p[0] ** 2]),
-        jacobian=lambda x, p: np.array(
-            [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
-        ),
+        residual=lambda x, p: x[..., :1] ** 2 - p[..., :1] ** 2,
+        jacobian=lambda x, p: 2.0 * x[..., :1, None],
     )
     slopes = parameter_slopes(squared, X0, 1)
     with pytest.raises(InfeasibleRegionError, match=r"not affine.*g = \[0\.5j\]"):
@@ -113,8 +107,8 @@ def test_perturbation_norms_reject_a_quadratic_term_off_zero():
     # x^2 - p - p^2: the model from p = 0 predicts 1.25 - 0.6i at g = 0.5 + 0.3i,
     # where the residual is 1.59 - 0.6i
     bent = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] ** 2 - p[0] - p[0] ** 2]),
-        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+        residual=lambda x, p: x[..., :1] ** 2 - p[..., :1] - p[..., :1] ** 2,
+        jacobian=lambda x, p: 2.0 * x[..., :1, None],
     )
     slopes = parameter_slopes(bent, X0, 1)
     with pytest.raises(InfeasibleRegionError, match=r"not affine.*g = \[\(0\.5\+0\.3j\)\]"):
@@ -141,7 +135,7 @@ def test_perturbation_norms_match_the_direct_formula(m, dims, seed, data):
         return a[0] + np.tensordot(p, a[1:], axes=1)
 
     def residual(x, p):
-        return jacobian(x, p) @ x + b[0] + p @ b[1:]
+        return (jacobian(x, p) @ x[..., None])[..., 0] + b[0] + p @ b[1:]
 
     anchor = st.floats(-1.0, 1.0, allow_subnormal=False)
     offset = st.complex_numbers(max_magnitude=2.0, allow_subnormal=False)
@@ -234,15 +228,36 @@ def test_region_search_rejects_an_overflowing_sigma_cap(sigma_cap):
         )
 
 
+# J = 1 + p is singular at p = -1, the anchor clip(Re g) of every probe that
+# reaches past the left end of the box
+HINGE = NewtonProblem(
+    residual=lambda x, p: (1.0 + p[..., :1]) * x[..., :1] - 2.0,
+    jacobian=lambda x, p: 1.0 + p[..., :1, None],
+)
+
+
 def test_region_search_rejects_a_singular_anchor():
-    # J = 1 + p is singular at p = -1: the probes of seed 1 reach past the
-    # left end of the box, so their anchor clip(Re g) = -1 is that point
-    hinge = NewtonProblem(
-        residual=lambda x, p: np.array([(1.0 + p[0]) * x[0] - 2.0]),
-        jacobian=lambda x, p: np.array([[1.0 + p[0]]]),
-    )
+    # the probes of seed 1 reach past the left end of the box
     with pytest.raises(SingularJacobianError, match="iteration 0"):
-        admissible_region_search(hinge, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=1)
+        admissible_region_search(HINGE, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=1)
+
+
+def test_region_search_decides_probes_in_order():
+    # At each bisection step a probe that fails ends the step before a later
+    # probe's singular anchor is tested; whether a seed reaches a singular
+    # anchor first is fixed by the order of its probes, stacked or not.
+    outcomes = {}
+    for seed in range(10):
+        try:
+            region = admissible_region_search(HINGE, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=seed)
+            outcomes[seed] = region.sigma_hat
+        except SingularJacobianError:
+            outcomes[seed] = "singular"
+    found = (0.327392578125,)
+    assert outcomes == {
+        0: found, 1: "singular", 2: found, 3: found, 4: "singular",
+        5: "singular", 6: "singular", 7: found, 8: found, 9: found,
+    }
 
 
 def test_bound_constants_frozen_values():

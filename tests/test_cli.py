@@ -679,21 +679,30 @@ def test_non_finite_lipschitz_probe_is_an_error(capsys):
 
 
 def test_certify_takes_few_dense_svds(capsys, monkeypatch):
-    # 64 Lipschitz probe pairs and 57 region-search probes: the Gram bound
-    # leaves a handful of exact SVDs, and the load study's all-zero
+    # 64 Lipschitz probe pairs and 57 region-search probes decided: the Gram
+    # bound leaves a handful of exact SVDs, and the load study's all-zero
     # perturbation matrices need no spectral norm at all
     svdvals = mock.Mock(wraps=uqflow.newton.svdvals)
-    estimate = mock.Mock(wraps=uqflow.analyticity.estimate_perturbation_norms)
+    bounds = uqflow.analyticity.PerturbationBounds
+    decided = mock.Mock(wraps=bounds.certifies)
     norm = mock.Mock(wraps=np.linalg.norm)
     monkeypatch.setattr(uqflow.newton, "svdvals", svdvals)
-    monkeypatch.setattr(uqflow.analyticity, "estimate_perturbation_norms", estimate)
+    monkeypatch.setattr(bounds, "certifies", lambda self, *args: decided(self, *args))
     monkeypatch.setattr(np.linalg, "norm", norm)
     argv = "certify --case bundled:case39 --dims 1 --m-tilde 2.0 --samples 0 --seed 0"
     assert main(argv.split()) == 0
     assert "lipschitz: 575.12781963168 (sampled (64 probes))" in capsys.readouterr().out
     assert svdvals.call_count <= 16  # one of them is kappa's
-    assert estimate.call_count == 57
+    assert decided.call_count == 57
     assert not [call for call in norm.call_args_list if call.args[1:] == (2,)]
+
+
+def test_certify_seed_must_be_a_nonnegative_integer(capsys):
+    argv = "certify --case bundled:case39 --dims 1 --seed -1".split()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "bad seed '-1': want an integer >= 0" in capsys.readouterr().err
 
 
 def test_certify_needs_a_problem(capsys):

@@ -28,16 +28,14 @@ from uqflow.newton import (
 from uqflow.powerflow import initial_state, parametric_problem
 
 SCALAR = NewtonProblem(
-    residual=lambda x, p: np.array([x[0] ** 2 - 2.0]),
-    jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+    residual=lambda x, p: x[..., :1] ** 2 - 2.0,
+    jacobian=lambda x, p: 2.0 * x[..., :1, None],
 )
 
 # same map with the constant term moved into the parameter, complex-safe
 PARAMETRIC = NewtonProblem(
-    residual=lambda x, p: np.array([x[0] ** 2 - (2.0 + 0.1 * p[0])]),
-    jacobian=lambda x, p: np.array(
-        [[2.0 * x[0]]], dtype=np.result_type(np.asarray(x).dtype, np.asarray(p).dtype)
-    ),
+    residual=lambda x, p: x[..., :1] ** 2 - (2.0 + 0.1 * p[..., :1]),
+    jacobian=lambda x, p: 2.0 * x[..., :1, None],
 )
 
 
@@ -63,15 +61,15 @@ def test_newton_trace_records_iterates():
 def test_newton_nonconvergence_reported_not_raised():
     # x^2 + 1 has no real root; the trace must say so instead of blowing up
     problem = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] ** 2 + 1.0]),
-        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+        residual=lambda x, p: x[..., :1] ** 2 + 1.0,
+        jacobian=lambda x, p: 2.0 * x[..., :1, None],
     )
     trace = solve(problem, np.array([0.7]), tol=1e-12, max_iter=8)
     assert not trace.converged
     # a residual that turns NaN ends the iteration there, not at a pivot test
     blows_up = NewtonProblem(
-        residual=lambda x, p: np.array([math.nan if x[0] > 1.2 else x[0] ** 2 - 2.0]),
-        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+        residual=lambda x, p: np.where(x[..., :1] > 1.2, math.nan, x[..., :1] ** 2 - 2.0),
+        jacobian=lambda x, p: 2.0 * x[..., :1, None],
     )
     trace = solve(blows_up, np.array([1.3]))
     assert not trace.converged
@@ -82,7 +80,7 @@ def test_singular_jacobian_raises():
     # an exactly zero pivot raises without a LinAlgWarning; a NaN one is unusable too
     for entry in (0.0, math.nan):
         problem = NewtonProblem(
-            residual=lambda x, p: np.array([x[0] ** 2]),
+            residual=lambda x, p: x[..., :1] ** 2,
             jacobian=lambda x, p: np.array([[entry]]),
         )
         with pytest.raises(SingularJacobianError):
@@ -115,8 +113,8 @@ def test_kantorovich_certificate_sampled_lipschitz():
 def test_kantorovich_unsatisfied_when_h_large():
     # kappa = 1, delta = 1, lambda = 2 -> h = 4 > 1
     problem = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] ** 2 - 2.0]),
-        jacobian=lambda x, p: np.array([[2.0 * x[0]]]),
+        residual=lambda x, p: x[..., :1] ** 2 - 2.0,
+        jacobian=lambda x, p: 2.0 * x[..., :1, None],
     )
     cert = kantorovich_certificate(problem, np.array([0.5]), lipschitz=2.0)
     assert cert.h > 1.0
@@ -168,9 +166,9 @@ def test_real_start_at_complex_parameter_turns_complex():
 
 def test_singular_complex_jacobian_raises():
     # J = [[1, i], [i, -1]] is singular (det = -1 - i^2 = 0); its real part is not
+    jac = np.array([[1.0, 1j], [1j, -1.0]])
     problem = NewtonProblem(
-        residual=lambda x, p: np.array([x[0] + 1j * x[1] - 1.0, 1j * x[0] - x[1]]),
-        jacobian=lambda x, p: np.array([[1.0, 1j], [1j, -1.0]]),
+        residual=lambda x, p: x @ jac.T - [1.0, 0.0], jacobian=lambda x, p: jac
     )
     with pytest.raises(SingularJacobianError) as exc:
         solve(problem, np.array([0.3 + 0.1j, 0.2j]))
@@ -269,17 +267,19 @@ def test_pruned_lipschitz_equals_the_exhaustive_max_on_small_problems(
     s = rng.standard_normal(m)
     b = rng.standard_normal((m, m, m))
     c = rng.uniform(0.5, 4.0)
+    # Elementwise products and sums over the state axis, so that a stacked
+    # call gives every point the bits it gets alone (BLAS products need not).
     jacobians = {
         # D = c (u - v) w^T: rank one, so the Gram bound is sigma_1, and every
         # pair's ratio ties at c up to rounding
-        "tied rank one": lambda x: a + c * np.outer(x, w),
+        "tied rank one": lambda x: a + c * x[..., :, None] * w,
         # D = (s . (u - v)) w w^T: rank one, ratios that differ
-        "rank one": lambda x: a + (s @ x) * np.outer(w, w),
-        "linear": lambda x: a + np.tensordot(x, b, axes=1),
-        "sine": lambda x: a + np.sin(3.0 * np.tensordot(x, b, axes=1)),
+        "rank one": lambda x: a + (x * s).sum(axis=-1)[..., None, None] * np.outer(w, w),
+        "linear": lambda x: a + (x[..., :, None, None] * b).sum(axis=-3),
+        "sine": lambda x: a + np.sin(3.0 * (x[..., :, None, None] * b).sum(axis=-3)),
     }
     problem = NewtonProblem(
-        residual=lambda x, p: np.zeros(m), jacobian=lambda x, p: jacobians[kind](x)
+        residual=lambda x, p: np.zeros_like(x), jacobian=lambda x, p: jacobians[kind](x)
     )
     x0 = rng.uniform(-1.0, 1.0, size=m)
     args = (problem, x0, None, radius, probe_count, seed)
@@ -310,7 +310,8 @@ def test_gram_bound_is_at_least_the_largest_singular_value(m, rank_one, seed, ex
 def test_non_finite_lipschitz_probe_is_a_named_error(monkeypatch):
     # x^2 overflows at radius 1e200; the suite's warning filters stay on
     problem = NewtonProblem(
-        residual=lambda x, p: x**3 / 3.0, jacobian=lambda x, p: np.diag(x**2)
+        residual=lambda x, p: x**3 / 3.0,
+        jacobian=lambda x, p: np.where(np.eye(x.shape[-1], dtype=bool), x[..., None, :] ** 2, 0.0),
     )
     seen = []
     monkeypatch.setattr(uqflow.newton, "svdvals", lambda d: seen.append(d) or svdvals(d))

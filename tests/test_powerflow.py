@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -701,3 +702,62 @@ def test_jacobian_matches_central_differences_at_complex_point(case39):
             e[j] = h
             fd[:, j] = (problem.residual(u + e, q) - problem.residual(u - e, q)) / (2 * h)
         assert np.linalg.norm(jac - fd) / np.linalg.norm(jac) < 1e-8
+
+
+# --- stacked evaluation -------------------------------------------------------
+
+
+@functools.cache
+def _case39_study(study, dims):
+    net = to_network(load_case("bundled:case39"))
+    return net, parametric_problem(net, _study_perturbation(net, study, dims, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    study=st.sampled_from(["load", "admittance"]),
+    dims=st.integers(1, 4),
+    rows=st.integers(1, 40),
+    stacked=st.sampled_from(["x and q", "x", "q"]),
+    complex_q=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_problem_equals_per_point_evaluation(study, dims, rows, stacked, complex_q, seed):
+    """A stack of states and parameter rows gives every row the bits that
+    the row gets alone, for stacks in x, in q or in both."""
+    net, problem = _case39_study(study, dims)
+    rng = np.random.default_rng(seed)
+    u0 = initial_state(net, "flat")
+    m = len(u0)
+    x = u0 + rng.uniform(-0.05, 0.05, (rows, m))
+    q = rng.uniform(-1.0, 1.0, (rows, dims))
+    if complex_q:
+        q = q + 1j * rng.uniform(-0.5, 0.5, (rows, dims))
+    if stacked == "x":
+        q = q[0]
+    elif stacked == "q":
+        x = x[0]
+    res = problem.residual(x, q)
+    jac = problem.jacobian(x, q)
+    assert res.shape == (rows, m)
+    # a Jacobian that does not depend on q keeps the stack shape of x
+    assert jac.shape == ((m, m) if stacked == "q" and study == "load" else (rows, m, m))
+    jac = np.broadcast_to(jac, (rows, m, m))
+    for k in range(rows):
+        xk = x if x.ndim == 1 else x[k]
+        qk = q if q.ndim == 1 else q[k]
+        assert np.array_equal(problem.residual(xk, qk), res[k])
+        assert np.array_equal(problem.jacobian(xk, qk), jac[k])
+
+
+def test_stacked_residual_names_the_first_nonphysical_bus(case39):
+    problem = parametric_problem(case39, _study_perturbation(case39, "load", 1, 0.5))
+    u = np.tile(initial_state(case39, "flat"), (3, 1))
+    magnitudes = len(case39.non_slack)  # the PQ magnitudes follow the angles
+    u[1, magnitudes + 4] = -0.1
+    u[2, magnitudes + 2] = 0.0
+    bus = case39.buses[case39.pq[4]].id
+    with pytest.raises(NonphysicalStateError, match=rf"at bus {bus} dropped"):
+        problem.residual(u, np.zeros(1))
+    with pytest.raises(NonphysicalStateError, match=rf"at bus {bus} dropped"):
+        problem.residual(u[1], np.zeros(1))
