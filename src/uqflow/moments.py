@@ -5,9 +5,16 @@ cross-checks.
 Expectations are tensor Gauss sums (E[u] = sum_k w_k u(q_k), weights summing
 to one). A Surrogate target is evaluated on the whole grid axis by axis
 (sparse_grid.evaluate_on_grid); any other target is called on the (P, dims)
-point array. All accumulations run over the deterministic tensor ordering
-with numpy pairwise summation, so results do not depend on the order in which
-knots were solved upstream.
+point array.
+
+Calling-thread rule: every product and reduction of the moment path runs on
+the calling thread, in an order fixed by the data. A weighted sum is the
+elementwise product w * u summed by NumPy's pairwise summation along a
+contiguous axis over the tensor ordering, never a BLAS dot, which OpenBLAS
+splits across its threads above 10,000 points; the grid contractions are
+BLAS products in row blocks too small to be threaded
+(sparse_grid._contract_leading). Moments therefore depend neither on the
+order in which knots were solved upstream nor on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -51,7 +58,8 @@ class QuadraturePlan:
 
 def quadrature_plan(orders: list[int]) -> QuadraturePlan:
     """Tensor Gauss rule with orders[d] points along dimension d."""
-    pairs = [gauss_nodes(o) for o in orders]
+    rules = {o: gauss_nodes(o) for o in set(orders)}
+    pairs = [rules[o] for o in orders]
     return QuadraturePlan(
         nodes=tuple(p[0] for p in pairs), weights=tuple(p[1] for p in pairs)
     )
@@ -101,13 +109,25 @@ def moment_estimates(target, plan: QuadraturePlan) -> MomentEstimate:
 
     Quadrature error can push the raw variance a hair negative; the clamped
     value is what downstream consumers use, the raw value stays visible here.
+
+    E[S], E[D^2] and E[D] are pairwise sums of w * u, one contiguous row per
+    output column, with no BLAS reduction, so the result does not depend on
+    the BLAS thread count (the calling-thread rule of the module docstring).
     """
     wts = plan.point_weights
-    vals = _as_values(target, plan)
-    mean = wts @ vals
-    dev = vals - vals[0]
-    raw = wts @ (dev * dev) - (wts @ dev) ** 2
+    # (n_out, P) or (P,): the point axis is the contiguous one
+    vals = np.ascontiguousarray(_as_values(target, plan).T)
+    mean = _weighted_sum(wts, vals)
+    dev = vals - vals[..., :1]
+    mean_dev = _weighted_sum(wts, dev)
+    dev *= dev
+    raw = _weighted_sum(wts, dev) - mean_dev**2
     return MomentEstimate(mean=mean, variance=np.maximum(raw, 0.0), raw_variance=raw)
+
+
+def _weighted_sum(wts: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
+    """sum_k wts[k] * vals[..., k], pairwise along the last (contiguous) axis."""
+    return np.add.reduce(wts * vals, axis=-1)
 
 
 # --- Monte Carlo oracle -------------------------------------------------------

@@ -221,9 +221,10 @@ def taylor_predictor(
     lu, piv = _lu_with_pivot_check(slopes.j0, 0)
     x0 = np.asarray(x0, dtype=float)
     dims = len(slopes.df)
-    # One right-hand side per getrs call: OpenBLAS spreads a many-column
-    # solve over its thread pool (at 67 x 5, twice as much CPU as wall time),
-    # and the woken threads keep spinning; one column stays on this thread.
+    # One right-hand side per getrs call, by the calling-thread rule of the
+    # moments module docstring: OpenBLAS spreads a many-column solve over its
+    # thread pool (at 67 x 5, twice as much CPU as wall time), and the woken
+    # threads keep spinning; one column stays on this thread.
     x_hat = x0 - _lu_solve(lu, piv, slopes.f0)
     tangent = np.zeros((len(x_hat), dims))
     for k, df in enumerate(slopes.df):

@@ -36,6 +36,19 @@ FamilyKind = Literal["clenshaw_curtis", "gauss_legendre"]
 
 _RULE_GROWTH = {"smolyak": "doubling", "td": "linear", "hc": "linear"}
 
+#: Most multiply-adds in one BLAS product of a contraction. The bundled
+#: OpenBLAS 0.3.31 on a 2-core host runs a dgemm on the calling thread up to
+#: about 1.0e6 of them (6,500 x 17 x 9 serial, 6,561 x 17 x 9 threaded) and a
+#: dgemv up to about 4.4e5 (26,000 x 17 serial, 28,000 x 17 threaded); a
+#: threaded 6,561 x 17 x 9 product costs about 290 us of wall time and twice
+#: that in CPU, against 80 us on one thread. Blocks of at most 2^18 stay
+#: below both.
+_SERIAL_PRODUCTS = 2**18
+#: Blocks start on multiples of this many rows: OpenBLAS's one-column kernels
+#: round a row by its offset within the call (a 100,003 x 17 by 17 x 1
+#: product keeps its bits in 1,000-row blocks, not in 1,001-row ones).
+_BLOCK_ALIGN = 64
+
 
 @dataclass(frozen=True)
 class GridRule:
@@ -281,6 +294,44 @@ def _basis_lookup(plan: SparseGridPlan, coords) -> Callable[[int, int], np.ndarr
     return basis
 
 
+def _blocks(rows: int, width: int) -> list[slice]:
+    """Row slices of a product whose rows take `width` multiply-adds each:
+    at most _SERIAL_PRODUCTS per block, each starting on a multiple of
+    _BLOCK_ALIGN. The last block takes a single leftover row, because NumPy
+    hands a one-row product to a different BLAS routine."""
+    step = max(_BLOCK_ALIGN, _SERIAL_PRODUCTS // max(width, 1) // _BLOCK_ALIGN * _BLOCK_ALIGN)
+    starts = range(0, max(rows - 1, 1), step)
+    return [slice(lo, lo + step) for lo in starts[:-1]] + [slice(starts[-1], rows)]
+
+
+def _blocked_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.dot(a, b) of 2-D operands, taken in row blocks of a (_blocks)
+    written into one output, so that no BLAS call is large enough to wake
+    OpenBLAS's threads.
+
+    The blocks take b in Fortran order: on the bundled OpenBLAS each row then
+    keeps the bits of the whole product for inner sizes 1-17 (with a C-order
+    b they move from 16 on). A grid axis of one node, or an inner size of 33,
+    can still move the last bit.
+    """
+    blocks = _blocks(len(a), a.shape[1] * b.shape[1])
+    if len(blocks) == 1:
+        return np.dot(a, b)
+    b = np.asfortranarray(b)
+    out = np.empty((len(a), b.shape[1]))
+    for rows in blocks:
+        np.dot(a[rows], b, out=out[rows])
+    return out
+
+
+def _contract_leading(partial: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """np.tensordot(partial, basis, axes=(0, 1)) by tensordot's own product,
+    partial.reshape(count, -1).T @ basis.T, in row blocks (_blocked_dot)."""
+    count = partial.shape[0]
+    out = _blocked_dot(partial.reshape(count, -1).T, basis.T)
+    return out.reshape(partial.shape[1:] + basis.shape[:1])
+
+
 def _contract_terms(
     surrogate: Surrogate, step: Callable[[int, int, np.ndarray], np.ndarray]
 ) -> np.ndarray:
@@ -336,7 +387,9 @@ def evaluate_surrogate(surrogate: Surrogate, points) -> np.ndarray | float:
     def step(dim: int, count: int, partial: np.ndarray) -> np.ndarray:
         # The first contraction adds the point axis in front: (P, counts..., n_out).
         if dim == 0:
-            return np.tensordot(basis(0, count), partial, axes=(1, 0))
+            rows = basis(0, count)
+            out = _blocked_dot(rows, partial.reshape(count, -1))
+            return out.reshape(rows.shape[:1] + partial.shape[1:])
         return np.einsum("pm,pm...->p...", basis(dim, count), partial)
 
     out = _contract_terms(surrogate, step)
@@ -361,10 +414,9 @@ def evaluate_on_grid(surrogate: Surrogate, axes) -> np.ndarray:
 
     # Contracting the leading axis appends the grid axis at the end, so after
     # every axis the layout is (n_out, len(axes[0]), ...).
-    def step(dim: int, count: int, partial: np.ndarray) -> np.ndarray:
-        return np.tensordot(partial, basis(dim, count), axes=(0, 1))
-
-    out = _contract_terms(surrogate, step).reshape(surrogate.n_out, -1).T
+    out = _contract_terms(
+        surrogate, lambda dim, count, partial: _contract_leading(partial, basis(dim, count))
+    ).reshape(surrogate.n_out, -1).T
     return out[:, 0] if surrogate.scalar else out
 
 

@@ -1,10 +1,16 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uqflow
 from uqflow.moments import (
     QuadraturePlan,
     default_orders,
@@ -57,6 +63,39 @@ def test_variance_does_not_cancel_against_a_large_mean():
     assert columns.variance[0] == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert columns.variance[1] == 0.0
     assert columns.raw_variance[1] == 0.0
+
+
+_MOMENTS_IN_A_CHILD = """
+import numpy as np
+from uqflow.moments import default_orders, moment_estimates, quadrature_plan
+from uqflow.sparse_grid import GridRule, Surrogate, build_plan
+rule = GridRule("smolyak")
+plan = build_plan(rule, 4, 5)
+values = 1.0 + 0.1 * np.random.default_rng(0).standard_normal((plan.n_knots, 1))
+est = moment_estimates(Surrogate(plan, values, True), quadrature_plan(default_orders(rule, 4, 5)))
+print(repr(est.mean), repr(est.variance))
+"""
+
+
+def test_moments_do_not_depend_on_the_blas_thread_count():
+    """A 5-dim w=4 surrogate (59,049 tensor points) gets the same mean and
+    variance, to the last bit, with one OpenBLAS thread and with two. Each
+    run is a child process, because OpenBLAS reads the variable only at
+    start-up. A host with one CPU runs both children on one thread, so there
+    the test cannot tell the difference."""
+    env = dict(os.environ, PYTHONPATH=str(Path(uqflow.__file__).parents[1]))
+    printed = [
+        subprocess.run(
+            [sys.executable, "-c", _MOMENTS_IN_A_CHILD],
+            env=dict(env, OPENBLAS_NUM_THREADS=threads),
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert printed[0] and printed[0] == printed[1]
 
 
 def _sine_surrogate():

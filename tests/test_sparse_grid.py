@@ -20,6 +20,9 @@ from uqflow.sparse_grid import (
     GridRule,
     Surrogate,
     _basis_lookup,
+    _blocked_dot,
+    _blocks,
+    _contract_leading,
     admissible_indices,
     build_plan,
     build_surrogate,
@@ -297,6 +300,44 @@ def test_grouped_contraction_matches_the_per_term_loop(kind, family, dims, w, n_
     shuffled = Surrogate(plan=dataclasses.replace(plan, terms=terms), values=values, scalar=False)
     assert np.abs(evaluate_surrogate(shuffled, pts) - want).max() <= bound
     assert np.abs(evaluate_on_grid(shuffled, axes) - grid_want).max() <= bound
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    count=st.integers(1, 17),
+    nodes=st.integers(2, 33),
+    n_out=st.integers(1, 3),
+    blocks=st.integers(0, 3),
+    shift=st.integers(-2, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+# The 6,561-row last-axis product of a 5-dim w=4 moments run; count 1; one
+# row past a block boundary.
+@example(17, 9, 1, 4, -95, 0)
+@example(1, 9, 1, 1, 1, 0)
+@example(2, 2, 1, 1, 1, 2)
+def test_blocked_contraction_is_tensordot_bit_for_bit(count, nodes, n_out, blocks, shift, seed):
+    """Row blocks change no bit of the grid contraction: _contract_leading
+    equals tensordot(partial, basis, axes=(0, 1)) at row counts on either
+    side of the block boundaries."""
+    step = _blocks(2**18 + 2, count * nodes)[0].stop  # rows per full block
+    rows = max(1, blocks * step + shift)
+    rng = np.random.default_rng(seed)
+    partial = rng.standard_normal((count, -(-rows // n_out), n_out))
+    basis = rng.standard_normal((nodes, count))
+    got = _contract_leading(partial, basis)
+    want = np.tensordot(partial, basis, axes=(0, 1))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count, columns", [(17, 1), (9, 1), (17, 3), (9, 27), (5, 9)])
+def test_blocked_point_product_keeps_the_whole_products_bits(count, columns):
+    """evaluate_surrogate's first-axis product at 1e5 points, taken in row
+    blocks, equals the one np.dot product of the parent code bit for bit."""
+    rng = np.random.default_rng(count)
+    rows = rng.uniform(0.0, 1.0, (100_000, count))
+    flat = rng.standard_normal((count, columns))
+    assert _blocked_dot(rows, flat).tobytes() == np.dot(rows, flat).tobytes()
 
 
 def test_surrogate_json_roundtrip():
