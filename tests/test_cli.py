@@ -2,15 +2,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import uqflow.analyticity
 import uqflow.cli
-import uqflow.newton
 import uqflow.powerflow
 from uqflow.cli import main, parse_config_text
 from uqflow.errors import CacheMismatchError, UqflowError
@@ -236,6 +240,17 @@ def test_duplicate_perturbation_target_is_rejected(tmp_path, capsys):
     cfg.write_text("branches = 2,2\n")
     assert main(args + ["--config", str(cfg), "--study", "admittance"]) == 1
     assert "two admittance terms target branch 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [0, 47, -3])
+def test_branch_row_out_of_range_is_named_as_written(tmp_path, capsys, row):
+    # case39 has 46 branches; rows are 1-based as the README documents them
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(f"branches = 1,{row}\n")
+    args = ["uq-moments", "--case", "bundled:case39", "--dims", "2", "--levels", "0"]
+    assert main(args + ["--config", str(cfg), "--study", "admittance"]) == 1
+    err = capsys.readouterr().err
+    assert f"config key 'branches': row {row} is not a branch row of the case (1..46)" in err
 
 
 def test_parse_case_roundtrip(tmp_path, capsys):
@@ -682,11 +697,12 @@ def test_certify_takes_few_dense_svds(capsys, monkeypatch):
     # 64 Lipschitz probe pairs and 57 region-search probes decided: the Gram
     # bound leaves a handful of exact SVDs, and the load study's all-zero
     # perturbation matrices need no spectral norm at all
-    svdvals = mock.Mock(wraps=uqflow.newton.svdvals)
+    svdvals = mock.Mock(wraps=scipy.linalg.svdvals)
     bounds = uqflow.analyticity.PerturbationBounds
     decided = mock.Mock(wraps=bounds.certifies)
     norm = mock.Mock(wraps=np.linalg.norm)
-    monkeypatch.setattr(uqflow.newton, "svdvals", svdvals)
+    # newton looks svdvals up on scipy.linalg at every call
+    monkeypatch.setattr(scipy.linalg, "svdvals", svdvals)
     monkeypatch.setattr(bounds, "certifies", lambda self, *args: decided(self, *args))
     monkeypatch.setattr(np.linalg, "norm", norm)
     argv = "certify --case bundled:case39 --dims 1 --m-tilde 2.0 --samples 0 --seed 0"
@@ -708,3 +724,43 @@ def test_certify_seed_must_be_a_nonnegative_integer(capsys):
 def test_certify_needs_a_problem(capsys):
     assert main(["certify"]) == 1
     assert "scalar-demo" in capsys.readouterr().err
+
+
+_SCIPY_AFTER_A_CHILD_RUN = """
+import contextlib, io, sys
+if len(sys.argv) > 1:
+    from uqflow.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+else:
+    import uqflow
+print(" ".join(sorted(name for name in sys.modules if name.split(".")[0] == "scipy")))
+"""
+
+
+def test_scipy_is_loaded_only_where_a_matrix_is_factored(tmp_path):
+    """import uqflow, grid-info, parse-case and a warm uq-moments run on
+    NumPy alone; a cold uq-moments and solve load scipy.linalg. Each run is
+    a child process, because the suite's LinAlgWarning filter imports
+    scipy.linalg into this one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(uqflow.cli.__file__).parents[1]))
+
+    def scipy_modules(*argv: str) -> list[str]:
+        printed = subprocess.run(
+            [sys.executable, "-c", _SCIPY_AFTER_A_CHILD_RUN, *argv],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+        ).stdout
+        return printed.split()
+
+    moments = ["uq-moments", "--case", "bundled:case39", "--dims", "2", "--levels", "1,2"]
+    moments += ["--cache", str(tmp_path)]
+    assert "scipy.linalg" in scipy_modules(*moments)  # cold: solves the knots
+    assert "scipy.linalg" in scipy_modules("solve", "--case", "bundled:demo3")
+    assert scipy_modules() == []
+    assert scipy_modules("grid-info", "--dims", "5", "--levels", "4") == []
+    assert scipy_modules("parse-case", "--case", "bundled:case39") == []
+    assert scipy_modules(*moments) == []  # warm: reads every knot from the cache
