@@ -6,7 +6,7 @@ docstrings for the individual pieces:
 
 - nodes1d: 1D node families, barycentric interpolation, Chebyshev analysis
 - sparse_grid: multi-index sets, combination coefficients, surrogates
-- moments: tensor Gauss moments under the uniform density, Monte Carlo oracle
+- moments: tensor Gauss moments under the uniform density
 - newton: damped-free Newton (real or complex), Kantorovich certificates
 - analyticity: Bernstein-ellipse regions and convergence bounds
 - powerflow: AC network model, residual/Jacobian, parametric perturbations
@@ -25,7 +25,6 @@ from .analyticity import (
     admissible_region_search,
     bound_constants,
     convergence_bound,
-    ellipse_contains,
     estimate_perturbation_norms,
     mtilde_bound,
 )
@@ -51,18 +50,15 @@ from .errors import (
 )
 from .moments import (
     MomentEstimate,
-    MonteCarloEstimate,
     QuadraturePlan,
     default_orders,
     moment_estimates,
-    monte_carlo_oracle,
     quadrature_plan,
 )
 from .newton import (
     KantorovichCertificate,
     NewtonProblem,
     NewtonTrace,
-    cauchy_riemann_residual,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
     parameter_slopes,
@@ -86,7 +82,6 @@ from .powerflow import (
     parametric_problem,
     qoi_sampler,
     solve_power_flow,
-    solve_power_flow_complexified,
 )
 from .sparse_grid import (
     GridRule,
@@ -123,7 +118,6 @@ __all__ = [
     "KantorovichCertificate",
     "LoadTerm",
     "MomentEstimate",
-    "MonteCarloEstimate",
     "NewtonProblem",
     "NewtonTrace",
     "NonconvergenceError",
@@ -146,13 +140,11 @@ __all__ = [
     "build_surrogate",
     "bundled_case",
     "bundled_case_names",
-    "cauchy_riemann_residual",
     "chebyshev_coefficients",
     "clenshaw_curtis_nodes",
     "combination_coefficients",
     "convergence_bound",
     "default_orders",
-    "ellipse_contains",
     "estimate_jacobian_lipschitz",
     "estimate_perturbation_norms",
     "evaluate_on_grid",
@@ -163,7 +155,6 @@ __all__ = [
     "level_to_count",
     "load_case",
     "moment_estimates",
-    "monte_carlo_oracle",
     "mtilde_bound",
     "parameter_slopes",
     "parametric_problem",
@@ -173,7 +164,6 @@ __all__ = [
     "quadrature_plan",
     "serialize_case",
     "solve_power_flow",
-    "solve_power_flow_complexified",
     "surrogate_from_json",
     "surrogate_to_json",
     "to_network",

@@ -34,7 +34,6 @@ __all__ = [
     "PerturbationBounds",
     "BoundConstants",
     "ConvergenceBound",
-    "ellipse_contains",
     "estimate_perturbation_norms",
     "admissible_region_search",
     "bound_constants",
@@ -74,33 +73,6 @@ class EllipseRegion:
     @property
     def n_dims(self) -> int:
         return len(self.sigma_hat)
-
-
-def _elliptic_radius(z: complex) -> float:
-    """Log-magnitude of the inverse Joukowski image of z (largest branch).
-
-    Maps the ellipse through z (foci +-1) to its logarithmic radius: 0 on
-    [-1, 1] itself, growing as z recedes from the interval.
-    """
-    z = complex(z)
-    s = np.sqrt(z * z - 1.0)
-    return math.log(max(abs(z + s), abs(z - s)))
-
-
-def ellipse_contains(region: EllipseRegion, g: Sequence[complex]) -> bool:
-    """True iff every coordinate of g lies inside (or on) its ellipse.
-
-    Boundary membership is accepted with a 1e-12 relative slack so that
-    points constructed exactly on the boundary (e.g. the real-axis crossing
-    ``cosh(sigma_hat)``) test as contained despite roundoff.
-    """
-    g = np.asarray(g, dtype=complex)
-    if g.shape != (region.n_dims,):
-        raise ValueError(f"expected {region.n_dims} coordinates, got shape {g.shape}")
-    for z, s_hat in zip(g, region.sigma_hat):
-        if _elliptic_radius(z) > s_hat + 1e-12 * max(1.0, s_hat):
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -212,12 +212,17 @@ def _study_perturbation(
     carrying nonzero load — perturbing a zero load would leave the dimension
     inert).  Admittance study: each dimension scales one branch's series
     conductance and susceptance together (explicit ``branches`` list of
-    1-based table rows, or the first ``dims`` rows).
+    1-based table rows, or the first ``dims`` rows). A list the chosen study
+    does not read is an error, not a silent no-op.
     """
     if not math.isfinite(coefficient):
         raise UqflowError(f"coefficient must be finite, got {coefficient}")
     c = coefficient
     if study == "load":
+        if branches is not None:
+            raise UqflowError(
+                "config key 'branches' is read by --study admittance, not --study load"
+            )
         if load_buses is not None:
             buses = list(load_buses)
         else:
@@ -236,6 +241,10 @@ def _study_perturbation(
         )
         pert = StochasticPerturbation(dims=dims, load_terms=terms)
     elif study == "admittance":
+        if load_buses is not None:
+            raise UqflowError(
+                "config key 'load_buses' is read by --study load, not --study admittance"
+            )
         if branches is not None:
             for row in branches:
                 if not 1 <= row <= len(net.branches):

@@ -1,6 +1,5 @@
 """Moments of a surrogate (or any batch-evaluable map) with the parameters
-independent and uniform on [-1, 1], plus a seeded Monte Carlo oracle for
-cross-checks.
+independent and uniform on [-1, 1].
 
 Expectations are tensor Gauss sums (E[u] = sum_k w_k u(q_k), weights summing
 to one). A Surrogate target is evaluated on the whole grid axis by axis
@@ -22,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -128,47 +126,3 @@ def moment_estimates(target, plan: QuadraturePlan) -> MomentEstimate:
 def _weighted_sum(wts: np.ndarray, vals: np.ndarray) -> float | np.ndarray:
     """sum_k wts[k] * vals[..., k], pairwise along the last (contiguous) axis."""
     return np.add.reduce(wts * vals, axis=-1)
-
-
-# --- Monte Carlo oracle -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MonteCarloEstimate:
-    mean: float | np.ndarray
-    variance: float | np.ndarray
-    se_mean: float | np.ndarray
-    se_variance: float | np.ndarray
-    count: int
-    seed: int
-
-
-def monte_carlo_oracle(
-    f: Callable[[np.ndarray], np.ndarray],
-    dims: int,
-    count: int,
-    seed: int,
-    sampler: Callable[[np.random.Generator, int], np.ndarray] | None = None,
-) -> MonteCarloEstimate:
-    """Seeded sample moments of f with standard errors for both moments.
-
-    sampler(rng, n) draws n parameter rows from the true density; the default
-    is uniform on [-1, 1]^dims. se_variance uses the delta-method estimate
-    sqrt((m4 - s^4) / n) from the sample's central fourth moment.
-    """
-    rng = np.random.default_rng(seed)
-    samples = sampler(rng, count) if sampler else rng.uniform(-1.0, 1.0, (count, dims))
-    vals = np.asarray(f(samples), dtype=float)
-    mean = vals.mean(axis=0)
-    var = vals.var(axis=0, ddof=1)
-    centered = vals - mean
-    m4 = (centered**4).mean(axis=0)
-    se_var = np.sqrt(np.maximum(m4 - var * var, 0.0) / count)
-    return MonteCarloEstimate(
-        mean=mean,
-        variance=var,
-        se_mean=np.sqrt(var / count),
-        se_variance=se_var,
-        count=count,
-        seed=seed,
-    )

@@ -42,9 +42,6 @@ _GRAM_BOUND_MARGIN = 1e-10
 #: the division by the gap: far above underflow, where rounding is relative.
 _GRAM_BOUND_FLOOR = 1e-50
 
-#: Central-difference step of cauchy_riemann_residual.
-_CR_STEP = 1e-4
-
 #: Imaginary step of the complex-step directional derivative in taylor_predictor.
 _COMPLEX_STEP = 1e-20
 
@@ -420,18 +417,3 @@ def kantorovich_certificate(
         probe_count=probe_count,
         lipschitz_is_exact=exact,
     )
-
-
-def cauchy_riemann_residual(func: Callable[[complex], np.ndarray | complex], g: complex) -> float:
-    """Max norm of the Cauchy-Riemann defects of func at g.
-
-    Central differences of step _CR_STEP along the real and imaginary
-    parameter directions; for func analytic at g both d_s Re - d_w Im and
-    d_w Re + d_s Im vanish up to O(step^2).
-    """
-    step = _CR_STEP
-    d_s = (np.asarray(func(g + step)) - np.asarray(func(g - step))) / (2.0 * step)
-    d_w = (np.asarray(func(g + 1j * step)) - np.asarray(func(g - 1j * step))) / (2.0 * step)
-    p = d_s.real - d_w.imag
-    q = d_w.real + d_s.imag
-    return float(max(np.abs(p).max(), np.abs(q).max()))

@@ -17,8 +17,8 @@ and gives each point the bits it gets alone.
 All evaluation kernels are dtype-generic: called with complex angles,
 magnitudes, or parameters they compute the analytic extension of the real
 equations, so the one Newton solve runs the complexified iteration at a
-complex parameter point and the Cauchy-Riemann diagnostics can differentiate
-its result. Conductance and susceptance are carried as separate values end
+complex parameter point, and its result is analytic in that point.
+Conductance and susceptance are carried as separate values end
 to end (never as real/imaginary parts of one complex value) because
 perturbed parameters make each of them complex on its own.
 
@@ -45,9 +45,8 @@ from .newton import NewtonProblem, NewtonTrace, parameter_slopes, solve, taylor_
 
 BusKind = Literal["slack", "pv", "pq"]
 
-#: Newton iteration caps of the knot solves and of the complex-parameter solve.
+#: Newton iteration cap of the knot solves.
 _KNOT_MAX_ITER = 25
-_COMPLEX_MAX_ITER = 40
 
 
 @dataclass(frozen=True)
@@ -447,7 +446,8 @@ class StochasticPerturbation:
         """Reject terms on unknown buses or branches, dims out of range, two
         terms on one bus or branch (their scalings would add up), and load
         terms that cannot move the solution: on the slack bus, whose
-        injection is not scheduled, or on a bus with zero P and Q load."""
+        injection is not scheduled, or on a bus with zero P and Q load.
+        Errors name a branch by its 1-based table row and its end buses."""
         buses: set[int] = set()
         for t in self.load_terms:
             if t.bus not in net.position:
@@ -465,17 +465,16 @@ class StochasticPerturbation:
         branches: set[int] = set()
         for t in self.admittance_terms:
             if not (0 <= t.branch < len(net.branches)):
-                raise CaseValidationError(f"admittance term references branch {t.branch}")
+                raise CaseValidationError(
+                    f"admittance term references branch row {t.branch + 1} "
+                    f"(the case has rows 1..{len(net.branches)})"
+                )
+            br = net.branches[t.branch]
+            target = f"branch row {t.branch + 1} ({br.from_bus}-{br.to_bus})"
             if not (0 <= t.g_dim < self.dims and 0 <= t.b_dim < self.dims):
-                raise CaseValidationError(
-                    f"admittance term on branch {t.branch} uses a dim out of range"
-                )
+                raise CaseValidationError(f"admittance term on {target} uses a dim out of range")
             if t.branch in branches:
-                br = net.branches[t.branch]
-                raise CaseValidationError(
-                    f"two admittance terms target branch {t.branch} "
-                    f"({br.from_bus}-{br.to_bus})"
-                )
+                raise CaseValidationError(f"two admittance terms target {target}")
             branches.add(t.branch)
 
 
@@ -624,19 +623,3 @@ def qoi_sampler(
         return float(_expand_state(net, trace.x)[k])
 
     return sample
-
-
-def solve_power_flow_complexified(
-    net: PowerNetwork,
-    pert: StochasticPerturbation,
-    g: np.ndarray,
-    tol: float = 1e-12,
-):
-    """Solve at a complex parameter point from a flat start; returns the
-    complex (theta, v) and the NewtonTrace."""
-    problem = parametric_problem(net, pert)
-    u0 = initial_state(net).astype(complex)
-    g = np.atleast_1d(np.asarray(g, dtype=complex))
-    trace = solve(problem, u0, g, tol=tol, max_iter=_COMPLEX_MAX_ITER)
-    s = _expand_state(net, trace.x)
-    return s[: net.n], s[net.n :], trace

@@ -448,26 +448,26 @@ def polynomial_space(rule: GridRule, w: int, dims: int) -> np.ndarray:
 
 # --- serialization ------------------------------------------------------------
 
-_PLAN_FORMAT = "uqflow-plan/1"
 _SURROGATE_FORMAT = "uqflow-surrogate/1"
 
 
-def plan_to_dict(plan: SparseGridPlan) -> dict:
-    return {
-        "format": _PLAN_FORMAT,
+def _knot_keys(plan: SparseGridPlan) -> list[list[str]]:
+    """Per knot, the cache text of its 1-D node key along each axis."""
+    return np.array(plan.node_keys, dtype=object)[plan.knot_ids].tolist()
+
+
+def surrogate_to_json(surrogate: Surrogate) -> str:
+    plan = surrogate.plan
+    payload = {
+        "format": _SURROGATE_FORMAT,
         "rule": {"kind": plan.rule.kind, "family": plan.rule.family},
         "w": plan.w,
         "dims": plan.dims,
         "knots": plan.knots.tolist(),
-        "keys": np.array(plan.node_keys, dtype=object)[plan.knot_ids].tolist(),
+        "keys": _knot_keys(plan),
+        "values": surrogate.values.tolist(),
+        "scalar": surrogate.scalar,
     }
-
-
-def surrogate_to_json(surrogate: Surrogate) -> str:
-    payload = plan_to_dict(surrogate.plan)
-    payload["format"] = _SURROGATE_FORMAT
-    payload["values"] = surrogate.values.tolist()
-    payload["scalar"] = surrogate.scalar
     return json.dumps(payload)
 
 
@@ -498,7 +498,7 @@ def surrogate_from_json(
         values = np.asarray(payload["values"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise CacheMismatchError(f"malformed cache entry: {exc!r}") from None
-    if payload.get("keys") != plan_to_dict(plan)["keys"] or not np.array_equal(
+    if payload.get("keys") != _knot_keys(plan) or not np.array_equal(
         stored_knots, plan.knots
     ):
         raise CacheMismatchError("cached knot set does not match the rebuilt plan")

@@ -239,7 +239,19 @@ def test_duplicate_perturbation_target_is_rejected(tmp_path, capsys):
     assert "two load terms target bus 3" in capsys.readouterr().err
     cfg.write_text("branches = 2,2\n")
     assert main(args + ["--config", str(cfg), "--study", "admittance"]) == 1
-    assert "two admittance terms target branch 1" in capsys.readouterr().err
+    assert "two admittance terms target branch row 2 (1-39)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, study, key",
+    [("branches = 5,6", "load", "branches"), ("load_buses = 3", "admittance", "load_buses")],
+)
+def test_list_key_the_study_does_not_read_is_rejected(tmp_path, capsys, line, study, key):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(line + "\n")
+    args = ["uq-moments", "--case", "bundled:case39", "--dims", "2", "--levels", "0"]
+    assert main(args + ["--config", str(cfg), "--study", study]) == 1
+    assert f"config key '{key}' is read by" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("row", [0, 47, -3])

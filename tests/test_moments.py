@@ -11,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uqflow
+from oracles import monte_carlo_oracle
 from uqflow.moments import (
     QuadraturePlan,
     default_orders,
     moment_estimates,
-    monte_carlo_oracle,
     quadrature_plan,
 )
 from uqflow.sparse_grid import (
@@ -175,14 +175,3 @@ def test_monte_carlo_oracle_seeded():
     assert a.se_mean == pytest.approx(
         np.sqrt(a.variance / a.count), rel=1e-12
     )
-
-
-def test_monte_carlo_custom_sampler():
-    half = monte_carlo_oracle(
-        lambda pts: pts[:, 0],
-        1,
-        10_000,
-        seed=0,
-        sampler=lambda rng, n: rng.uniform(0.0, 1.0, (n, 1)),
-    )
-    assert half.mean == pytest.approx(0.5, abs=5 * half.se_mean)

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import svdvals
 
+from oracles import cauchy_riemann_residual
 from uqflow.case_io import load_case, to_network
 from uqflow.cli import _study_perturbation
 from uqflow.errors import BoundUnavailableError, SingularJacobianError
@@ -18,7 +19,6 @@ from uqflow.newton import (
     NewtonProblem,
     _gram_bound,
     _sample_ball,
-    cauchy_riemann_residual,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
     parameter_slopes,

@@ -31,7 +31,6 @@ from uqflow.powerflow import (
     parametric_problem,
     qoi_sampler,
     solve_power_flow,
-    solve_power_flow_complexified,
 )
 from uqflow.sparse_grid import GridRule, build_plan
 
@@ -156,6 +155,18 @@ def test_perturbation_validation(demo):
         ).validate(demo)
 
 
+def test_admittance_errors_name_the_one_based_row(case39):
+    # AdmittanceTerm.branch is a 0-based position; errors name the table row
+    for term, message in (
+        (AdmittanceTerm(branch=46, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),
+         r"references branch row 47 \(the case has rows 1..46\)"),
+        (AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=2, b_dim=0),
+         r"on branch row 2 \(1-39\) uses a dim out of range"),
+    ):
+        with pytest.raises(CaseValidationError, match=message):
+            StochasticPerturbation(dims=2, admittance_terms=(term,)).validate(case39)
+
+
 def test_perturbation_rejects_inert_load_terms(demo):
     # demo bus 1 is the slack bus; bus 2 is a PV bus without load
     for bus, why in ((1, "is the slack bus"), (2, "carries no load")):
@@ -174,7 +185,7 @@ def test_perturbation_rejects_duplicate_targets(case39):
                 LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=1, q_dim=1),
             ),
         ).validate(case39)
-    with pytest.raises(CaseValidationError, match=r"two admittance terms target branch 1 \(1-39\)"):
+    with pytest.raises(CaseValidationError, match=r"two admittance terms target branch row 2 \(1-39\)"):
         StochasticPerturbation(
             dims=2,
             admittance_terms=(
@@ -631,11 +642,18 @@ def test_load_study_knots_converge_in_three_iterations(case39):
     assert max(_recorded_sample(sample, q)[1].iterations for q in knots) <= 3
 
 
+def _complex_flat_start_solve(net, pert, g: complex):
+    """Per-bus V and the trace of a flat-start solve at the complex point g."""
+    u0 = initial_state(net).astype(complex)
+    trace = solve(parametric_problem(net, pert), u0, np.array([g]), tol=1e-12, max_iter=40)
+    return _expand_state(net, trace.x)[net.n :], trace
+
+
 def test_complexified_solve_real_limit(demo):
     pert = StochasticPerturbation(
         dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
     )
-    theta, v, trace = solve_power_flow_complexified(demo, pert, np.array([0.0 + 0.0j]))
+    v, trace = _complex_flat_start_solve(demo, pert, 0.0 + 0.0j)
     assert trace.converged
     assert np.max(np.abs(v.imag)) < 1e-10
     assert v[2].real == pytest.approx(0.9489523351354909, abs=1e-8)
@@ -645,7 +663,7 @@ def test_complexified_solve_complex_parameter(demo):
     pert = StochasticPerturbation(
         dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
     )
-    theta, v, trace = solve_power_flow_complexified(demo, pert, np.array([0.3 + 0.05j]))
+    v, trace = _complex_flat_start_solve(demo, pert, 0.3 + 0.05j)
     assert trace.converged
     assert abs(v[2].imag) > 1e-5  # genuinely complex response
     assert v[2] == pytest.approx(0.9337296146920018 - 0.002655449647778387j, abs=1e-8)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from pathlib import Path
+from types import ModuleType
 
 import uqflow
 
@@ -8,6 +9,16 @@ import uqflow
 def test_all_names_resolve():
     for name in uqflow.__all__:
         assert getattr(uqflow, name, None) is not None, name
+
+
+def test_every_public_name_is_in_all():
+    # the other direction: nothing is re-exported without being listed
+    bound = {
+        name
+        for name, value in vars(uqflow).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert sorted(bound - set(uqflow.__all__)) == []
 
 
 def test_readme_library_example_runs():
