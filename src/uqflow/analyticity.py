@@ -205,18 +205,19 @@ def estimate_perturbation_norms(
 def _boundary_probes(sigma_hat: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Probe points for a candidate polyellipse: axis vertices + random boundary.
 
-    Per dimension, the real-axis crossing ``cosh`` and the imaginary-axis
-    crossing ``i sinh`` (other coordinates held at the box center); plus one
+    Per dimension, the real-axis crossings ``cosh`` and ``-cosh`` and the
+    imaginary-axis crossings ``i sinh`` and ``-i sinh`` (other coordinates
+    held at the box center), so both ends of every axis are probed; plus one
     point per row of ``angles`` with every coordinate on its own ellipse
     boundary simultaneously. One probe per row, in that order.
     """
     n = sigma_hat.size
-    axes = np.zeros((n, 2, n), dtype=complex)
+    axes = np.zeros((n, 4, n), dtype=complex)
     for k in range(n):
-        axes[k, 0, k] = math.cosh(sigma_hat[k])
-        axes[k, 1, k] = 1j * math.sinh(sigma_hat[k])
+        c, s = math.cosh(sigma_hat[k]), math.sinh(sigma_hat[k])
+        axes[k, :, k] = (c, 1j * s, -c, -1j * s)
     boundary = np.cosh(sigma_hat) * np.cos(angles) + 1j * np.sinh(sigma_hat) * np.sin(angles)
-    return np.concatenate([axes.reshape(2 * n, n), boundary])
+    return np.concatenate([axes.reshape(4 * n, n), boundary])
 
 
 def admissible_region_search(
@@ -234,10 +235,11 @@ def admissible_region_search(
 
     One radius for all ``dims`` dimensions is found by bisection: a radius
     is accepted when both perturbation inequalities, with the nominal
-    ``kappa`` and ``delta``, hold at every boundary probe (two axis vertices
-    per dimension plus ``4 * dims`` random points with all coordinates on
-    the boundary; angles drawn once per call, so the search is
-    deterministic for a fixed seed).  This certifies the inequalities at
+    ``kappa`` and ``delta``, hold at every boundary probe (``_boundary_probes``:
+    four axis vertices per dimension, whose anchors are both ends of the
+    box, plus ``4 * dims`` random points with all coordinates on the
+    boundary; angles drawn once per call, so the search is deterministic
+    for a fixed seed).  This certifies the inequalities at
     probes only -- it is a heuristic inner approximation, not a proof over
     the full boundary.  The parameter slopes are taken once per call.  Each
     bisection step evaluates the problem at its probes in stacked calls of

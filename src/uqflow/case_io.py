@@ -262,9 +262,10 @@ def to_network(case: CaseFile) -> PowerNetwork:
         if int(row[0]) not in known_ids:
             raise CaseValidationError(f"generator references unknown bus {int(row[0])}")
 
-    branches = []
-    for row in case.branch:
-        if row[10] <= 0:  # out-of-service branches are dropped
+    branches, out_of_service = [], []
+    for n, row in enumerate(case.branch, start=1):
+        if row[10] <= 0:  # an out-of-service branch is dropped; its row is kept
+            out_of_service.append(n)
             continue
         branches.append(
             Branch(
@@ -278,7 +279,8 @@ def to_network(case: CaseFile) -> PowerNetwork:
             )
         )
     return PowerNetwork(
-        name=case.name, base_mva=base, buses=tuple(buses), branches=tuple(branches)
+        name=case.name, base_mva=base, buses=tuple(buses), branches=tuple(branches),
+        out_of_service_rows=tuple(out_of_service),
     )
 
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import math
 import os
 import sys
@@ -212,8 +211,9 @@ def _study_perturbation(
     carrying nonzero load — perturbing a zero load would leave the dimension
     inert).  Admittance study: each dimension scales one branch's series
     conductance and susceptance together (explicit ``branches`` list of
-    1-based table rows, or the first ``dims`` rows). A list the chosen study
-    does not read is an error, not a silent no-op.
+    1-based case-table rows, which must be in service, or the first ``dims``
+    in-service branches). A list the chosen study does not read is an error,
+    not a silent no-op.
     """
     if not math.isfinite(coefficient):
         raise UqflowError(f"coefficient must be finite, got {coefficient}")
@@ -246,13 +246,15 @@ def _study_perturbation(
                 "config key 'load_buses' is read by --study load, not --study admittance"
             )
         if branches is not None:
+            position = {row: k for k, row in enumerate(net.branch_rows)}
+            table = len(net.branches) + len(net.out_of_service_rows)
             for row in branches:
-                if not 1 <= row <= len(net.branches):
-                    raise CaseValidationError(
-                        f"config key 'branches': row {row} is not a branch row of the case "
-                        f"(1..{len(net.branches)})"
-                    )
-            rows = [r - 1 for r in branches]
+                if row not in position:
+                    why = f"is not a branch row of the case (1..{table})"
+                    if row in net.out_of_service_rows:
+                        why = "is out of service"
+                    raise CaseValidationError(f"config key 'branches': row {row} {why}")
+            rows = [position[r] for r in branches]
         else:
             rows = list(range(min(dims, len(net.branches))))
         if len(rows) != dims:
@@ -273,24 +275,6 @@ def _study_perturbation(
 #: Version of the cached knot values; bumped whenever the knot solve changes
 #: them, so entries written by an older solve are misses.
 _CACHE_TAG = "uqflow-cache/3"
-
-
-def _cache_key(case_digest: str, cfg: ExperimentConfig, w: int) -> str:
-    parts = [
-        _CACHE_TAG,
-        case_digest,
-        cfg.study,
-        str(cfg.dims),
-        cfg.rule.kind,
-        cfg.rule.family,
-        str(w),
-        f"{cfg.qoi.kind}:{cfg.qoi.bus}",
-        _fmt(cfg.coefficient),
-        _fmt(cfg.tol),
-        ",".join(map(str, cfg.load_buses or ())),
-        ",".join(map(str, cfg.branches or ())),
-    ]
-    return hashlib.sha256("|".join(parts).encode()).hexdigest()[:32]
 
 
 @dataclass(frozen=True)
@@ -330,19 +314,20 @@ def _level_result(
     cfg: ExperimentConfig,
     sample: Callable[[np.ndarray], float],
     w: int,
-    case_digest: str,
+    study_key: str | None,
 ) -> LevelResult:
     start = time.perf_counter()
-    surrogate = None
-    cache_path = None
-    if cfg.cache_dir is not None:
-        cache_path = Path(cfg.cache_dir) / f"{_cache_key(case_digest, cfg, w)}.json"
+    plan = build_plan(cfg.rule, w, cfg.dims)
+    surrogate = cache_path = None
+    if study_key is not None:
+        key = hashlib.sha256(f"{study_key}|{w}".encode()).hexdigest()[:32]
+        cache_path = Path(cfg.cache_dir) / f"{key}.json"
         try:
-            surrogate = surrogate_from_json(cache_path.read_text(), (cfg.rule, w, cfg.dims))
-        except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError, CacheMismatchError):
-            pass  # a missing, unreadable, corrupt or stale entry is a miss, written below
+            surrogate = surrogate_from_json(cache_path.read_bytes(), plan)
+        except (FileNotFoundError, CacheMismatchError):
+            pass  # a missing, corrupt or stale entry is a miss, written below
     if surrogate is None:
-        surrogate = build_surrogate(build_plan(cfg.rule, w, cfg.dims), sample)
+        surrogate = build_surrogate(plan, sample)
         if cache_path is not None:
             _write_atomically(cache_path, surrogate_to_json(surrogate))
     q_plan = quadrature_plan(default_orders(cfg.rule, w, cfg.dims))
@@ -375,15 +360,20 @@ def _load_network(cfg_case: str):
 
 def _study_setup(
     args: argparse.Namespace, need_reference: bool
-) -> tuple[ExperimentConfig, Callable[[np.ndarray], float], str]:
-    """Config, memoized QoI sampler and case digest of a study command."""
+) -> tuple[ExperimentConfig, Callable[[np.ndarray], float], str | None]:
+    """Config, memoized QoI sampler and, with a cache, the text that keys its
+    entries: the reprs of what an entry caches, the perturbation as resolved,
+    so two spellings of one study share them. A level adds w (_level_result)."""
     cfg = _experiment_config(args, need_reference)
     case, net = _load_network(cfg.case)
     pert = _study_perturbation(
         net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
     )
-    digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-    return cfg, _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol)), digest
+    study_key = None
+    if cfg.cache_dir is not None:
+        digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
+        study_key = "|".join(map(repr, (_CACHE_TAG, digest, pert, cfg.rule, cfg.qoi, cfg.tol)))
+    return cfg, _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol)), study_key
 
 
 # ---------------------------------------------------------------------------
@@ -443,23 +433,23 @@ def cmd_grid_info(args: argparse.Namespace) -> int:
 
 
 def cmd_uq_moments(args: argparse.Namespace) -> int:
-    cfg, sample, digest = _study_setup(args, need_reference=False)
+    cfg, sample, study_key = _study_setup(args, need_reference=False)
     rows = []
     for w in cfg.levels:
-        r = _level_result(cfg, sample, w, digest)
+        r = _level_result(cfg, sample, w, study_key)
         rows.append([str(r.w), str(r.knots), _fmt(r.mean), _fmt(r.variance), f"{r.wall_ms:.3f}"])
     _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, cfg.output)
     return 0
 
 
 def cmd_uq_convergence(args: argparse.Namespace) -> int:
-    cfg, sample, digest = _study_setup(args, need_reference=True)
+    cfg, sample, study_key = _study_setup(args, need_reference=True)
     # The reference level runs first: with nested node families every lower
     # level then reuses its solves through the memo.
-    reference = _level_result(cfg, sample, cfg.reference_level, digest)
+    reference = _level_result(cfg, sample, cfg.reference_level, study_key)
     rows = []
     for w in cfg.levels:
-        r = _level_result(cfg, sample, w, digest)
+        r = _level_result(cfg, sample, w, study_key)
         rows.append(
             [
                 str(r.w),

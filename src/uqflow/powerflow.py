@@ -89,6 +89,7 @@ class PowerNetwork:
     base_mva: float
     buses: tuple[Bus, ...]
     branches: tuple[Branch, ...]
+    out_of_service_rows: tuple[int, ...] = ()  # case-table rows left out of branches
 
     def __post_init__(self):
         ids = [b.id for b in self.buses]
@@ -108,6 +109,12 @@ class PowerNetwork:
     @cached_property
     def n(self) -> int:
         return len(self.buses)
+
+    @cached_property
+    def branch_rows(self) -> tuple[int, ...]:
+        """The 1-based case-table row of each of ``branches``, in order."""
+        rows = range(1, len(self.branches) + len(self.out_of_service_rows) + 1)
+        return tuple(r for r in rows if r not in self.out_of_service_rows)
 
     @cached_property
     def position(self) -> dict[int, int]:
@@ -470,7 +477,7 @@ class StochasticPerturbation:
                     f"(the case has rows 1..{len(net.branches)})"
                 )
             br = net.branches[t.branch]
-            target = f"branch row {t.branch + 1} ({br.from_bus}-{br.to_bus})"
+            target = f"branch row {net.branch_rows[t.branch]} ({br.from_bus}-{br.to_bus})"
             if not (0 <= t.g_dim < self.dims and 0 <= t.b_dim < self.dims):
                 raise CaseValidationError(f"admittance term on {target} uses a dim out of range")
             if t.branch in branches:

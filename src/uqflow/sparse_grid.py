@@ -456,13 +456,16 @@ def _knot_keys(plan: SparseGridPlan) -> list[list[str]]:
     return np.array(plan.node_keys, dtype=object)[plan.knot_ids].tolist()
 
 
+def _header(plan: SparseGridPlan) -> dict:
+    """The fields of a cache entry that name its plan, as written."""
+    rule = {"kind": plan.rule.kind, "family": plan.rule.family}
+    return {"format": _SURROGATE_FORMAT, "rule": rule, "w": plan.w, "dims": plan.dims}
+
+
 def surrogate_to_json(surrogate: Surrogate) -> str:
     plan = surrogate.plan
     payload = {
-        "format": _SURROGATE_FORMAT,
-        "rule": {"kind": plan.rule.kind, "family": plan.rule.family},
-        "w": plan.w,
-        "dims": plan.dims,
+        **_header(plan),
         "knots": plan.knots.tolist(),
         "keys": _knot_keys(plan),
         "values": surrogate.values.tolist(),
@@ -471,37 +474,30 @@ def surrogate_to_json(surrogate: Surrogate) -> str:
     return json.dumps(payload)
 
 
-def surrogate_from_json(
-    text: str, expect: tuple[GridRule, int, int] | None = None
-) -> Surrogate:
-    """Rebuild a surrogate, re-deriving the plan and checking it bitwise.
+def surrogate_from_json(text: str | bytes, plan: SparseGridPlan) -> Surrogate:
+    """Read a cached surrogate of ``plan`` from its JSON (str, or UTF-8 bytes).
 
-    The plan is reconstructed from (rule, w, dims) and compared against the
-    stored knots and keys, so a cache written by a different build can never
-    be silently reused. A payload of the wrong shape, or values that are not
-    one finite row per knot, raises CacheMismatchError too. With ``expect``,
-    an entry whose (rule, w, dims) differ from it is rejected before any plan
-    is built, so an edited level cannot make the check build a huge grid.
+    The entry must name the plan's format, rule, w and dims, and hold its
+    knots and knot keys bitwise, a bool ``scalar`` and one finite value row
+    per knot; anything else, text that is not JSON included, raises
+    CacheMismatchError. Nothing is built from the entry, so an edited level
+    cannot make the read build a grid.
     """
-    payload = json.loads(text)
-    if not isinstance(payload, dict) or payload.get("format") != _SURROGATE_FORMAT:
-        raise CacheMismatchError("not a surrogate payload of format " + _SURROGATE_FORMAT)
-    w, dims, scalar = payload.get("w"), payload.get("dims"), payload.get("scalar")
-    if type(w) is not int or type(dims) is not int or type(scalar) is not bool:
-        raise CacheMismatchError("cached w and dims must be ints and scalar a bool")
+    want = _header(plan)
     try:
-        rule = GridRule(kind=payload["rule"]["kind"], family=payload["rule"]["family"])
-        if expect is not None and (rule, w, dims) != expect:
-            raise CacheMismatchError(f"cached (rule, w, dims) = {(rule, w, dims)} != {expect}")
-        plan = build_plan(rule, w, dims)
+        payload = json.loads(text)
+        header = {key: payload[key] for key in want}
+        if header != want:
+            raise CacheMismatchError(f"cache entry of {header} read for {want}")
+        scalar = payload["scalar"]
         stored_knots = np.asarray(payload["knots"], dtype=float)
         values = np.asarray(payload["values"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: not UTF-8 JSON too
         raise CacheMismatchError(f"malformed cache entry: {exc!r}") from None
-    if payload.get("keys") != _knot_keys(plan) or not np.array_equal(
-        stored_knots, plan.knots
-    ):
-        raise CacheMismatchError("cached knot set does not match the rebuilt plan")
+    if type(scalar) is not bool:
+        raise CacheMismatchError("cached scalar must be a bool")
+    if payload.get("keys") != _knot_keys(plan) or not np.array_equal(stored_knots, plan.knots):
+        raise CacheMismatchError("cached knot set does not match the plan")
     n_out = values.shape[1] if values.ndim == 2 else 0
     if values.shape[:1] != (plan.n_knots,) or n_out < 1 or (scalar and n_out != 1):
         raise CacheMismatchError(f"cached values of shape {values.shape} do not fit the plan")

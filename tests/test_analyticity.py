@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from uqflow.analyticity import (
     EllipseRegion,
+    _probe_bounds,
     admissible_region_search,
     bound_constants,
     convergence_bound,
@@ -233,21 +234,35 @@ def test_region_search_rejects_a_singular_anchor():
 
 
 def test_region_search_decides_probes_in_order():
-    # At each bisection step a probe that fails ends the step before a later
-    # probe's singular anchor is tested; whether a seed reaches a singular
-    # anchor first is fixed by the order of its probes, stacked or not.
-    outcomes = {}
+    # Every step probes both ends of the box, so every seed meets the
+    # singular anchor p = -1 of its first step whose earlier probes pass.
     for seed in range(10):
-        try:
-            region = admissible_region_search(HINGE, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=seed)
-            outcomes[seed] = region.sigma_hat
-        except SingularJacobianError:
-            outcomes[seed] = "singular"
-    found = (0.327392578125,)
-    assert outcomes == {
-        0: found, 1: "singular", 2: found, 3: found, 4: "singular",
-        5: "singular", 6: "singular", 7: found, 8: found, 9: found,
-    }
+        with pytest.raises(SingularJacobianError):
+            admissible_region_search(HINGE, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=seed)
+    # Within a step a probe that fails ends the step before a later probe's
+    # singular anchor is tested: here g = 3 fails (|Re v| |dJ| = 2 >= 0.5)
+    # and the anchor of g = -1 is singular.
+    slopes = parameter_slopes(HINGE, X0, 1)
+    q, v = np.array([[1.0], [-1.0]]), np.array([[2.0], [0.0]], dtype=complex)
+    bounds = _probe_bounds(HINGE, X0, slopes, q, v, set())
+    assert not next(bounds).certifies(1.0, 0.5, 2.0, 2.0)
+    with pytest.raises(SingularJacobianError, match="iteration 0"):
+        next(bounds)
+
+
+@settings(max_examples=40, deadline=None)
+@given(end=st.sampled_from([-1.0, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_region_search_never_certifies_past_a_singular_box_end(end, seed):
+    # J = 1 - end * p is singular at p = end, one end of the box [-1, 1]
+    problem = NewtonProblem(
+        residual=lambda x, p: (1.0 - end * p[..., :1]) * x[..., :1] - 2.0,
+        jacobian=lambda x, p: 1.0 - end * p[..., :1, None],
+    )
+    try:
+        region = admissible_region_search(problem, X0, 1.0, 0.5, 2.0, 2.0, dims=1, seed=seed)
+    except SingularJacobianError:
+        return
+    assert region.sigma_hat == (0.0,)
 
 
 def test_bound_constants_frozen_values():

@@ -5,7 +5,6 @@ import math
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
 from unittest import mock
 
@@ -16,9 +15,9 @@ import scipy.linalg
 import uqflow.analyticity
 import uqflow.cli
 import uqflow.powerflow
+import uqflow.sparse_grid
 from uqflow.cli import main, parse_config_text
-from uqflow.errors import CacheMismatchError, UqflowError
-from uqflow.sparse_grid import surrogate_from_json
+from uqflow.errors import UqflowError
 
 
 def _csv_rows(text: str, command: str) -> list[list[str]]:
@@ -265,6 +264,34 @@ def test_branch_row_out_of_range_is_named_as_written(tmp_path, capsys, row):
     assert f"config key 'branches': row {row} is not a branch row of the case (1..46)" in err
 
 
+def test_branches_number_case_table_rows_past_an_out_of_service_row(tmp_path, capsys):
+    # demo3 with an out-of-service copy of branch 1-2 inserted as table row 1:
+    # its in-service branches 1-2, 1-3 and 2-3 are table rows 2, 3 and 4
+    demo = Path(uqflow.cli.__file__).parent / "cases" / "demo_3bus.m"
+    text = demo.read_text()
+    first = next(line for line in text.splitlines() if line.startswith("1\t2\t"))
+    shadow = first.rsplit("\t", 3)[0] + "\t0\t-360\t360"
+    case = tmp_path / "shadowed.m"
+    case.write_text(text.replace(first, shadow + "\n" + first, 1))
+    cfg = tmp_path / "exp.cfg"
+    args = ["uq-moments", "--study", "admittance", "--qoi", "voltage:3", "--levels", "1"]
+    args += ["--config", str(cfg), "--out"]
+    runs = {}
+    for name, path, row in (("shadowed", case, 4), ("plain", demo, 3)):
+        cfg.write_text(f"case = {path}\ndims = 1\nbranches = {row}\n")
+        runs[name] = tmp_path / f"{name}.csv"
+        assert main(args + [str(runs[name])]) == 0
+    assert _without_wall_ms(runs["shadowed"]) == _without_wall_ms(runs["plain"])
+    for rows, message in (
+        ("1,2", "config key 'branches': row 1 is out of service"),
+        ("2,2", "two admittance terms target branch row 2 (1-2)"),
+        ("3,5", "config key 'branches': row 5 is not a branch row of the case (1..4)"),
+    ):
+        cfg.write_text(f"case = {case}\ndims = 2\nbranches = {rows}\n")
+        assert main(args + [str(tmp_path / "x.csv")]) == 1
+        assert message in capsys.readouterr().err
+
+
 def test_parse_case_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "canon.m"
     assert main(["parse-case", "--case", "bundled:case39", "--out", str(out_file)]) == 0
@@ -495,9 +522,10 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, corrupt):
     assert _without_wall_ms(warm) == _without_wall_ms(cold)
 
 
-def test_entry_edited_to_another_level_is_rejected_before_any_plan(tmp_path):
-    """An entry whose w was edited to 14 is a miss found from the cache key
-    alone: rebuilding its 2-dim plan first would take seconds and gigabytes."""
+def test_entry_edited_to_another_level_is_rejected_before_any_plan(tmp_path, monkeypatch):
+    """An entry whose w was edited to 14 is a miss, read against the plan the
+    op built for its own level: no other plan is built (a 2-dim plan at
+    w = 14 would take seconds and gigabytes)."""
     cache = tmp_path / "cache"
     args = ["uq-moments", "--case", "bundled:case39", "--dims", "2", "--levels", "2"]
     args += ["--cache", str(cache), "--out"]
@@ -505,16 +533,82 @@ def test_entry_edited_to_another_level_is_rejected_before_any_plan(tmp_path):
     assert main(args + [str(cold)]) == 0
     (entry,) = cache.glob("*.json")
     text = entry.read_text()
-    edited = json.dumps({**json.loads(text), "w": 14})
-    entry.write_text(edited)
-    rule = uqflow.cli._grid_rule("smolyak", "cc")
-    start = time.perf_counter()
-    with pytest.raises(CacheMismatchError):
-        surrogate_from_json(edited, (rule, 2, 2))
-    assert time.perf_counter() - start < 0.1
+    entry.write_text(json.dumps({**json.loads(text), "w": 14}))
+    plans = []
+    build = uqflow.sparse_grid.build_plan
+
+    def recorded(rule, w, dims):
+        plans.append((w, dims))
+        return build(rule, w, dims)
+
+    monkeypatch.setattr(uqflow.sparse_grid, "build_plan", recorded)
+    monkeypatch.setattr(uqflow.cli, "build_plan", recorded)
     assert main(args + [str(warm)]) == 0
+    assert plans == [(2, 2)]
     assert entry.read_text() == text
     assert _without_wall_ms(warm) == _without_wall_ms(cold)
+
+
+def _count_problem_builds(monkeypatch) -> list:
+    """Record every parametric_problem build: a knot-solving op makes one."""
+    builds = []
+    build = uqflow.powerflow.parametric_problem
+    monkeypatch.setattr(
+        uqflow.powerflow, "parametric_problem", lambda *a: builds.append(a) or build(*a)
+    )
+    return builds
+
+
+def test_two_spellings_of_one_study_share_one_entry(tmp_path, monkeypatch):
+    # 1, 3, 4 and 7 are the buses the load study picks by default for 4 dims
+    config = tmp_path / "study.cfg"
+    config.write_text("study = load\ncoefficient = 0.50\nload_buses = 1,3,4,7\n")
+    cache = tmp_path / "cache"
+    args = ["uq-moments", "--case", "bundled:case39", "--dims", "4", "--levels", "2"]
+    args += ["--cache", str(cache), "--out"]
+    written, spelled = tmp_path / "a.csv", tmp_path / "b.csv"
+    builds = _count_problem_builds(monkeypatch)
+    assert main(args + [str(written)]) == 0
+    assert len(builds) == 1
+    assert main(args + [str(spelled), "--config", str(config)]) == 0
+    assert len(builds) == 1  # the second spelling solves no knot
+    assert len(list(cache.glob("*.json"))) == 1
+    assert _without_wall_ms(spelled) == _without_wall_ms(written)
+    assert _without_wall_ms(written)[2] == "2,41,1.0500338133139355,1.3349693225052427e-06"
+    config.write_text("load_buses = 1,3,4,8\n")  # another study: another entry
+    assert main(args + [str(spelled), "--config", str(config)]) == 0
+    assert len(builds) == 2
+    assert len(list(cache.glob("*.json"))) == 2
+
+
+def test_cache_survives_concurrent_writers(tmp_path, monkeypatch):
+    """Two processes fill one cache with the same study at once; both
+    succeed, no temporary file is left, and a third run solves no knot and
+    prints the cold run's CSV."""
+    cache = tmp_path / "cache"
+    args = ["uq-moments", "--case", "bundled:case39", "--dims", "3", "--levels", "1,2,3"]
+    args += ["--cache", str(cache), "--out"]
+    env = dict(os.environ, PYTHONPATH=str(Path(uqflow.cli.__file__).parents[1]))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-m", "uqflow.cli", *args, str(tmp_path / f"cold{k}.csv")],
+            env=env,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        for k in range(2)
+    ]
+    for child in children:
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+    assert len(list(cache.glob("*.json"))) == 3
+    assert not list(cache.glob("*.tmp"))
+    builds = _count_problem_builds(monkeypatch)
+    warm = tmp_path / "warm.csv"
+    assert main(args + [str(warm)]) == 0
+    assert builds == []
+    assert _without_wall_ms(warm) == _without_wall_ms(tmp_path / "cold0.csv")
+    assert _without_wall_ms(warm) == _without_wall_ms(tmp_path / "cold1.csv")
 
 
 _DEMO_MOMENTS = [
@@ -554,11 +648,7 @@ def test_entry_under_the_previous_cache_tag_is_a_miss(tmp_path, monkeypatch):
 
 
 def test_warm_cached_op_builds_no_problem(tmp_path, monkeypatch):
-    builds = []
-    build = uqflow.powerflow.parametric_problem
-    monkeypatch.setattr(
-        uqflow.powerflow, "parametric_problem", lambda *a: builds.append(a) or build(*a)
-    )
+    builds = _count_problem_builds(monkeypatch)
     args = _DEMO_MOMENTS + ["--cache", str(tmp_path / "cache"), "--out", str(tmp_path / "a.csv")]
     assert main(args) == 0
     assert len(builds) == 1  # the cold op solves its knots on one problem
@@ -706,7 +796,7 @@ def test_non_finite_lipschitz_probe_is_an_error(capsys):
 
 
 def test_certify_takes_few_dense_svds(capsys, monkeypatch):
-    # 64 Lipschitz probe pairs and 57 region-search probes decided: the Gram
+    # 64 Lipschitz probe pairs and 73 region-search probes decided: the Gram
     # bound leaves a handful of exact SVDs, and the load study's all-zero
     # perturbation matrices need no spectral norm at all
     svdvals = mock.Mock(wraps=scipy.linalg.svdvals)
@@ -721,7 +811,7 @@ def test_certify_takes_few_dense_svds(capsys, monkeypatch):
     assert main(argv.split()) == 0
     assert "lipschitz: 575.12781963168 (sampled (64 probes))" in capsys.readouterr().out
     assert svdvals.call_count <= 16  # one of them is kappa's
-    assert decided.call_count == 57
+    assert decided.call_count == 73
     assert not [call for call in norm.call_args_list if call.args[1:] == (2,)]
 
 

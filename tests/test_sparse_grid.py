@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from uqflow import sparse_grid
 from uqflow.errors import CacheMismatchError
 from uqflow.moments import quadrature_plan
 from uqflow.nodes1d import cc_node_keys, clenshaw_curtis_nodes, gauss_nodes
@@ -342,7 +343,7 @@ def test_blocked_point_product_keeps_the_whole_products_bits(count, columns):
 def test_surrogate_json_roundtrip():
     plan = build_plan(SMOLYAK, 2, 2)
     surrogate = build_surrogate(plan, lambda q: math.exp(q[0] - q[1]))
-    clone = surrogate_from_json(surrogate_to_json(surrogate))
+    clone = surrogate_from_json(surrogate_to_json(surrogate), build_plan(SMOLYAK, 2, 2))
     pts = np.random.default_rng(9).uniform(-1.0, 1.0, (25, 2))
     np.testing.assert_allclose(
         evaluate_surrogate(clone, pts), evaluate_surrogate(surrogate, pts), atol=0.0
@@ -353,8 +354,8 @@ def test_surrogate_json_rejects_garbage():
     plan = build_plan(SMOLYAK, 1, 1)
     surrogate = build_surrogate(plan, lambda q: float(q[0]))
     text = surrogate_to_json(surrogate)
-    with pytest.raises(Exception):
-        surrogate_from_json(text.replace("smolyak", "simpson"))
+    with pytest.raises(CacheMismatchError):
+        surrogate_from_json(text.replace("smolyak", "simpson"), plan)
 
 
 @pytest.mark.parametrize("field", ["keys", "knots"])
@@ -366,7 +367,7 @@ def test_surrogate_json_rejects_one_tampered_knot(field):
     else:
         payload["knots"][4][1] = float(np.nextafter(payload["knots"][4][1], 2.0))
     with pytest.raises(CacheMismatchError):
-        surrogate_from_json(json.dumps(payload))
+        surrogate_from_json(json.dumps(payload), plan)
 
 
 @settings(max_examples=40, deadline=None)
@@ -385,7 +386,8 @@ def test_surrogate_json_roundtrip_is_bitwise(kind, family, dims, w, n_out, data)
     rows = data.draw(st.lists(finite, min_size=size, max_size=size))
     values = np.array(rows, dtype=float).reshape(plan.n_knots, n_out or 1)
     surrogate = Surrogate(plan=plan, values=values, scalar=n_out is None)
-    clone = surrogate_from_json(surrogate_to_json(surrogate))
+    rebuilt = build_plan(GridRule(kind, family), w, dims)
+    clone = surrogate_from_json(surrogate_to_json(surrogate), rebuilt)
     assert clone.values.tobytes() == values.tobytes()
     assert clone.scalar == surrogate.scalar
     assert clone.plan.knots.tobytes() == plan.knots.tobytes()
@@ -464,13 +466,18 @@ def test_knot_union_matches_the_tuple_key_oracle(kind, family, dims, w, seed):
 _FIXTURES = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize(
-    "name", ["surrogate_td_gauss_w3_d2.json", "surrogate_smolyak_cc_w2_d3.json"]
-)
+_FIXTURE_LEVELS = {
+    "surrogate_td_gauss_w3_d2.json": (GridRule("td", "gauss_legendre"), 3, 2),
+    "surrogate_smolyak_cc_w2_d3.json": (SMOLYAK, 2, 3),
+}
+
+
+@pytest.mark.parametrize("name", list(_FIXTURE_LEVELS))
 def test_cache_text_written_before_the_id_union_round_trips(name):
     # Written by the tuple-key union: existing caches must stay hits.
     text = (_FIXTURES / name).read_text()
-    assert surrogate_to_json(surrogate_from_json(text)) == text
+    plan = build_plan(*_FIXTURE_LEVELS[name])
+    assert surrogate_to_json(surrogate_from_json(text, plan)) == text
 
 
 _CORRUPTIONS = {
@@ -493,4 +500,18 @@ def test_surrogate_json_rejects_a_corrupt_entry(how):
     plan = build_plan(SMOLYAK, 2, 2)
     payload = json.loads(surrogate_to_json(build_surrogate(plan, lambda q: float(q.sum()))))
     with pytest.raises(CacheMismatchError):
-        surrogate_from_json(json.dumps(_CORRUPTIONS[how](payload)))
+        surrogate_from_json(json.dumps(_CORRUPTIONS[how](payload)), plan)
+
+
+def test_surrogate_json_is_read_against_the_callers_plan_only(monkeypatch):
+    plan = build_plan(SMOLYAK, 2, 2)
+    text = surrogate_to_json(build_surrogate(plan, lambda q: float(q.sum())))
+    builds = []
+    monkeypatch.setattr(sparse_grid, "build_plan", lambda *a: builds.append(a))
+    assert surrogate_from_json(text.encode(), plan).plan is plan
+    for entry in (b"\xff" + text.encode(), text[:-1], text.replace('"w": 2', '"w": 14')):
+        with pytest.raises(CacheMismatchError):
+            surrogate_from_json(entry, plan)
+    with pytest.raises(CacheMismatchError, match="cache entry of .* read for"):
+        surrogate_from_json(text, dataclasses.replace(plan, dims=3))
+    assert builds == []
