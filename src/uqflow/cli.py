@@ -120,80 +120,10 @@ def _parse_qoi(text: str) -> QuantityOfInterest:
         raise UqflowError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything a study command needs, resolved from flags + config file."""
-
-    case: str
-    rule: GridRule
-    levels: tuple[int, ...]
-    reference_level: int | None
-    dims: int
-    qoi: QuantityOfInterest
-    study: str
-    coefficient: float
-    load_buses: tuple[int, ...] | None
-    branches: tuple[int, ...] | None
-    tol: float
-    output: str | None
-    cache_dir: str | None
-
-    def __post_init__(self) -> None:
-        if self.reference_level is not None and max(self.levels) >= self.reference_level:
-            raise UqflowError(
-                f"max(levels) = {max(self.levels)} must stay below the reference "
-                f"level {self.reference_level}"
-            )
-
-
 _CONFIG_KEYS = (
     "case", "rule", "family", "levels", "ref_level", "dims", "qoi", "study",
     "coefficient", "load_buses", "branches", "seed", "tol", "out", "cache",
 )
-
-
-def _experiment_config(args: argparse.Namespace, need_reference: bool) -> ExperimentConfig:
-    config = {}
-    if args.config is not None:
-        config = parse_config_text(Path(args.config).read_text())
-    for key in config:
-        if key not in _CONFIG_KEYS:
-            raise UqflowError(f"{args.config}: unknown config key {key!r}")
-
-    def pick(flag_value, key: str, default, convert):
-        if flag_value is not None:
-            return flag_value
-        if key in config:
-            try:
-                return convert(config[key])
-            except (TypeError, ValueError, argparse.ArgumentTypeError, UqflowError) as exc:
-                raise UqflowError(f"config key {key!r}: {exc}") from exc
-        return default
-
-    case = pick(args.case, "case", None, str)
-    if case is None:
-        raise UqflowError("a case is required (--case or config key 'case')")
-    rule = _grid_rule(
-        pick(args.rule, "rule", "smolyak", str),
-        pick(args.family, "family", "cc", str),
-    )
-    reference = pick(getattr(args, "ref_level", None), "ref_level", 5, int) if need_reference else None
-    qoi = _parse_qoi(pick(args.qoi, "qoi", "voltage:22", str))
-    return ExperimentConfig(
-        case=case,
-        rule=rule,
-        levels=pick(args.levels, "levels", (1, 2, 3), _levels_argument),
-        reference_level=reference,
-        dims=pick(args.dims, "dims", 2, _dims_argument),
-        qoi=qoi,
-        study=pick(args.study, "study", "load", str),
-        coefficient=pick(args.coefficient, "coefficient", 0.5, float),
-        load_buses=pick(None, "load_buses", None, _parse_int_list),
-        branches=pick(None, "branches", None, _parse_int_list),
-        tol=pick(args.tol, "tol", 1e-12, _finite_argument(positive=True)),
-        output=pick(args.out, "out", None, str),
-        cache_dir=pick(args.cache, "cache", None, _directory_argument),
-    )
 
 
 def _study_perturbation(
@@ -310,39 +240,6 @@ def _write_atomically(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _level_result(
-    cfg: ExperimentConfig,
-    sample: Callable[[np.ndarray], float],
-    w: int,
-    study_key: str | None,
-) -> LevelResult:
-    start = time.perf_counter()
-    plan = build_plan(cfg.rule, w, cfg.dims)
-    surrogate = cache_path = None
-    if study_key is not None:
-        key = hashlib.sha256(f"{study_key}|{w}".encode()).hexdigest()[:32]
-        cache_path = Path(cfg.cache_dir) / f"{key}.json"
-        try:
-            surrogate = surrogate_from_json(cache_path.read_bytes(), plan)
-        except (FileNotFoundError, CacheMismatchError):
-            pass  # a missing, corrupt or stale entry is a miss, written below
-    if surrogate is None:
-        surrogate = build_surrogate(plan, sample)
-        if cache_path is not None:
-            _write_atomically(cache_path, surrogate_to_json(surrogate))
-    q_plan = quadrature_plan(default_orders(cfg.rule, w, cfg.dims))
-    # by name: perfbench/tracing.py reads the plan at position 2 or as `plan`
-    est = moment_estimates(surrogate, plan=q_plan)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return LevelResult(
-        w=w,
-        knots=len(surrogate.plan.knots),
-        mean=float(est.mean),
-        variance=float(est.variance),
-        wall_ms=wall_ms,
-    )
-
-
 def _emit_csv(command: str, header: list[str], rows: list[list[str]], out: str | None) -> None:
     lines = [f"# {CSV_TAG} {command}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -358,22 +255,98 @@ def _load_network(cfg_case: str):
     return case, to_network(case)
 
 
-def _study_setup(
-    args: argparse.Namespace, need_reference: bool
-) -> tuple[ExperimentConfig, Callable[[np.ndarray], float], str | None]:
-    """Config, memoized QoI sampler and, with a cache, the text that keys its
-    entries: the reprs of what an entry caches, the perturbation as resolved,
-    so two spellings of one study share them. A level adds w (_level_result)."""
-    cfg = _experiment_config(args, need_reference)
-    case, net = _load_network(cfg.case)
-    pert = _study_perturbation(
-        net, cfg.study, cfg.dims, cfg.coefficient, cfg.load_buses, cfg.branches
-    )
-    study_key = None
-    if cfg.cache_dir is not None:
+@dataclass(frozen=True)
+class Study:
+    """A study command's inputs, resolved once into what each level needs.
+    ``key`` (None without a cache) keys its entries by the reprs of what they
+    cache, the perturbation as resolved, so two spellings of one study share."""
+
+    rule: GridRule
+    dims: int
+    levels: tuple[int, ...]
+    reference_level: int | None
+    output: str | None
+    cache_dir: str | None
+    key: str | None
+    sample: Callable[[np.ndarray], float]
+
+    def level(self, w: int) -> LevelResult:
+        start = time.perf_counter()
+        plan = build_plan(self.rule, w, self.dims)
+        surrogate = cache_path = None
+        if self.key is not None:
+            key = hashlib.sha256(f"{self.key}|{w}".encode()).hexdigest()[:32]
+            cache_path = Path(self.cache_dir) / f"{key}.json"
+            try:
+                surrogate = surrogate_from_json(cache_path.read_bytes(), plan)
+            except (FileNotFoundError, CacheMismatchError):
+                pass  # a missing, corrupt or stale entry is a miss, written below
+        if surrogate is None:
+            surrogate = build_surrogate(plan, self.sample)
+            if cache_path is not None:
+                _write_atomically(cache_path, surrogate_to_json(surrogate))
+        q_plan = quadrature_plan(default_orders(self.rule, w, self.dims))
+        # by name: perfbench/tracing.py reads the plan at position 2 or as `plan`
+        est = moment_estimates(surrogate, plan=q_plan)
+        wall_ms = (time.perf_counter() - start) * 1e3
+        return LevelResult(
+            w=w,
+            knots=len(surrogate.plan.knots),
+            mean=float(est.mean),
+            variance=float(est.variance),
+            wall_ms=wall_ms,
+        )
+
+
+def _study(args: argparse.Namespace, need_reference: bool) -> Study:
+    """Resolve a study command's inputs: flags, then the config file, then the
+    built-in defaults. Each flag's dest is its config key."""
+    config = {}
+    if args.config is not None:
+        config = parse_config_text(Path(args.config).read_text())
+    for key in config:
+        if key not in _CONFIG_KEYS:
+            raise UqflowError(f"{args.config}: unknown config key {key!r}")
+
+    def pick(key: str, default, convert):
+        flag_value = getattr(args, key, None)
+        if flag_value is not None:
+            return flag_value
+        if key in config:
+            try:
+                return convert(config[key])
+            except (TypeError, ValueError, argparse.ArgumentTypeError, UqflowError) as exc:
+                raise UqflowError(f"config key {key!r}: {exc}") from exc
+        return default
+
+    case_path = pick("case", None, str)
+    if case_path is None:
+        raise UqflowError("a case is required (--case or config key 'case')")
+    rule = _grid_rule(pick("rule", "smolyak", str), pick("family", "cc", str))
+    reference = pick("ref_level", 5, int) if need_reference else None
+    qoi = _parse_qoi(pick("qoi", "voltage:22", str))
+    levels = pick("levels", (1, 2, 3), _levels_argument)
+    dims = pick("dims", 2, _dims_argument)
+    study = pick("study", "load", str)
+    coefficient = pick("coefficient", 0.5, float)
+    load_buses = pick("load_buses", None, _parse_int_list)
+    branches = pick("branches", None, _parse_int_list)
+    tol = pick("tol", 1e-12, _finite_argument(positive=True))
+    output = pick("out", None, str)
+    cache_dir = pick("cache", None, _directory_argument)
+    if reference is not None and max(levels) >= reference:
+        raise UqflowError(
+            f"max(levels) = {max(levels)} must stay below the reference level {reference}"
+        )
+
+    case, net = _load_network(case_path)
+    pert = _study_perturbation(net, study, dims, coefficient, load_buses, branches)
+    key = None
+    if cache_dir is not None:
         digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-        study_key = "|".join(map(repr, (_CACHE_TAG, digest, pert, cfg.rule, cfg.qoi, cfg.tol)))
-    return cfg, _memoized(qoi_sampler(net, pert, cfg.qoi, tol=cfg.tol)), study_key
+        key = "|".join(map(repr, (_CACHE_TAG, digest, pert, rule, qoi, tol)))
+    sample = _memoized(qoi_sampler(net, pert, qoi, tol=tol))
+    return Study(rule, dims, levels, reference, output, cache_dir, key, sample)
 
 
 # ---------------------------------------------------------------------------
@@ -433,23 +406,23 @@ def cmd_grid_info(args: argparse.Namespace) -> int:
 
 
 def cmd_uq_moments(args: argparse.Namespace) -> int:
-    cfg, sample, study_key = _study_setup(args, need_reference=False)
+    study = _study(args, need_reference=False)
     rows = []
-    for w in cfg.levels:
-        r = _level_result(cfg, sample, w, study_key)
+    for w in study.levels:
+        r = study.level(w)
         rows.append([str(r.w), str(r.knots), _fmt(r.mean), _fmt(r.variance), f"{r.wall_ms:.3f}"])
-    _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, cfg.output)
+    _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, study.output)
     return 0
 
 
 def cmd_uq_convergence(args: argparse.Namespace) -> int:
-    cfg, sample, study_key = _study_setup(args, need_reference=True)
+    study = _study(args, need_reference=True)
     # The reference level runs first: with nested node families every lower
     # level then reuses its solves through the memo.
-    reference = _level_result(cfg, sample, cfg.reference_level, study_key)
+    reference = study.level(study.reference_level)
     rows = []
-    for w in cfg.levels:
-        r = _level_result(cfg, sample, w, study_key)
+    for w in study.levels:
+        r = study.level(w)
         rows.append(
             [
                 str(r.w),
@@ -465,7 +438,7 @@ def cmd_uq_convergence(args: argparse.Namespace) -> int:
         "uq-convergence",
         ["w", "knots", "mean", "var", "err_mean", "err_var", "wall_ms"],
         rows,
-        cfg.output,
+        study.output,
     )
     return 0
 

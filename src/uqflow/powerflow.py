@@ -454,7 +454,8 @@ class StochasticPerturbation:
         terms on one bus or branch (their scalings would add up), and load
         terms that cannot move the solution: on the slack bus, whose
         injection is not scheduled, or on a bus with zero P and Q load.
-        Errors name a branch by its 1-based table row and its end buses."""
+        Errors name a branch by its 1-based table row and its end buses, and
+        an out-of-range branch by its 0-based in-service position."""
         buses: set[int] = set()
         for t in self.load_terms:
             if t.bus not in net.position:
@@ -473,8 +474,8 @@ class StochasticPerturbation:
         for t in self.admittance_terms:
             if not (0 <= t.branch < len(net.branches)):
                 raise CaseValidationError(
-                    f"admittance term references branch row {t.branch + 1} "
-                    f"(the case has rows 1..{len(net.branches)})"
+                    f"admittance term references in-service branch position {t.branch} "
+                    f"(the case has {len(net.branches)} in-service branches, from position 0)"
                 )
             br = net.branches[t.branch]
             target = f"branch row {net.branch_rows[t.branch]} ({br.from_bus}-{br.to_bus})"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,8 +107,119 @@ def test_parse_accepts_comments_and_semicolons():
     commented = "% leading comment\n" + text.replace(
         "mpc.baseMVA = 100", "mpc.baseMVA = 100  % MVA base"
     )
-    reparsed = parse_matpower(commented)
+    # the bus block opens and closes on one line, its rows split by ';'
+    one_line = re.sub(
+        r"mpc\.bus = \[\n(.*?)\n\];",
+        lambda m: "mpc.bus = [" + m.group(1).replace("\n", "; ") + "];",
+        commented,
+        flags=re.S,
+    )
+    assert one_line.count("\n") == commented.count("\n") - 4
+    reparsed = parse_matpower(one_line)
     np.testing.assert_array_equal(reparsed.bus, case.bus)
+    np.testing.assert_array_equal(reparsed.gen, case.gen)
+    np.testing.assert_array_equal(reparsed.branch, case.branch)
+
+
+def _demo_text() -> str:
+    # lines 4-8 hold the bus block, 9-12 the gen block and 13-17 the branch block
+    return serialize_case(load_case("bundled:demo3"))
+
+
+@pytest.mark.parametrize(
+    ("edit", "line", "message"),
+    [
+        (
+            lambda t: t.replace("mpc.baseMVA = 100;\n", "mpc.baseMVA = 100;\nbaseMVA = 100;\n"),
+            4,
+            "unrecognized statement 'baseMVA = 100;'",
+        ),
+        (
+            lambda t: t.rsplit("];", 1)[0],
+            16,
+            "matrix mpc.branch starting on line 13 is never closed",
+        ),
+        (
+            lambda t: t.replace("mpc.baseMVA = 100;\n", ""),
+            16,
+            "missing required scalar mpc.baseMVA",
+        ),
+        (
+            lambda t: t.replace("mpc.baseMVA = 100;", "mpc.baseMVA = abc;"),
+            17,
+            "mpc.baseMVA is not a number: 'abc'",
+        ),
+        (
+            lambda t: re.sub(r"mpc\.gen = \[.*?\];\n", "", t, flags=re.S),
+            13,
+            "missing required table mpc.gen",
+        ),
+        (
+            lambda t: t.replace("\t0.9\n3\t", "\t0.9\t7\n3\t", 1),
+            6,
+            "ragged mpc.bus row: 14 columns where earlier rows have 13",
+        ),
+    ],
+    ids=["statement", "unclosed", "no-base", "bad-base", "no-table", "wide-row"],
+)
+def test_parse_errors_are_line_numbered(edit, line, message):
+    with pytest.raises(CaseFormatError) as err:
+        parse_matpower(edit(_demo_text()))
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_unexpected_version_becomes_warning():
+    case = parse_matpower(_demo_text().replace("mpc.version = '2'", "mpc.version = '1'"))
+    assert case.warnings == ["unexpected case version '1' (treated as '2')"]
+
+
+def _edited(fld: str, row: int, col: int, value: float):
+    def edit(case: CaseFile) -> None:
+        getattr(case, fld)[row, col] = value
+
+    return edit
+
+
+def _extra_gen_on_bus(bus_id: int):
+    def edit(case: CaseFile) -> None:
+        case.gen = np.vstack([case.gen, case.gen[1]])
+        case.gen[-1, 0] = bus_id
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (lambda case: setattr(case, "base_mva", 0.0), "baseMVA must be positive, got 0.0"),
+        (_edited("bus", 2, 1, 4), "bus 3: unsupported type code 4"),
+        (_edited("gen", 1, 7, 0), "bus 2 is pv but has no in-service generator"),
+        (_extra_gen_on_bus(9), "generator references unknown bus 9"),
+        (_edited("branch", 0, 3, 0.0), "branch 1-2 has zero impedance"),
+        (_edited("bus", 2, 0, 2), "duplicate bus ids"),
+        (_edited("bus", 1, 1, 3), "need exactly one slack bus, found 2"),
+        (_edited("branch", 0, 1, 9), "branch 1-9 references an unknown bus"),
+    ],
+    ids=[
+        "base", "type-code", "pv-no-gen", "gen-bus", "zero-impedance", "duplicate-ids",
+        "two-slacks", "branch-bus",
+    ],
+)
+def test_invalid_tables_are_rejected(edit, message):
+    case = load_case("bundled:demo3")
+    edit(case)
+    with pytest.raises(CaseValidationError) as err:
+        to_network(case)
+    assert str(err.value) == message
+
+
+def test_serialize_rejects_a_short_table():
+    case = load_case("bundled:demo3")
+    case.branch = case.branch[:, :12]
+    with pytest.raises(CaseValidationError) as err:
+        serialize_case(case)
+    assert str(err.value) == "branch table has 12 columns, cannot serialize 13"
 
 
 def test_ragged_row_is_line_numbered(data_dir):

@@ -205,6 +205,48 @@ def test_config_conversion_error_names_the_key(tmp_path, capsys, monkeypatch, li
     assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
 
 
+@pytest.mark.parametrize(
+    ("command", "config", "flags", "message"),
+    [
+        ("uq-moments", "family = foo", [], "unknown node family 'foo' (use cc or gauss)"),
+        ("uq-moments", " = 3", [], "config line 2: empty key"),
+        ("uq-moments", "", [], "a case is required (--case or config key 'case')"),
+        ("uq-moments", "", ["--dims", "5"], "load study needs 5 target buses, have 1 ("),
+        (
+            "uq-moments", "", ["--study", "admittance", "--dims", "10"],
+            "admittance study needs 10 branches, have 3",
+        ),
+        ("uq-moments", "study = foo", [], "unknown study 'foo' (expected load or admittance)"),
+        (
+            "uq-convergence", "", ["--levels", "3", "--ref-level", "3"],
+            "max(levels) = 3 must stay below the reference level 3",
+        ),
+        ("uq-convergence", "ref_level = x", [], "config key 'ref_level': "),
+    ],
+    ids=[
+        "family", "empty-key", "no-case", "load-dims", "admittance-dims", "study",
+        "ref-level-order", "ref-level-not-int",
+    ],
+)
+def test_study_input_errors_are_named(tmp_path, capsys, command, config, flags, message):
+    cfg = tmp_path / "exp.cfg"
+    case = "" if message.startswith("a case") else "case = bundled:demo3"
+    cfg.write_text(f"{case}\n{config}\n")
+    argv = [command, "--config", str(cfg), "--qoi", "voltage:3"]
+    argv += flags if "--dims" in flags else flags + ["--dims", "1"]
+    assert main(argv) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_uq_moments_accepts_unread_config_keys(tmp_path, capsys):
+    # seed is never read, and ref_level is read by uq-convergence only
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("case = bundled:demo3\nref_level = x\nseed = abc\n")
+    argv = ["uq-moments", "--config", str(cfg), "--qoi", "voltage:3", "--dims", "1"]
+    assert main(argv + ["--levels", "1"]) == 0
+    assert _csv_rows(capsys.readouterr().out, "uq-moments")[1][:2] == ["1", "3"]
+
+
 def test_empty_cache_flag_is_a_usage_error(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     argv = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--qoi", "voltage:3"]

@@ -21,6 +21,7 @@ from uqflow.newton import (
     _sample_ball,
     estimate_jacobian_lipschitz,
     kantorovich_certificate,
+    kantorovich_t_star,
     parameter_slopes,
     solve,
     taylor_predictor,
@@ -85,6 +86,13 @@ def test_singular_jacobian_raises():
         )
         with pytest.raises(SingularJacobianError):
             solve(problem, np.array([1.0]))
+    # the certificate tests the smallest singular value before any LU
+    diagonal = NewtonProblem(
+        residual=lambda x, p: x[..., :2] ** 2 - 1.0,
+        jacobian=lambda x, p: np.diag([1.0, 0.0]),
+    )
+    with pytest.raises(SingularJacobianError):
+        kantorovich_certificate(diagonal, np.array([1.0, 1.0]), lipschitz=2.0)
 
 
 def test_lipschitz_estimate_for_quadratic():
@@ -120,6 +128,11 @@ def test_kantorovich_unsatisfied_when_h_large():
     assert cert.h > 1.0
     assert not cert.satisfied
     assert math.isnan(cert.t_star)
+
+
+def test_t_star_is_delta_at_h_zero():
+    # the limit of (2/h)(1 - sqrt(1 - h)) delta as h -> 0, taken without dividing by 0
+    assert kantorovich_t_star(0.0, 0.25) == 0.25
 
 
 def test_complexified_solve_tracks_real_solution():

@@ -232,3 +232,6 @@ def test_chebyshev_coefficients_reconstruct_function():
     y = np.linspace(-1.0, 1.0, 101)
     recon = np.polynomial.chebyshev.chebval(y, doubled)
     np.testing.assert_allclose(recon, u(y), atol=1e-12)
+    # a callable that gives one scalar for any input is called point by point
+    scalar = lambda y: float(np.exp(0.7 * np.max(y)))
+    np.testing.assert_allclose(chebyshev_coefficients(scalar, 20), coeffs, rtol=0, atol=1e-15)

@@ -159,12 +159,29 @@ def test_admittance_errors_name_the_one_based_row(case39):
     # AdmittanceTerm.branch is a 0-based position; errors name the table row
     for term, message in (
         (AdmittanceTerm(branch=46, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),
-         r"references branch row 47 \(the case has rows 1..46\)"),
+         r"references in-service branch position 46 \(the case has 46 in-service branches"),
         (AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=2, b_dim=0),
          r"on branch row 2 \(1-39\) uses a dim out of range"),
     ):
         with pytest.raises(CaseValidationError, match=message):
             StochasticPerturbation(dims=2, admittance_terms=(term,)).validate(case39)
+
+
+@pytest.mark.parametrize("position", [3, -1])
+def test_out_of_range_admittance_term_is_named_by_its_position(position):
+    # demo3 with an out-of-service copy of 1-2 inserted as table row 1: table
+    # row 4 is the in-service branch 2-3, so a row number would name it
+    case = load_case("bundled:demo3")
+    shadow = case.branch[:1].copy()
+    shadow[0, 10] = 0.0
+    net = to_network(dataclasses.replace(case, branch=np.vstack([shadow, case.branch])))
+    term = AdmittanceTerm(branch=position, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0)
+    with pytest.raises(CaseValidationError) as info:
+        StochasticPerturbation(dims=1, admittance_terms=(term,)).validate(net)
+    assert str(info.value) == (
+        f"admittance term references in-service branch position {position} "
+        "(the case has 3 in-service branches, from position 0)"
+    )
 
 
 def test_perturbation_rejects_inert_load_terms(demo):
