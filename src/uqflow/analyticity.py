@@ -70,10 +70,6 @@ class EllipseRegion:
             if not (math.isfinite(s) and s >= 0.0):
                 raise ValueError(f"sigma_hat entries must be finite and >= 0, got {s}")
 
-    @property
-    def n_dims(self) -> int:
-        return len(self.sigma_hat)
-
 
 @dataclass(frozen=True)
 class PerturbationBounds:
@@ -343,13 +339,11 @@ def _finite(name: str, compute: Callable[[], float]) -> float:
     return value
 
 
-def bound_constants(
-    sigma_hat: EllipseRegion | Sequence[float], m_tilde: float
-) -> BoundConstants:
+def bound_constants(region: EllipseRegion, m_tilde: float) -> BoundConstants:
     """Derive the decay constants for a polyellipse and magnitude bound.
 
     The decay is governed by the smallest per-dimension radius: with
-    ``sigma = min(sigma_hat) / 2`` and N dimensions,
+    ``sigma = min(region.sigma_hat) / 2`` and N dimensions,
 
         mu1 = sigma / (1 + log(2N))          (algebraic exponent)
         mu2 = log 2 / (N (1 + log(2N)))      (sub-exponential exponent)
@@ -364,18 +358,12 @@ def bound_constants(
 
     Raises BoundUnavailableError naming a constant that overflows a float.
     """
-    if isinstance(sigma_hat, EllipseRegion):
-        radii = sigma_hat.sigma_hat
-    else:
-        radii = tuple(float(s) for s in sigma_hat)
-    if len(radii) == 0:
-        raise ValueError("need at least one dimension")
-    sig_min = min(radii)
+    sig_min = min(region.sigma_hat)
     if sig_min <= 0.0:
         raise ValueError(f"all sigma_hat entries must be positive, got min {sig_min}")
     if m_tilde <= 0.0:
         raise ValueError(f"m_tilde must be positive, got {m_tilde}")
-    n = len(radii)
+    n = len(region.sigma_hat)
     sigma = 0.5 * sig_min
     log2 = math.log(2.0)
     log_2n = math.log(2.0 * n)

@@ -171,7 +171,7 @@ def parse_matpower(text: str, name: str = "case") -> CaseFile:
         bus=arrays["bus"],
         gen=arrays["gen"],
         branch=arrays["branch"],
-        version=version or "2",
+        version="2",
         warnings=warnings,
     )
 

@@ -1,10 +1,9 @@
-"""Moments of a surrogate (or any batch-evaluable map) with the parameters
-independent and uniform on [-1, 1].
+"""Moments of a surrogate with the parameters independent and uniform on
+[-1, 1].
 
 Expectations are tensor Gauss sums (E[u] = sum_k w_k u(q_k), weights summing
-to one). A Surrogate target is evaluated on the whole grid axis by axis
-(sparse_grid.evaluate_on_grid); any other target is called on the (P, dims)
-point array.
+to one). The surrogate is evaluated on the whole grid axis by axis
+(sparse_grid.evaluate_on_grid).
 
 Calling-thread rule: every product and reduction of the moment path runs on
 the calling thread, in an order fixed by the data. A weighted sum is the
@@ -40,14 +39,8 @@ class QuadraturePlan:
         return math.prod(len(n) for n in self.nodes)
 
     @cached_property
-    def points(self) -> np.ndarray:
-        """Flattened tensor grid (P, dims), in C order."""
-        grids = np.meshgrid(*self.nodes, indexing="ij")
-        return np.column_stack([g.ravel() for g in grids])
-
-    @cached_property
     def point_weights(self) -> np.ndarray:
-        """Product weights (P,), in the order of points."""
+        """Product weights (P,), over the tensor grid in C order."""
         wts = np.ones(1)
         for w in self.weights:
             wts = np.multiply.outer(wts, w).ravel()
@@ -78,16 +71,6 @@ def default_orders(rule: GridRule, w: int, dims: int) -> list[int]:
     return [max_degree // 2 + (max_degree % 2) + 1] * dims
 
 
-def _as_values(target, plan: QuadraturePlan) -> np.ndarray:
-    if isinstance(target, Surrogate):
-        return evaluate_on_grid(target, plan.nodes)
-    pts = plan.points
-    vals = np.asarray(target(pts), dtype=float)
-    if vals.shape[0] != pts.shape[0]:
-        raise ValueError("target must map (P, dims) batches to P rows")
-    return vals
-
-
 @dataclass(frozen=True)
 class MomentEstimate:
     mean: float | np.ndarray
@@ -95,15 +78,15 @@ class MomentEstimate:
     raw_variance: float | np.ndarray  # before clamping at zero
 
 
-def moment_estimates(target, plan: QuadraturePlan) -> MomentEstimate:
+def moment_estimates(surrogate: Surrogate, plan: QuadraturePlan) -> MomentEstimate:
     """Mean E[S] and the variance in shifted-data form.
 
     The variance is taken from the deviations D = S - S(q_0) from the first
-    sample (column by column for a vector-valued target) as E[D^2] - E[D]^2
+    sample (column by column for a vector-valued surrogate) as E[D^2] - E[D]^2
     (Chan, Golub & LeVeque, Am. Stat. 1983). The Gauss weights of a
     probability density sum to one, so this equals E[S^2] - E[S]^2 in exact
-    arithmetic, but it does not subtract two O(mean^2) numbers, so a constant
-    target has exactly zero variance.
+    arithmetic, but it does not subtract two O(mean^2) numbers, so a column
+    that is constant on the grid has exactly zero variance.
 
     Quadrature error can push the raw variance a hair negative; the clamped
     value is what downstream consumers use, the raw value stays visible here.
@@ -114,7 +97,7 @@ def moment_estimates(target, plan: QuadraturePlan) -> MomentEstimate:
     """
     wts = plan.point_weights
     # (n_out, P) or (P,): the point axis is the contiguous one
-    vals = np.ascontiguousarray(_as_values(target, plan).T)
+    vals = np.ascontiguousarray(evaluate_on_grid(surrogate, plan.nodes).T)
     mean = _weighted_sum(wts, vals)
     dev = vals - vals[..., :1]
     mean_dev = _weighted_sum(wts, dev)

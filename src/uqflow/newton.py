@@ -264,8 +264,8 @@ class KantorovichCertificate:
     kappa = ||J(x0)^-1|| (spectral), delta = ||J(x0)^-1 f(x0)||_2, lipschitz
     a bound for ||J(x) - J(y)|| / ||x - y|| near x0, h = 2 kappa lipschitz
     delta. satisfied (h <= 1) guarantees: the iterates exist, stay within
-    t_star = (2/h)(1 - sqrt(1-h)) delta of x0, and converge to the unique
-    root in that ball. t_star -> delta as h -> 0 and is NaN when h > 1.
+    t_star = 2 delta / (1 + sqrt(1-h)) of x0, and converge to the unique
+    root in that ball. t_star = delta at h = 0 and is NaN when h > 1.
     """
 
     kappa: float
@@ -371,15 +371,14 @@ def estimate_jacobian_lipschitz(
 
 
 def kantorovich_t_star(h: float, delta: float) -> float:
-    """Radius t* = (2/h)(1 - sqrt(1-h)) delta of the ball holding the iterates.
+    """Radius t* = 2 delta / (1 + sqrt(1-h)) of the ball holding the iterates.
 
-    t* -> delta as h -> 0 and is NaN when h > 1 (no guarantee).
+    This equals (2/h)(1 - sqrt(1-h)) delta without its cancellation as
+    h -> 0, so t* = delta at h = 0. NaN when h > 1 (no guarantee).
     """
     if h > 1.0:
         return math.nan
-    if h == 0.0:
-        return delta
-    return (2.0 / h) * (1.0 - math.sqrt(1.0 - h)) * delta
+    return 2.0 * delta / (1.0 + math.sqrt(1.0 - h))
 
 
 def kantorovich_certificate(

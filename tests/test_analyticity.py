@@ -54,8 +54,9 @@ def _shifted_norms(q, v):
 
 
 def test_ellipse_region_validation():
-    region = EllipseRegion((0.5, 1.25))
-    assert region.n_dims == 2
+    assert EllipseRegion((0.5, 1.25)).sigma_hat == (0.5, 1.25)
+    with pytest.raises(ValueError, match="region needs at least one dimension"):
+        EllipseRegion(())
     with pytest.raises(ValueError):
         EllipseRegion((-0.1,))
     with pytest.raises(ValueError):
@@ -92,6 +93,20 @@ def test_perturbation_norms_reject_a_non_affine_problem():
     slopes = parameter_slopes(squared, X0, 1)
     with pytest.raises(InfeasibleRegionError, match=r"not affine.*g = \[0\.5j\]"):
         estimate_perturbation_norms(squared, X0, slopes, np.array([0.0]), np.array([0.5j]))
+
+
+@pytest.mark.parametrize(
+    ("q", "v", "shapes"),
+    [
+        ([0.0, 0.0], [0.1j], r"\(2,\) and \(1,\)"),
+        ([0.0], [[0.1j]], r"\(1,\) and \(1, 1\)"),
+        (0.0, 0.1j, r"\(\) and \(\)"),
+    ],
+)
+def test_perturbation_norms_reject_a_wrong_shape(q, v, shapes):
+    slopes = parameter_slopes(SHIFTED, X0, 1)
+    with pytest.raises(ValueError, match=rf"q and v need 1 entries, got shapes {shapes}"):
+        estimate_perturbation_norms(SHIFTED, X0, slopes, np.array(q), np.array(v))
 
 
 def test_perturbation_norms_reject_a_quadratic_term_off_zero():
@@ -205,6 +220,8 @@ def test_region_interior_points_actually_solve():
 
 
 def test_region_search_rejects_empty_budgets():
+    with pytest.raises(InfeasibleRegionError, match=r"kappa must be positive, got 0\.0"):
+        admissible_region_search(COUPLED, X0, 0.0, DELTA, KAPPA_E, DELTA_E, dims=1)
     with pytest.raises(InfeasibleRegionError):
         admissible_region_search(COUPLED, X0, KAPPA, DELTA, KAPPA, DELTA_E, dims=1)
     with pytest.raises(InfeasibleRegionError):
@@ -272,12 +289,19 @@ def test_bound_constants_frozen_values():
     assert constants.q_coef == pytest.approx(1140.5706817876996, rel=1e-12)
 
 
-def test_bound_constants_accept_sequences():
-    a = bound_constants(EllipseRegion((1.0, 2.0)), m_tilde=3.0)
-    b = bound_constants((1.0, 2.0), m_tilde=3.0)
-    assert a == b
-    # the tightest dimension controls the rate
-    assert a.sigma == pytest.approx(0.5, abs=1e-15)
+def test_bound_constants_take_the_tightest_dimension():
+    wide = bound_constants(EllipseRegion((1.0, 2.0)), m_tilde=3.0)
+    assert wide.sigma == pytest.approx(0.5, abs=1e-15)
+    # every constant follows from the smallest radius and the dimension count
+    assert wide == bound_constants(EllipseRegion((1.0, 1.0)), m_tilde=3.0)
+
+
+def test_bound_constants_reject_a_zero_radius_or_magnitude():
+    # an EllipseRegion may hold zero radii; no rate follows from them
+    with pytest.raises(ValueError, match=r"all sigma_hat entries must be positive, got min 0\.0"):
+        bound_constants(EllipseRegion((1.0, 0.0)), m_tilde=3.0)
+    with pytest.raises(ValueError, match=r"m_tilde must be positive, got 0\.0"):
+        bound_constants(EllipseRegion((1.0,)), m_tilde=0.0)
 
 
 def test_convergence_bound_regimes():
@@ -333,6 +357,8 @@ def test_overflowing_constants_refuse_to_quote_a_bound():
 
 def test_mtilde_bound_values():
     assert mtilde_bound(0.5, np.array([3.0, 4.0])) == pytest.approx(5.5, abs=1e-15)
+    with pytest.raises(ValueError, match=r"t_star_e must be >= 0, got -1\.0"):
+        mtilde_bound(-1.0, np.array([1.5]))
     t_star = 1.5 - math.sqrt(2.0)
     assert mtilde_bound(t_star, np.array([1.5])) == pytest.approx(
         1.5857864376269049, abs=1e-12

@@ -172,6 +172,8 @@ def test_parse_errors_are_line_numbered(edit, line, message):
 def test_unexpected_version_becomes_warning():
     case = parse_matpower(_demo_text().replace("mpc.version = '2'", "mpc.version = '1'"))
     assert case.warnings == ["unexpected case version '1' (treated as '2')"]
+    assert case.version == "2"
+    assert parse_matpower(serialize_case(case)).warnings == []
 
 
 def _edited(fld: str, row: int, col: int, value: float):

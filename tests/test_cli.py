@@ -16,6 +16,7 @@ import uqflow.analyticity
 import uqflow.cli
 import uqflow.powerflow
 import uqflow.sparse_grid
+from uqflow.case_io import load_case, serialize_case
 from uqflow.cli import main, parse_config_text
 from uqflow.errors import UqflowError
 
@@ -160,7 +161,7 @@ def test_unknown_qoi_bus_is_reported(capsys):
     assert "error: quantity of interest references unknown bus 99" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1"])
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "abc"])
 def test_tol_must_be_finite_and_positive(tmp_path, capsys, value):
     moments = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--qoi", "voltage:3"]
     for argv in (
@@ -342,6 +343,20 @@ def test_parse_case_roundtrip(tmp_path, capsys):
     # the written file parses back to the identical canonical text
     assert main(["parse-case", "--case", str(out_file), "--out", str(tmp_path / "again.m")]) == 0
     assert (tmp_path / "again.m").read_text() == out_file.read_text()
+
+
+def test_parse_case_prints_every_warning(tmp_path, capsys):
+    text = serialize_case(load_case("bundled:demo3"))
+    edited = tmp_path / "edited.m"
+    edited.write_text(text.replace("mpc.version = '2'", "mpc.version = '1'") + "mpc.foo = 3;\n")
+    assert main(["parse-case", "--case", str(edited)]) == 0
+    report = capsys.readouterr().out
+    line = len(text.splitlines()) + 1
+    assert "version: 2\n" in report
+    assert report.endswith(
+        f"warning: line {line}: skipped unknown field mpc.foo\n"
+        "warning: unexpected case version '1' (treated as '2')\n"
+    )
 
 
 def test_parse_case_malformed(data_dir, capsys):
@@ -754,9 +769,24 @@ def test_certify_scalar_demo(capsys):
             values[key.strip()] = val.strip()
     assert float(values["h"]) == pytest.approx(1.0 / 9.0, abs=1e-12)
     assert float(values["t_star"]) == pytest.approx(1.5 - math.sqrt(2.0), abs=1e-12)
+    assert float(values["t_star_e"]) == pytest.approx(0.5, abs=1e-12)
     assert values["kantorovich satisfied"] == "True"
     assert float(values["sigma_hat"]) == pytest.approx(1.646484375, abs=1e-12)
     assert "bound w=1" in out and "bound w=2" in out
+
+
+def test_certify_scalar_demo_degenerate_region_to_a_file(tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    argv = ["certify", "--scalar-demo", "--sigma-hat", "0", "--delta-e", "0.25", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ""
+    report = out.read_text()
+    assert "delta_e: 0.25\n" in report
+    # h_e = 2 kappa_e L delta_e = 2 (2/3) 2 (1/4)
+    assert "h_e: 0.6666666666666666\n" in report
+    assert report.endswith(
+        "sigma_hat: 0.0\nrate bounds: unavailable (degenerate region, sigma_hat = 0)\n"
+    )
 
 
 @pytest.mark.parametrize(

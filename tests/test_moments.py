@@ -28,9 +28,22 @@ from uqflow.sparse_grid import (
 )
 
 
+def _interpolant(f, w, dims):
+    """Smolyak Clenshaw-Curtis level-w surrogate of f, exact on f's polynomial."""
+    return build_surrogate(build_plan(GridRule("smolyak", "clenshaw_curtis"), w, dims), f)
+
+
+def _simpson_plan(dims):
+    """Tensor Simpson rule on {-1, 0, 1}^dims. These are nodes of every
+    Clenshaw-Curtis count but 1 (whose basis is the constant 1), so every
+    basis row is exact and a surrogate reads its stored values unrounded."""
+    nodes, weights = np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 6.0
+    return QuadraturePlan(nodes=(nodes,) * dims, weights=(weights,) * dims)
+
+
 def test_uniform_linear_moments():
     plan = quadrature_plan([5])
-    est = moment_estimates(lambda pts: pts[:, 0], plan)
+    est = moment_estimates(_interpolant(lambda q: q[0], 1, 1), plan)
     assert est.mean == pytest.approx(0.0, abs=1e-14)
     assert est.variance == pytest.approx(1.0 / 3.0, abs=1e-14)
 
@@ -38,14 +51,13 @@ def test_uniform_linear_moments():
 def test_uniform_product_moments():
     # f = q1^2 q2^2 on U[-1,1]^2: mean 1/9, variance 1/25 - 1/81
     plan = quadrature_plan([5, 5])
-    est = moment_estimates(lambda pts: pts[:, 0] ** 2 * pts[:, 1] ** 2, plan)
+    est = moment_estimates(_interpolant(lambda q: q[0] ** 2 * q[1] ** 2, 2, 2), plan)
     assert est.mean == pytest.approx(1.0 / 9.0, abs=1e-14)
     assert est.variance == pytest.approx(1.0 / 25.0 - 1.0 / 81.0, abs=1e-14)
 
 
 def test_variance_clamped_nonnegative():
-    plan = quadrature_plan([3])
-    est = moment_estimates(lambda pts: np.full(pts.shape[0], 2.5), plan)
+    est = moment_estimates(_interpolant(lambda q: 2.5, 1, 1), _simpson_plan(1))
     assert est.variance == 0.0
     assert abs(est.raw_variance) < 1e-14
 
@@ -53,12 +65,11 @@ def test_variance_clamped_nonnegative():
 def test_variance_does_not_cancel_against_a_large_mean():
     # Var[1e4 + q] = 1/3 on U[-1, 1]; E[S^2] - E[S]^2 loses ~1e-8 of it to
     # cancellation, and leaves round-off on the constant column.
-    plan = quadrature_plan([3])
-    scalar = moment_estimates(lambda pts: 1e4 + pts[:, 0], plan)
+    shifted = _interpolant(lambda q: 1e4 + q[0], 1, 1)
+    scalar = moment_estimates(shifted, quadrature_plan([3]))
     assert scalar.variance == pytest.approx(1.0 / 3.0, rel=1e-10)
     columns = moment_estimates(
-        lambda pts: np.column_stack([1e4 + pts[:, 0], np.full(pts.shape[0], 2.5)]),
-        plan,
+        _interpolant(lambda q: np.array([1e4 + q[0], 2.5]), 1, 1), _simpson_plan(1)
     )
     assert columns.variance[0] == pytest.approx(1.0 / 3.0, rel=1e-10)
     assert columns.variance[1] == 0.0
@@ -103,33 +114,46 @@ def _sine_surrogate():
     return build_surrogate(grid, lambda q: float(np.sin(q[0]) + q[1] ** 2))
 
 
-def test_surrogate_and_callable_targets_agree():
+def _flat_points(plan):
+    """The plan's tensor grid as (P, dims) points, in the order of point_weights."""
+    grids = np.meshgrid(*plan.nodes, indexing="ij")
+    return np.column_stack([g.ravel() for g in grids])
+
+
+def _pointwise_moments(surrogate, plan):
+    """Mean and clamped shifted-data variance from evaluate_surrogate at the
+    flattened tensor grid, weighted by plan.point_weights."""
+    vals = evaluate_surrogate(surrogate, _flat_points(plan))
+    wts = plan.point_weights
+    dev = vals - vals[0]
+    mean_dev = np.add.reduce(wts * dev)
+    raw = np.add.reduce(wts * dev * dev) - mean_dev**2
+    return np.add.reduce(wts * vals), max(raw, 0.0)
+
+
+def test_grid_moments_match_pointwise_sums():
     surrogate = _sine_surrogate()
     plan = quadrature_plan([4, 3])
-    direct = moment_estimates(surrogate, plan)
-    wrapped = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), plan)
-    # The Surrogate target is contracted axis by axis on the grid (tensordot),
-    # the callable point by point (einsum): the same basis rows in two
+    est = moment_estimates(surrogate, plan)
+    mean, variance = _pointwise_moments(surrogate, plan)
+    # The grid path contracts the surrogate axis by axis (tensordot), the
+    # pointwise oracle point by point (einsum): the same basis rows in two
     # summation orders, whose values may round apart in the last bit at any
     # barycentric weights (here at 2 of the 12 points; on a (5, 4) plan the
     # means differ by 2 ulps with the product-formula weights too).
-    assert abs(direct.mean - wrapped.mean) <= np.spacing(abs(wrapped.mean))
-    assert abs(direct.variance - wrapped.variance) <= 1e-15 * abs(wrapped.variance)
+    assert abs(est.mean - mean) <= np.spacing(abs(mean))
+    assert abs(est.variance - variance) <= 1e-15 * abs(variance)
 
 
-def test_surrogate_and_callable_targets_agree_bitwise_on_shared_nodes():
-    """At points on {-1, 0, 1}^2, nodes of every Clenshaw-Curtis count but 1
-    (whose basis is the constant 1), every basis row is exact, so both paths
-    read the stored values with no rounding and agree bit for bit."""
+def test_grid_moments_match_pointwise_sums_bitwise_on_shared_nodes():
+    """On {-1, 0, 1}^2 every basis row is exact, so both paths read the
+    stored values with no rounding and agree bit for bit."""
     surrogate = _sine_surrogate()
-    nodes, weights = np.array([-1.0, 0.0, 1.0]), np.array([1.0, 4.0, 1.0]) / 6.0
-    plan = QuadraturePlan(nodes=(nodes, nodes), weights=(weights, weights))
+    plan = _simpson_plan(2)
     on_grid = evaluate_on_grid(surrogate, plan.nodes)
-    assert np.array_equal(on_grid, evaluate_surrogate(surrogate, plan.points))
-    direct = moment_estimates(surrogate, plan)
-    wrapped = moment_estimates(lambda pts: evaluate_surrogate(surrogate, pts), plan)
-    assert direct.mean == wrapped.mean
-    assert direct.variance == wrapped.variance
+    assert np.array_equal(on_grid, evaluate_surrogate(surrogate, _flat_points(plan)))
+    est = moment_estimates(surrogate, plan)
+    assert (est.mean, est.variance) == _pointwise_moments(surrogate, plan)
 
 
 @settings(max_examples=60, deadline=None)

@@ -135,6 +135,15 @@ def test_t_star_is_delta_at_h_zero():
     assert kantorovich_t_star(0.0, 0.25) == 0.25
 
 
+@pytest.mark.parametrize(
+    ("h", "want"),
+    # 2 / (1 + sqrt(1 - h)) = 1 + h/4 + h^2/8 + ..., to double precision here
+    [(1e-10, 1.000000000025), (1e-12, 1.00000000000025), (1e-17, 1.0)],
+)
+def test_t_star_does_not_cancel_at_small_h(h, want):
+    assert kantorovich_t_star(h, 1.0) == pytest.approx(want, rel=1e-15)
+
+
 def test_complexified_solve_tracks_real_solution():
     trace = solve(PARAMETRIC, np.array([1.5 + 0.0j]), np.array([0.0]), tol=1e-13)
     assert trace.converged

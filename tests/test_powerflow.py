@@ -507,6 +507,27 @@ def test_qoi_sampler_names_point_of_singular_jacobian(demo, monkeypatch):
     assert exc.value.iteration == 2
 
 
+def test_knot_start_reraises_when_the_flat_start_fails_too(monkeypatch):
+    # an isolated loaded PQ bus makes J singular from every start
+    case = load_case("bundled:demo3")
+    isolated = case.bus[-1].copy()
+    isolated[0] = 4
+    case.bus = np.vstack([case.bus, isolated])
+    net = to_network(case)
+    inits = []
+
+    def recording(net, init="flat"):
+        inits.append(init)
+        return initial_state(net, init)
+
+    monkeypatch.setattr(uqflow.powerflow, "initial_state", recording)
+    pert = _study_perturbation(net, "load", 1, 0.5)
+    sample = qoi_sampler(net, pert, QuantityOfInterest.parse("voltage:3"))
+    with pytest.raises(SingularJacobianError, match=r"iteration 0.* at q=\[0\.5\]"):
+        sample(np.array([0.5]))
+    assert inits == ["from-case", "flat"]
+
+
 def test_knot_out_of_iterations_is_a_nonconvergence_error(demo):
     pert = _study_perturbation(demo, "load", 1, 0.5)
     sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"), tol=1e-300)

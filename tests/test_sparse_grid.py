@@ -234,10 +234,23 @@ def test_grid_evaluation_matches_pointwise(kind, family, dims, w, n_out, orders,
     values = np.random.default_rng(seed).standard_normal((plan.n_knots, n_out or 1))
     surrogate = Surrogate(plan=plan, values=values, scalar=n_out is None)
     q_plan = quadrature_plan(orders[:dims])
-    want = evaluate_surrogate(surrogate, q_plan.points)
+    grids = np.meshgrid(*q_plan.nodes, indexing="ij")
+    want = evaluate_surrogate(surrogate, np.column_stack([g.ravel() for g in grids]))
     got = evaluate_on_grid(surrogate, q_plan.nodes)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_evaluation_rejects_a_wrong_dimension_count():
+    surrogate = Surrogate(plan=build_plan(SMOLYAK, 1, 2), values=np.ones((5, 1)), scalar=True)
+    with pytest.raises(ValueError, match="points have 3 columns, plan wants 2"):
+        evaluate_surrogate(surrogate, np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="points have 1 columns, plan wants 2"):
+        evaluate_surrogate(surrogate, np.zeros(1))
+    with pytest.raises(ValueError, match="got 1 axes, plan wants 2"):
+        evaluate_on_grid(surrogate, (np.zeros(3),))
+    with pytest.raises(ValueError, match="got 3 axes, plan wants 2"):
+        evaluate_on_grid(surrogate, (np.zeros(3),) * 3)
 
 
 def _per_term_points(surrogate, pts):
