@@ -11,6 +11,7 @@ docstrings for the individual pieces:
 - analyticity: Bernstein-ellipse regions and convergence bounds
 - powerflow: AC network model, residual/Jacobian, parametric perturbations
 - case_io: case-table parsing, serialization, bundled fixtures
+- study: one study solved level by level, with its surrogate cache
 - cli: argparse front end
 
 The names most workflows need are re-exported here; rarely-used pieces

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import BoundUnavailableError, InfeasibleRegionError
+from .errors import BoundUnavailableError, InfeasibleRegionError, SingularJacobianError
 from .newton import (
     _STACK_ROWS,
     NewtonProblem,
@@ -148,7 +148,11 @@ def _probe_bounds(
     for k in range(count):
         anchor = q[k].tobytes()
         if anchor not in passed:
-            _lu_with_pivot_check(slopes.j0 + np.tensordot(q[k], slopes.dj, axes=1), 0)
+            try:
+                _lu_with_pivot_check(slopes.j0 + np.tensordot(q[k], slopes.dj, axes=1), 0)
+            except SingularJacobianError as exc:
+                exc.args = (f"{exc} at the anchor q={q[k].tolist()}",)
+                raise
             passed.add(anchor)
         if j_gap[k] > _AFFINE_TOL * j_top[k] or f_gap[k] > _AFFINE_TOL * f_top[k]:
             raise InfeasibleRegionError(

@@ -11,6 +11,7 @@ certify         Kantorovich certificate, analyticity region, and rate bounds
 
 Study commands accept a flat ``key = value`` config file (``--config``);
 explicit flags override config entries, which override built-in defaults.
+The resolved study runs through ``uqflow.study``, one level per CSV row.
 CSV outputs start with a versioned ``# uqflow-csv/1 <command>`` comment so
 downstream plotting can detect schema drift.  Exit codes: 0 success, 1 domain
 failure (parse, solve, or feasibility), 2 command-line usage error.
@@ -19,14 +20,9 @@ failure (parse, solve, or feasibility), 2 command-line usage error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import math
-import os
 import sys
-import time
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -38,28 +34,11 @@ from .analyticity import (
     mtilde_bound,
 )
 from .case_io import load_case, serialize_case, to_network
-from .errors import CacheMismatchError, CaseValidationError, UqflowError
-from .moments import default_orders, moment_estimates, quadrature_plan
+from .errors import UqflowError
 from .newton import NewtonProblem, kantorovich_certificate, kantorovich_t_star
-from .powerflow import (
-    AdmittanceTerm,
-    LoadTerm,
-    PowerNetwork,
-    QuantityOfInterest,
-    StochasticPerturbation,
-    initial_state,
-    parametric_problem,
-    qoi_sampler,
-    solve_power_flow,
-)
-from .sparse_grid import (
-    GridRule,
-    build_plan,
-    build_surrogate,
-    polynomial_space,
-    surrogate_from_json,
-    surrogate_to_json,
-)
+from .powerflow import QuantityOfInterest, initial_state, parametric_problem, solve_power_flow
+from .sparse_grid import GridRule, build_plan, polynomial_space
+from .study import Study, study_perturbation
 
 CSV_TAG = "uqflow-csv/1"
 
@@ -126,120 +105,6 @@ _CONFIG_KEYS = (
 )
 
 
-def _study_perturbation(
-    net: PowerNetwork,
-    study: str,
-    dims: int,
-    coefficient: float,
-    load_buses: tuple[int, ...] | None = None,
-    branches: tuple[int, ...] | None = None,
-) -> StochasticPerturbation:
-    """Build the perturbation model of a study.
-
-    Load study: each parameter dimension scales one load bus's P and Q
-    together (explicit ``load_buses`` list, or the first ``dims`` PQ buses
-    carrying nonzero load — perturbing a zero load would leave the dimension
-    inert).  Admittance study: each dimension scales one branch's series
-    conductance and susceptance together (explicit ``branches`` list of
-    1-based case-table rows, which must be in service, or the first ``dims``
-    in-service branches). A list the chosen study does not read is an error,
-    not a silent no-op.
-    """
-    if not math.isfinite(coefficient):
-        raise UqflowError(f"coefficient must be finite, got {coefficient}")
-    c = coefficient
-    if study == "load":
-        if branches is not None:
-            raise UqflowError(
-                "config key 'branches' is read by --study admittance, not --study load"
-            )
-        if load_buses is not None:
-            buses = list(load_buses)
-        else:
-            buses = [
-                b.id
-                for b in net.buses
-                if b.kind == "pq" and (b.p_load != 0.0 or b.q_load != 0.0)
-            ][:dims]
-        if len(buses) != dims:
-            raise CaseValidationError(
-                f"load study needs {dims} target buses, have {len(buses)} "
-                f"(case offers too few nonzero-load PQ buses?)"
-            )
-        terms = tuple(
-            LoadTerm(bus=bus, c_p=c, c_q=c, p_dim=k, q_dim=k) for k, bus in enumerate(buses)
-        )
-        pert = StochasticPerturbation(dims=dims, load_terms=terms)
-    elif study == "admittance":
-        if load_buses is not None:
-            raise UqflowError(
-                "config key 'load_buses' is read by --study load, not --study admittance"
-            )
-        if branches is not None:
-            position = {row: k for k, row in enumerate(net.branch_rows)}
-            table = len(net.branches) + len(net.out_of_service_rows)
-            for row in branches:
-                if row not in position:
-                    why = f"is not a branch row of the case (1..{table})"
-                    if row in net.out_of_service_rows:
-                        why = "is out of service"
-                    raise CaseValidationError(f"config key 'branches': row {row} {why}")
-            rows = [position[r] for r in branches]
-        else:
-            rows = list(range(min(dims, len(net.branches))))
-        if len(rows) != dims:
-            raise CaseValidationError(
-                f"admittance study needs {dims} branches, have {len(rows)}"
-            )
-        terms = tuple(
-            AdmittanceTerm(branch=row, c_g=c, c_b=c, g_dim=k, b_dim=k)
-            for k, row in enumerate(rows)
-        )
-        pert = StochasticPerturbation(dims=dims, admittance_terms=terms)
-    else:
-        raise UqflowError(f"unknown study {study!r} (expected load or admittance)")
-    pert.validate(net)
-    return pert
-
-
-#: Version of the cached knot values; bumped whenever the knot solve changes
-#: them, so entries written by an older solve are misses.
-_CACHE_TAG = "uqflow-cache/3"
-
-
-@dataclass(frozen=True)
-class LevelResult:
-    w: int
-    knots: int
-    mean: float
-    variance: float
-    wall_ms: float
-
-
-def _memoized(sample):
-    memo: dict[bytes, float] = {}
-
-    def wrapped(q: np.ndarray) -> float:
-        key = np.asarray(q, dtype=float).tobytes()
-        if key not in memo:
-            memo[key] = sample(q)
-        return memo[key]
-
-    return wrapped
-
-
-def _write_atomically(path: Path, text: str) -> None:
-    """Write through a temporary file in the same directory, so that a reader
-    never sees a partly written entry and concurrent writers do not mix."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_text(text)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def _emit_csv(command: str, header: list[str], rows: list[list[str]], out: str | None) -> None:
     lines = [f"# {CSV_TAG} {command}", ",".join(header)]
     lines.extend(",".join(row) for row in rows)
@@ -255,52 +120,10 @@ def _load_network(cfg_case: str):
     return case, to_network(case)
 
 
-@dataclass(frozen=True)
-class Study:
-    """A study command's inputs, resolved once into what each level needs.
-    ``key`` (None without a cache) keys its entries by the reprs of what they
-    cache, the perturbation as resolved, so two spellings of one study share."""
-
-    rule: GridRule
-    dims: int
-    levels: tuple[int, ...]
-    reference_level: int | None
-    output: str | None
-    cache_dir: str | None
-    key: str | None
-    sample: Callable[[np.ndarray], float]
-
-    def level(self, w: int) -> LevelResult:
-        start = time.perf_counter()
-        plan = build_plan(self.rule, w, self.dims)
-        surrogate = cache_path = None
-        if self.key is not None:
-            key = hashlib.sha256(f"{self.key}|{w}".encode()).hexdigest()[:32]
-            cache_path = Path(self.cache_dir) / f"{key}.json"
-            try:
-                surrogate = surrogate_from_json(cache_path.read_bytes(), plan)
-            except (FileNotFoundError, CacheMismatchError):
-                pass  # a missing, corrupt or stale entry is a miss, written below
-        if surrogate is None:
-            surrogate = build_surrogate(plan, self.sample)
-            if cache_path is not None:
-                _write_atomically(cache_path, surrogate_to_json(surrogate))
-        q_plan = quadrature_plan(default_orders(self.rule, w, self.dims))
-        # by name: perfbench/tracing.py reads the plan at position 2 or as `plan`
-        est = moment_estimates(surrogate, plan=q_plan)
-        wall_ms = (time.perf_counter() - start) * 1e3
-        return LevelResult(
-            w=w,
-            knots=len(surrogate.plan.knots),
-            mean=float(est.mean),
-            variance=float(est.variance),
-            wall_ms=wall_ms,
-        )
-
-
-def _study(args: argparse.Namespace, need_reference: bool) -> Study:
+def _study(args: argparse.Namespace, need_reference: bool):
     """Resolve a study command's inputs: flags, then the config file, then the
-    built-in defaults. Each flag's dest is its config key."""
+    built-in defaults. Each flag's dest is its config key. Returns the Study
+    with the command's levels, reference level and output path."""
     config = {}
     if args.config is not None:
         config = parse_config_text(Path(args.config).read_text())
@@ -339,14 +162,9 @@ def _study(args: argparse.Namespace, need_reference: bool) -> Study:
             f"max(levels) = {max(levels)} must stay below the reference level {reference}"
         )
 
-    case, net = _load_network(case_path)
-    pert = _study_perturbation(net, study, dims, coefficient, load_buses, branches)
-    key = None
-    if cache_dir is not None:
-        digest = hashlib.sha256(serialize_case(case).encode()).hexdigest()
-        key = "|".join(map(repr, (_CACHE_TAG, digest, pert, rule, qoi, tol)))
-    sample = _memoized(qoi_sampler(net, pert, qoi, tol=tol))
-    return Study(rule, dims, levels, reference, output, cache_dir, key, sample)
+    _, net = _load_network(case_path)
+    pert = study_perturbation(net, study, dims, coefficient, load_buses, branches)
+    return Study.open(net, pert, rule, qoi, tol, cache_dir), levels, reference, output
 
 
 # ---------------------------------------------------------------------------
@@ -406,22 +224,22 @@ def cmd_grid_info(args: argparse.Namespace) -> int:
 
 
 def cmd_uq_moments(args: argparse.Namespace) -> int:
-    study = _study(args, need_reference=False)
+    study, levels, _, output = _study(args, need_reference=False)
     rows = []
-    for w in study.levels:
+    for w in levels:
         r = study.level(w)
         rows.append([str(r.w), str(r.knots), _fmt(r.mean), _fmt(r.variance), f"{r.wall_ms:.3f}"])
-    _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, study.output)
+    _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, output)
     return 0
 
 
 def cmd_uq_convergence(args: argparse.Namespace) -> int:
-    study = _study(args, need_reference=True)
+    study, levels, reference_level, output = _study(args, need_reference=True)
     # The reference level runs first: with nested node families every lower
     # level then reuses its solves through the memo.
-    reference = study.level(study.reference_level)
+    reference = study.level(reference_level)
     rows = []
-    for w in study.levels:
+    for w in levels:
         r = study.level(w)
         rows.append(
             [
@@ -438,7 +256,7 @@ def cmd_uq_convergence(args: argparse.Namespace) -> int:
         "uq-convergence",
         ["w", "knots", "mean", "var", "err_mean", "err_var", "wall_ms"],
         rows,
-        study.output,
+        output,
     )
     return 0
 
@@ -504,7 +322,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
             raise UqflowError("certify needs --case or --scalar-demo")
         dims = args.dims
         case, net = _load_network(args.case)
-        pert = _study_perturbation(net, args.study, dims, args.coefficient)
+        pert = study_perturbation(net, args.study, dims, args.coefficient)
         problem = parametric_problem(net, pert)
         x0 = initial_state(net, "flat")
         cert = kantorovich_certificate(

@@ -39,7 +39,6 @@ from uqflow.powerflow import (
     _expand_state,
     initial_state,
     parametric_problem,
-    qoi_sampler,
     solve_power_flow,
 )
 from uqflow.sparse_grid import (
@@ -49,6 +48,7 @@ from uqflow.sparse_grid import (
     evaluate_surrogate,
     polynomial_space,
 )
+from uqflow.study import Study
 
 SMOLYAK = GridRule("smolyak", "clenshaw_curtis")
 
@@ -167,29 +167,13 @@ def test_c4_power_flow_jacobian_and_convergence():
     )
 
 
-def _study_errors(net, pert, dims: int):
-    qoi = QuantityOfInterest.parse("voltage:22")
-    memo: dict[bytes, float] = {}
-    sample = qoi_sampler(net, pert, qoi, tol=1e-12)
-
-    def f(q):
-        key = np.asarray(q, dtype=float).tobytes()
-        if key not in memo:
-            memo[key] = sample(q)
-        return memo[key]
-
-    def level(w: int):
-        plan = build_plan(SMOLYAK, w, dims)
-        surrogate = build_surrogate(plan, f)
-        est = moment_estimates(surrogate, quadrature_plan(default_orders(SMOLYAK, w, dims)))
-        return len(plan.knots), float(est.mean), float(est.variance)
-
-    _, ref_mean, ref_var = level(5)
-    rows = []
-    for w in (1, 2, 3, 4):
-        knots, mean, var = level(w)
-        rows.append((w, knots, abs(mean - ref_mean), abs(var - ref_var)))
-    return rows
+def _study_errors(net, pert):
+    study = Study.open(net, pert, SMOLYAK, QuantityOfInterest.parse("voltage:22"), tol=1e-12)
+    ref = study.level(5)
+    return [
+        (r.w, r.knots, abs(r.mean - ref.mean), abs(r.variance - ref.variance))
+        for r in map(study.level, (1, 2, 3, 4))
+    ]
 
 
 def test_c5_moment_convergence_studies():
@@ -212,7 +196,7 @@ def test_c5_moment_convergence_studies():
     )
     summaries = []
     for label, pert in (("load", load_pert), ("admittance", adm_pert)):
-        rows = _study_errors(net, pert, dims=2)
+        rows = _study_errors(net, pert)
         mean_errs = [r[2] for r in rows]
         var_errs = [r[3] for r in rows]
         assert all(b < a for a, b in zip(mean_errs, mean_errs[1:])), (label, mean_errs)

@@ -16,6 +16,7 @@ import uqflow.analyticity
 import uqflow.cli
 import uqflow.powerflow
 import uqflow.sparse_grid
+import uqflow.study
 from uqflow.case_io import load_case, serialize_case
 from uqflow.cli import main, parse_config_text
 from uqflow.errors import UqflowError
@@ -599,7 +600,7 @@ def test_entry_edited_to_another_level_is_rejected_before_any_plan(tmp_path, mon
         return build(rule, w, dims)
 
     monkeypatch.setattr(uqflow.sparse_grid, "build_plan", recorded)
-    monkeypatch.setattr(uqflow.cli, "build_plan", recorded)
+    monkeypatch.setattr(uqflow.study, "build_plan", recorded)
     assert main(args + [str(warm)]) == 0
     assert plans == [(2, 2)]
     assert entry.read_text() == text
@@ -688,7 +689,7 @@ def test_entry_under_the_previous_cache_tag_is_a_miss(tmp_path, monkeypatch):
     cache = tmp_path / "cache"
     args = _DEMO_MOMENTS + ["--cache", str(cache)]
     with monkeypatch.context() as patch:
-        patch.setattr(uqflow.cli, "_CACHE_TAG", "uqflow-cache/2")
+        patch.setattr(uqflow.study, "_CACHE_TAG", "uqflow-cache/2")
         assert main(args) == 0
     (old,) = cache.glob("*.json")
     payload = json.loads(old.read_text())
@@ -702,6 +703,23 @@ def test_entry_under_the_previous_cache_tag_is_a_miss(tmp_path, monkeypatch):
     assert main(_DEMO_MOMENTS + ["--out", str(fresh)]) == 0
     got = [r[:-1] for r in _csv_rows(out.read_text(), "uq-moments")]
     assert got == [r[:-1] for r in _csv_rows(fresh.read_text(), "uq-moments")]
+
+
+def test_cache_keys_the_exact_network(tmp_path):
+    # the nudged load differs from 286.53 only past the ninth significant
+    # digit, where the canonical case text rounds: no entry is shared
+    demo = Path(uqflow.cli.__file__).parent / "cases" / "demo_3bus.m"
+    nudged = tmp_path / "nudged.m"
+    nudged.write_text(demo.read_text().replace("\t286.53\t", "\t286.5300004\t", 1))
+    args = ["uq-moments", "--dims", "1", "--qoi", "voltage:3", "--levels", "3", "--out"]
+    cache = ["--cache", str(tmp_path / "cache")]
+    runs = {}
+    for name, case, extra in (("demo", demo, cache), ("warm", nudged, cache), ("cold", nudged, [])):
+        runs[name] = tmp_path / f"{name}.csv"
+        assert main(args + [str(runs[name]), "--case", str(case), *extra]) == 0
+    assert _without_wall_ms(runs["warm"]) == _without_wall_ms(runs["cold"])
+    assert _without_wall_ms(runs["cold"]) != _without_wall_ms(runs["demo"])
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
 
 
 def test_warm_cached_op_builds_no_problem(tmp_path, monkeypatch):

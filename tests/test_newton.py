@@ -12,7 +12,6 @@ from scipy.linalg import svdvals
 
 from oracles import cauchy_riemann_residual
 from uqflow.case_io import load_case, to_network
-from uqflow.cli import _study_perturbation
 from uqflow.errors import BoundUnavailableError, SingularJacobianError
 from uqflow.newton import (
     _GRAM_BOUND_MARGIN,
@@ -27,6 +26,7 @@ from uqflow.newton import (
     taylor_predictor,
 )
 from uqflow.powerflow import initial_state, parametric_problem
+from uqflow.study import study_perturbation
 
 SCALAR = NewtonProblem(
     residual=lambda x, p: x[..., :1] ** 2 - 2.0,
@@ -244,7 +244,7 @@ def _exhaustive_lipschitz(problem, x0, params, radius, probe_count, seed):
 @functools.cache
 def _case39_problem(study, dims):
     net = to_network(load_case("bundled:case39"))
-    problem = parametric_problem(net, _study_perturbation(net, study, dims, 0.5))
+    problem = parametric_problem(net, study_perturbation(net, study, dims, 0.5))
     return problem, initial_state(net, "flat")
 
 

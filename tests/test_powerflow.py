@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
-from uqflow.cli import _study_perturbation
 from uqflow.errors import (
     CaseValidationError,
     NonconvergenceError,
@@ -33,6 +32,7 @@ from uqflow.powerflow import (
     solve_power_flow,
 )
 from uqflow.sparse_grid import GridRule, build_plan
+from uqflow.study import study_perturbation
 
 
 @pytest.fixture(scope="module")
@@ -417,7 +417,7 @@ def test_kernels_match_the_per_half_oracle_bitwise(
 ):
     """Residual and Jacobian equal the earlier per-half kernels exactly, at
     random real and complex states and parameters of the case39 studies."""
-    pert = _study_perturbation(case39, kind, dims, 0.5)
+    pert = study_perturbation(case39, kind, dims, 0.5)
     rng = np.random.default_rng(seed)
     u = initial_state(case39, "from-case")
     u = u + rng.uniform(-0.1, 0.1, case39.n_unknowns)
@@ -521,7 +521,7 @@ def test_knot_start_reraises_when_the_flat_start_fails_too(monkeypatch):
         return initial_state(net, init)
 
     monkeypatch.setattr(uqflow.powerflow, "initial_state", recording)
-    pert = _study_perturbation(net, "load", 1, 0.5)
+    pert = study_perturbation(net, "load", 1, 0.5)
     sample = qoi_sampler(net, pert, QuantityOfInterest.parse("voltage:3"))
     with pytest.raises(SingularJacobianError, match=r"iteration 0.* at q=\[0\.5\]"):
         sample(np.array([0.5]))
@@ -529,7 +529,7 @@ def test_knot_start_reraises_when_the_flat_start_fails_too(monkeypatch):
 
 
 def test_knot_out_of_iterations_is_a_nonconvergence_error(demo):
-    pert = _study_perturbation(demo, "load", 1, 0.5)
+    pert = study_perturbation(demo, "load", 1, 0.5)
     sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"), tol=1e-300)
     with pytest.raises(NonconvergenceError, match=r"did not converge at q=\[0\.25\]"):
         sample(np.array([0.25]))
@@ -541,7 +541,7 @@ def test_unknown_qoi_bus_is_refused_when_the_sampler_is_made(demo):
     with pytest.raises(CaseValidationError, match=message):
         qoi.state_index(demo)
     with pytest.raises(CaseValidationError, match=message):
-        qoi_sampler(demo, _study_perturbation(demo, "load", 1, 0.5), qoi)
+        qoi_sampler(demo, study_perturbation(demo, "load", 1, 0.5), qoi)
 
 
 def _recorded_sample(sample, q):
@@ -603,7 +603,7 @@ def test_predictor_start_matches_flat_start(demo, case39, study, data):
     iterations."""
     case, kind, dims, text = study
     net = {"case39": case39, "demo": demo}[case]
-    pert = _study_perturbation(net, kind, dims, 0.5)
+    pert = study_perturbation(net, kind, dims, 0.5)
     qoi = QuantityOfInterest.parse(text)
     q = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)))
     value, trace = _recorded_sample(qoi_sampler(net, pert, qoi), q)
@@ -623,7 +623,7 @@ def test_predictor_error_is_third_order(case39, kind, dims, data):
     """Along a ray t q the start misses the solved state by O(t^3): the slope
     of log(error) against log(t), fitted from t = 0.2 down to 0.025, is about
     3 (2.88 to 3.04 measured; the first-order chord step gives 2)."""
-    pert = _study_perturbation(case39, kind, dims, 0.5)
+    pert = study_perturbation(case39, kind, dims, 0.5)
     problem = parametric_problem(case39, pert)
     u_c = initial_state(case39, "from-case")
     predictor = taylor_predictor(problem, parameter_slopes(problem, u_c, dims), u_c)
@@ -646,7 +646,7 @@ def test_nonphysical_stored_point_falls_back_to_the_flat_start(demo):
     case's point; the sampler then anchors its predictor at the flat start."""
     buses = tuple(dataclasses.replace(b, v0=0.0) if b.kind == "pq" else b for b in demo.buses)
     zeroed = dataclasses.replace(demo, buses=buses)
-    pert = _study_perturbation(demo, "load", 1, 0.5)
+    pert = study_perturbation(demo, "load", 1, 0.5)
     qoi = QuantityOfInterest.parse("voltage:3")
     u_c = initial_state(zeroed, "from-case")
     with pytest.raises(NonphysicalStateError):
@@ -657,7 +657,7 @@ def test_nonphysical_stored_point_falls_back_to_the_flat_start(demo):
 
 
 def _load_study_knots(case39):
-    pert = _study_perturbation(case39, "load", 4, 0.5)
+    pert = study_perturbation(case39, "load", 4, 0.5)
     return pert, build_plan(GridRule("smolyak", "clenshaw_curtis"), 2, 4).knots
 
 
@@ -766,7 +766,7 @@ def test_jacobian_matches_central_differences_at_complex_point(case39):
 @functools.cache
 def _case39_study(study, dims):
     net = to_network(load_case("bundled:case39"))
-    return net, parametric_problem(net, _study_perturbation(net, study, dims, 0.5))
+    return net, parametric_problem(net, study_perturbation(net, study, dims, 0.5))
 
 
 @settings(max_examples=60, deadline=None)
@@ -807,7 +807,7 @@ def test_stacked_problem_equals_per_point_evaluation(study, dims, rows, stacked,
 
 
 def test_stacked_residual_names_the_first_nonphysical_bus(case39):
-    problem = parametric_problem(case39, _study_perturbation(case39, "load", 1, 0.5))
+    problem = parametric_problem(case39, study_perturbation(case39, "load", 1, 0.5))
     u = np.tile(initial_state(case39, "flat"), (3, 1))
     magnitudes = len(case39.non_slack)  # the PQ magnitudes follow the angles
     u[1, magnitudes + 4] = -0.1

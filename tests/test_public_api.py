@@ -29,6 +29,16 @@ def test_readme_library_example_runs():
     exec(compile(code, "README.md", "exec"), {})
 
 
+def test_readme_module_map_names_every_module():
+    # like the example above: a module added, moved or removed cannot leave the map stale
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\nModule map:\n", 1)[1]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    mapped = sorted(row.split("`")[1] for row in rows)
+    modules = {path.stem for path in Path(uqflow.__file__).parent.glob("*.py")}
+    assert mapped == sorted(modules - {"__init__", "errors"})
+
+
 def test_errors_are_one_family():
     assert issubclass(uqflow.NonconvergenceError, uqflow.UqflowError)
     assert issubclass(uqflow.CaseFormatError, uqflow.UqflowError)
