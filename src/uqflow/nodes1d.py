@@ -4,10 +4,11 @@ coefficients on the reference interval [-1, 1].
 Every parameter is uniformly distributed on [-1, 1]; gauss_nodes gives the
 Gauss rule of that probability density (weights summing to one).
 
-Node sets are identified by exact integer keys: a reduced fraction
-(j-1)/(count-1) for cosine-spaced nodes, and (count, index) for Gauss nodes
-(with one shared key for the zero node). Multi-dimensional code builds knot
-unions from these keys and never compares floats for identity.
+Nodes are identified by their exact values. Cosine-spaced nodes are
+computed from the reduced fraction (j-1)/(count-1), so a node shared by two
+counts has bitwise-equal values in both; every odd Gauss rule has the middle
+node exactly 0.0. Multi-dimensional code builds knot unions from these
+values.
 """
 
 from __future__ import annotations
@@ -43,12 +44,13 @@ def level_to_count(level: int, growth: GrowthRule = "doubling") -> int:
 
 
 def cc_node_keys(count: int) -> list[tuple[int, int]]:
-    """Exact identities for the cosine-spaced nodes at a given count.
+    """Reduced fractions (j-1)/(count-1) of the cosine-spaced nodes at a
+    given count.
 
-    The key is the reduced fraction (j-1)/(count-1); equal fractions give
-    bitwise-equal node values across counts, which is what makes the nested
-    doubling family dedupe exactly. The single-node rule {0} gets the key 1/2
-    (the fraction whose cosine vanishes).
+    clenshaw_curtis_nodes computes each node from its fraction, so equal
+    fractions give bitwise-equal node values across counts, which is what
+    makes the nested doubling family dedupe exactly by value. The
+    single-node rule {0} gets the fraction 1/2 (whose cosine vanishes).
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")

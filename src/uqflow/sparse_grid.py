@@ -3,10 +3,10 @@
 A plan fixes a rule (index-set shape + node family), a budget w, and a
 dimension count; it enumerates the admissible multi-indices, folds the
 telescoping differences into integer combination coefficients, and takes the
-exact set union of the surviving tensor grids. Each distinct 1D node, named
-by its exact key (see nodes1d), gets an integer id; the union is one sort of
-the id tuples of every term's grid, so it never compares floats and a model
-function is evaluated exactly once per unique knot.
+exact set union of the surviving tensor grids. Nodes are identified by their
+exact values: each distinct 1D node value gets an integer id, and the union
+is one sort of the id tuples of every term's grid, so a model function is
+evaluated exactly once per unique knot.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .nodes1d import (
     barycentric_basis,
     barycentric_weights,
     cc_barycentric_weights,
-    cc_node_keys,
     clenshaw_curtis_nodes,
     gauss_nodes,
     level_to_count,
@@ -133,7 +132,7 @@ def combination_coefficients(
     return coeff
 
 
-# --- node sets with exact identities ----------------------------------------
+# --- node sets ---------------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
@@ -141,19 +140,12 @@ def _gl_unit_nodes(count: int) -> tuple[float, ...]:
     return tuple(gauss_nodes(count)[0].tolist())
 
 
-def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """Node values, their barycentric weights and their exact identity keys,
-    as cache text, for one count."""
+def _family_nodes(family: FamilyKind, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node values and their barycentric weights for one count."""
     if family == "clenshaw_curtis":
-        keys = [f"{p}/{q}" for p, q in cc_node_keys(count)]
-        return clenshaw_curtis_nodes(count), cc_barycentric_weights(count), keys
-    # The zero node of an odd count is shared across odd counts.
-    keys = [
-        "gl0" if count % 2 == 1 and j == count // 2 else f"gl:{count}:{j}"
-        for j in range(count)
-    ]
+        return clenshaw_curtis_nodes(count), cc_barycentric_weights(count)
     nodes = np.array(_gl_unit_nodes(count))
-    return nodes, barycentric_weights(nodes), keys
+    return nodes, barycentric_weights(nodes)
 
 
 @dataclass(frozen=True)
@@ -170,10 +162,10 @@ class TensorTerm:
 class SparseGridPlan:
     """Deterministic evaluation plan: terms plus the deduplicated knot union.
 
-    Every distinct 1D node has an integer id, its place in node_keys (sorted
-    by value, exact keys breaking ties); knot_ids holds one id per coordinate
-    of each knot, and knots their values. The union is taken by sorting the
-    id tuples of all terms, so knots come lexicographically by value and are
+    A knot is identified by its coordinates, and each coordinate by its exact
+    value: nested node families give bitwise-equal values across counts (see
+    nodes1d), so equal nodes are one node. The union is taken by sorting the
+    knots of all terms, so knots come lexicographically by value and are
     reproducible across runs. node_sets maps a count to its nodes and
     barycentric weights.
     """
@@ -183,8 +175,6 @@ class SparseGridPlan:
     dims: int
     terms: list[TensorTerm]
     knots: np.ndarray
-    knot_ids: np.ndarray
-    node_keys: list[str] = field(repr=False)
     node_sets: dict[int, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     @property
@@ -195,17 +185,13 @@ class SparseGridPlan:
 def build_plan(rule: GridRule, w: int, dims: int) -> SparseGridPlan:
     coeffs = combination_coefficients(rule, w, dims)
     indices = [(i, c, tuple(rule.count(l) for l in i)) for i, c in coeffs.items() if c != 0]
-    node_sets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    count_keys: dict[int, list[str]] = {}
-    node_value: dict[str, float] = {}
-    for count in sorted({c for _, _, counts in indices for c in counts}):
-        nodes, weights, keys = _family_nodes(rule.family, count)
-        node_sets[count] = (nodes, weights)
-        count_keys[count] = keys
-        node_value.update(zip(keys, nodes.tolist()))
-    node_keys = sorted(node_value, key=lambda key: (node_value[key], key))
-    node_id = {key: n for n, key in enumerate(node_keys)}
-    count_ids = {c: np.array([node_id[k] for k in keys]) for c, keys in count_keys.items()}
+    node_sets = {
+        count: _family_nodes(rule.family, count)
+        for count in sorted({c for _, _, counts in indices for c in counts})
+    }
+    # A node's id is its place among the distinct node values, in order.
+    node_values = np.unique(np.concatenate([nodes for nodes, _ in node_sets.values()]))
+    count_ids = {c: np.searchsorted(node_values, nodes) for c, (nodes, _) in node_sets.items()}
 
     # Each term's (counts..., dims) grid of ids, filled axis by axis by
     # broadcasting, flattened in C order and stacked.
@@ -223,22 +209,18 @@ def build_plan(rule: GridRule, w: int, dims: int) -> SparseGridPlan:
     new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
     rows = np.empty(len(ordered), dtype=np.intp)
     rows[order] = np.cumsum(new) - 1
-    knot_ids = ordered[new]
 
     starts = np.cumsum([len(g) for g in grids])[:-1]
     terms = [
         TensorTerm(levels=i, coefficient=c, counts=counts, rows=term_rows)
         for (i, c, counts), term_rows in zip(indices, np.split(rows, starts))
     ]
-    node_values = np.array([node_value[key] for key in node_keys])
     return SparseGridPlan(
         rule=rule,
         w=w,
         dims=dims,
         terms=terms,
-        knots=node_values[knot_ids],
-        knot_ids=knot_ids,
-        node_keys=node_keys,
+        knots=node_values[ordered[new]],
         node_sets=node_sets,
     )
 
@@ -451,11 +433,6 @@ def polynomial_space(rule: GridRule, w: int, dims: int) -> np.ndarray:
 _SURROGATE_FORMAT = "uqflow-surrogate/1"
 
 
-def _knot_keys(plan: SparseGridPlan) -> list[list[str]]:
-    """Per knot, the cache text of its 1-D node key along each axis."""
-    return np.array(plan.node_keys, dtype=object)[plan.knot_ids].tolist()
-
-
 def _header(plan: SparseGridPlan) -> dict:
     """The fields of a cache entry that name its plan, as written."""
     rule = {"kind": plan.rule.kind, "family": plan.rule.family}
@@ -467,7 +444,6 @@ def surrogate_to_json(surrogate: Surrogate) -> str:
     payload = {
         **_header(plan),
         "knots": plan.knots.tolist(),
-        "keys": _knot_keys(plan),
         "values": surrogate.values.tolist(),
         "scalar": surrogate.scalar,
     }
@@ -478,10 +454,11 @@ def surrogate_from_json(text: str | bytes, plan: SparseGridPlan) -> Surrogate:
     """Read a cached surrogate of ``plan`` from its JSON (str, or UTF-8 bytes).
 
     The entry must name the plan's format, rule, w and dims, and hold its
-    knots and knot keys bitwise, a bool ``scalar`` and one finite value row
-    per knot; anything else, text that is not JSON included, raises
-    CacheMismatchError. Nothing is built from the entry, so an edited level
-    cannot make the read build a grid.
+    knots exactly, a bool ``scalar`` and one finite value row per knot;
+    anything else, text that is not JSON included, raises CacheMismatchError.
+    Other fields are ignored (entries written with per-knot ``keys`` text
+    still read). Nothing is built from the entry, so an edited level cannot
+    make the read build a grid.
     """
     want = _header(plan)
     try:
@@ -496,7 +473,7 @@ def surrogate_from_json(text: str | bytes, plan: SparseGridPlan) -> Surrogate:
         raise CacheMismatchError(f"malformed cache entry: {exc!r}") from None
     if type(scalar) is not bool:
         raise CacheMismatchError("cached scalar must be a bool")
-    if payload.get("keys") != _knot_keys(plan) or not np.array_equal(stored_knots, plan.knots):
+    if not np.array_equal(stored_knots, plan.knots):
         raise CacheMismatchError("cached knot set does not match the plan")
     n_out = values.shape[1] if values.ndim == 2 else 0
     if values.shape[:1] != (plan.n_knots,) or n_out < 1 or (scalar and n_out != 1):

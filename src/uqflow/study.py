@@ -8,6 +8,7 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,9 +135,10 @@ def _memoized(sample):
 
 def _write_atomically(path: Path, text: str) -> None:
     """Write through a temporary file in the same directory, so that a reader
-    never sees a partly written entry and concurrent writers do not mix."""
+    never sees a partly written entry and concurrent writers, processes or
+    threads, do not mix: each writer has its own temporary name."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         tmp.write_text(text)
         os.replace(tmp, path)

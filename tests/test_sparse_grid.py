@@ -371,14 +371,11 @@ def test_surrogate_json_rejects_garbage():
         surrogate_from_json(text.replace("smolyak", "simpson"), plan)
 
 
-@pytest.mark.parametrize("field", ["keys", "knots"])
+@pytest.mark.parametrize("field", ["knots"])
 def test_surrogate_json_rejects_one_tampered_knot(field):
     plan = build_plan(GridRule("td", "gauss_legendre"), 3, 2)
     payload = json.loads(surrogate_to_json(build_surrogate(plan, lambda q: float(q.sum()))))
-    if field == "keys":
-        payload["keys"][4][1] = "gl:9:0"
-    else:
-        payload["knots"][4][1] = float(np.nextafter(payload["knots"][4][1], 2.0))
+    payload[field][4][1] = float(np.nextafter(payload[field][4][1], 2.0))
     with pytest.raises(CacheMismatchError):
         surrogate_from_json(json.dumps(payload), plan)
 
@@ -404,15 +401,15 @@ def test_surrogate_json_roundtrip_is_bitwise(kind, family, dims, w, n_out, data)
     assert clone.values.tobytes() == values.tobytes()
     assert clone.scalar == surrogate.scalar
     assert clone.plan.knots.tobytes() == plan.knots.tobytes()
-    assert np.array_equal(clone.plan.knot_ids, plan.knot_ids)
     assert clone.plan.terms == plan.terms
 
 
 def _oracle_union(plan):
     """The knot union walked term by term over (key, value) pairs into a dict
-    keyed by tuples of exact keys, sorted on (values, keys): the reference
-    for build_plan's sort of integer node ids. Returns the knots, their key
-    text and each term's knot rows in C order over counts."""
+    keyed by tuples of exact node keys, sorted on (values, keys): the
+    reference that build_plan's identity by value gives the same knots and
+    rows as identity by key. Returns the knots and each term's knot rows in C
+    order over counts."""
 
     def key_values(count):
         if plan.rule.family == "clenshaw_curtis":
@@ -423,11 +420,6 @@ def _oracle_union(plan):
             for j in range(count)
         ]
         return list(zip(keys, gauss_nodes(count)[0].tolist()))
-
-    def text(key):
-        if key[0] == "cc":
-            return f"{key[1]}/{key[2]}"
-        return "gl0" if key[0] == "gl0" else f"gl:{key[1]}:{key[2]}"
 
     seen = {}
     for term in plan.terms:
@@ -443,7 +435,7 @@ def _oracle_union(plan):
         ]
         for term in plan.terms
     ]
-    return knots, [[text(k) for k in key] for key, _ in ordered], rows
+    return knots, rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -459,11 +451,10 @@ def _oracle_union(plan):
 @example("hc", "gauss_legendre", 3, 4, 2)
 def test_knot_union_matches_the_tuple_key_oracle(kind, family, dims, w, seed):
     plan = build_plan(GridRule(kind, family), w, dims)
-    knots, keys, rows = _oracle_union(plan)
+    knots, rows = _oracle_union(plan)
     assert plan.knots.tobytes() == knots.tobytes()
     values = np.random.default_rng(seed).standard_normal((plan.n_knots, 2))
     surrogate = Surrogate(plan=plan, values=values, scalar=False)
-    assert json.loads(surrogate_to_json(surrogate))["keys"] == keys
     for term, tensor, term_rows in zip(plan.terms, surrogate.term_tensors(), rows):
         assert np.array_equal(tensor, values[term_rows].reshape(*term.counts, 2))
 
@@ -487,10 +478,16 @@ _FIXTURE_LEVELS = {
 
 @pytest.mark.parametrize("name", list(_FIXTURE_LEVELS))
 def test_cache_text_written_before_the_id_union_round_trips(name):
-    # Written by the tuple-key union: existing caches must stay hits.
+    # Written by the tuple-key union, with per-knot "keys" text: existing
+    # caches must stay hits, and a rewrite drops only that field.
     text = (_FIXTURES / name).read_text()
+    old = json.loads(text)
     plan = build_plan(*_FIXTURE_LEVELS[name])
-    assert surrogate_to_json(surrogate_from_json(text, plan)) == text
+    surrogate = surrogate_from_json(text, plan)
+    assert surrogate.plan.knots.tobytes() == np.array(old["knots"]).tobytes()
+    assert surrogate.values.tobytes() == np.array(old["values"]).tobytes()
+    del old["keys"]
+    assert surrogate_to_json(surrogate) == json.dumps(old)
 
 
 _CORRUPTIONS = {
