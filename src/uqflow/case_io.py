@@ -7,6 +7,16 @@ rows, closed by `];`. Unknown `mpc.<field>` blocks are skipped with a
 recorded warning. Parse failures raise CaseFormatError carrying the 1-based
 line number.
 
+What is rejected, and where:
+  parse_matpower, by line (CaseFormatError): a bad number, a row shorter than
+    the columns used or wider than the table's first row, and a bus id that
+    is not an integer or repeats one defined earlier;
+  to_network, by table, 1-based row and column (CaseValidationError): an id
+    or type code that is not an integer (bus id and type, gen bus, branch
+    from and to) and a non-finite value in another column it reads (bus Pd
+    Qd Gs Bs Vm Va, gen Pg Qg Vg status, branch r x b ratio angle status).
+    The columns it does not read, such as rateA or Vmax, may hold Inf.
+
 Column conventions (per-unit conversion happens in to_network):
   bus:    id type Pd Qd Gs Bs area Vm Va baseKV zone Vmax Vmin   (13 used)
   gen:    bus Pg Qg Qmax Qmin Vg mBase status Pmax Pmin          (10 used)
@@ -47,77 +57,53 @@ _ASSIGN_RE = re.compile(r"^\s*mpc\.(\w+)\s*=\s*(.*)$")
 
 def parse_matpower(text: str, name: str = "case") -> CaseFile:
     """Parse case text; see the module docstring for the accepted grammar."""
-    matrices: dict[str, list[list[float]]] = {}
-    matrix_lines: dict[str, list[int]] = {}
+    tables: dict[str, list[tuple[int, list[float]]]] = {}  # (line, row) per known table
     scalars: dict[str, str] = {}
     warnings: list[str] = []
 
     lines = text.splitlines()
     current: str | None = None  # field name while inside a matrix block
-    keep_current = False  # known field -> rows are stored
     start_line = 0
-
-    def add_rows(segment: str, line_no: int):
-        if not keep_current:
-            return  # unknown block: content is skipped, not validated
-        for piece in segment.split(";"):
-            piece = piece.strip()
-            if not piece:
-                continue
-            row = []
-            for tok in re.split(r"[,\s]+", piece):
-                if not tok:
-                    continue
-                try:
-                    row.append(float(tok))
-                except ValueError:
-                    raise CaseFormatError(
-                        line_no, f"bad number {tok!r} in mpc.{current}"
-                    ) from None
-            if row:
-                matrices[current].append(row)
-                matrix_lines[current].append(line_no)
 
     for line_no, raw in enumerate(lines, start=1):
         line = raw.split("%", 1)[0].rstrip()
         if not line.strip():
             continue
-        if current is not None:
-            closed = "]" in line
-            segment = line.split("]", 1)[0]
-            add_rows(segment, line_no)
-            if closed:
-                current = None
-            continue
-        m = _FUNC_RE.match(line)
-        if m:
-            name = m.group(1)
-            continue
-        m = _ASSIGN_RE.match(line)
-        if m is None:
-            raise CaseFormatError(line_no, f"unrecognized statement {line.strip()!r}")
-        fld, rest = m.group(1), m.group(2).strip()
-        if rest.startswith("["):
-            known = fld in _COLUMNS
-            if not known:
-                warnings.append(f"line {line_no}: skipped unknown field mpc.{fld}")
-            current = fld
-            keep_current = known
-            start_line = line_no
-            if known:
-                matrices[fld] = []
-                matrix_lines[fld] = []
-            body = rest[1:]
-            closed = "]" in body
-            add_rows(body.split("]", 1)[0], line_no)
-            if closed:
-                current = None
-        else:
-            value = rest.rstrip(";").strip()
-            if fld in ("baseMVA", "version"):
-                scalars[fld] = value.strip("'\"")
+        if current is None:
+            m = _FUNC_RE.match(line)
+            if m:
+                name = m.group(1)
+                continue
+            m = _ASSIGN_RE.match(line)
+            if m is None:
+                raise CaseFormatError(line_no, f"unrecognized statement {line.strip()!r}")
+            fld, rest = m.group(1), m.group(2).strip()
+            if not rest.startswith("["):
+                if fld in ("baseMVA", "version"):
+                    scalars[fld] = rest.rstrip(";").strip().strip("'\"")
+                else:
+                    warnings.append(f"line {line_no}: skipped unknown field mpc.{fld}")
+                continue
+            if fld in _COLUMNS:
+                tables[fld] = []
             else:
                 warnings.append(f"line {line_no}: skipped unknown field mpc.{fld}")
+            current, start_line, line = fld, line_no, rest[1:]
+        body, closed, _ = line.partition("]")
+        if current in _COLUMNS:  # an unknown block's content is skipped, not validated
+            for piece in body.split(";"):
+                row = []
+                for tok in re.findall(r"[^,\s]+", piece):
+                    try:
+                        row.append(float(tok))
+                    except ValueError:
+                        raise CaseFormatError(
+                            line_no, f"bad number {tok!r} in mpc.{current}"
+                        ) from None
+                if row:
+                    tables[current].append((line_no, row))
+        if closed:
+            current = None
 
     if current is not None:
         raise CaseFormatError(
@@ -132,48 +118,42 @@ def parse_matpower(text: str, name: str = "case") -> CaseFile:
             len(lines), f"mpc.baseMVA is not a number: {scalars['baseMVA']!r}"
         ) from None
     for fld in ("bus", "gen", "branch"):
-        if fld not in matrices or not matrices[fld]:
+        if not tables.get(fld):
             raise CaseFormatError(len(lines), f"missing required table mpc.{fld}")
 
-    arrays: dict[str, np.ndarray] = {}
-    for fld, rows in matrices.items():
+    for fld, rows in tables.items():
         want = _COLUMNS[fld]
-        first_width = len(rows[0])
-        for r, ln in zip(rows, matrix_lines[fld]):
-            if len(r) < want:
+        first_width = len(rows[0][1])
+        for ln, row in rows:
+            if len(row) < want:
                 raise CaseFormatError(
-                    ln, f"mpc.{fld} row has {len(r)} columns, expected at least {want}"
+                    ln, f"mpc.{fld} row has {len(row)} columns, expected at least {want}"
                 )
-            if len(r) != first_width:
+            if len(row) != first_width:
                 raise CaseFormatError(
                     ln,
-                    f"ragged mpc.{fld} row: {len(r)} columns where earlier rows have "
+                    f"ragged mpc.{fld} row: {len(row)} columns where earlier rows have "
                     f"{first_width}",
                 )
-        arrays[fld] = np.array(rows, dtype=float)
 
-    ids = arrays["bus"][:, 0].astype(int)
-    seen: dict[int, int] = {}
-    for ln, bus_id in zip(matrix_lines["bus"], ids):
+    seen: dict[float, int] = {}
+    for ln, (bus_id, *_) in tables["bus"]:
+        if not bus_id.is_integer():
+            raise CaseFormatError(ln, f"bus id {bus_id!r} is not an integer")
         if bus_id in seen:
             raise CaseFormatError(
-                ln, f"duplicate bus id {bus_id} (first defined on line {seen[bus_id]})"
+                ln, f"duplicate bus id {int(bus_id)} (first defined on line {seen[bus_id]})"
             )
-        seen[int(bus_id)] = ln
+        seen[bus_id] = ln
 
     version = scalars.get("version", "")
     if version and version != "2":
         warnings.append(f"unexpected case version {version!r} (treated as '2')")
 
-    return CaseFile(
-        name=name,
-        base_mva=base_mva,
-        bus=arrays["bus"],
-        gen=arrays["gen"],
-        branch=arrays["branch"],
-        version="2",
-        warnings=warnings,
+    bus, gen, branch = (
+        np.array([row for _, row in tables[fld]], dtype=float) for fld in ("bus", "gen", "branch")
     )
+    return CaseFile(name, base_mva, bus, gen, branch, version="2", warnings=warnings)
 
 
 def serialize_case(case: CaseFile) -> str:
@@ -206,12 +186,35 @@ def serialize_case(case: CaseFile) -> str:
 
 _BUS_KINDS = {1: "pq", 2: "pv", 3: "slack"}
 
+# The columns to_network reads (0-based) by their MATPOWER names: ids and type
+# codes, which must be integers, then values, which must be finite. Columns it
+# does not read, such as rateA or Vmax, may hold the Inf that MATPOWER files carry.
+_READ_COLUMNS = {
+    "bus": ({0: "id", 1: "type"}, {2: "Pd", 3: "Qd", 4: "Gs", 5: "Bs", 7: "Vm", 8: "Va"}),
+    "gen": ({0: "bus"}, {1: "Pg", 2: "Qg", 5: "Vg", 7: "status"}),
+    "branch": ({0: "from", 1: "to"}, {2: "r", 3: "x", 4: "b", 8: "ratio", 9: "angle", 10: "status"}),
+}
+
 
 def to_network(case: CaseFile) -> PowerNetwork:
     """Validate the tables and build the per-unit network model."""
     base = case.base_mva
     if base <= 0:
         raise CaseValidationError(f"baseMVA must be positive, got {base}")
+    for fld, (integer, real) in _READ_COLUMNS.items():
+        names = {**integer, **real}
+        cols = list(names)
+        block = getattr(case, fld)[:, cols]
+        whole = block[:, : len(integer)]
+        bad = ~np.isfinite(block)
+        bad[:, : len(integer)] |= whole != np.trunc(whole)
+        if bad.any():
+            row, k = np.argwhere(bad)[0]
+            col = cols[k]
+            raise CaseValidationError(
+                f"{fld} row {row + 1} column {col + 1} ({names[col]}): {float(block[row, k])!r} "
+                f"is not {'an integer' if col in integer else 'finite'}"
+            )
 
     gen_p: dict[int, float] = {}
     gen_q: dict[int, float] = {}

@@ -105,14 +105,17 @@ _CONFIG_KEYS = (
 )
 
 
-def _emit_csv(command: str, header: list[str], rows: list[list[str]], out: str | None) -> None:
-    lines = [f"# {CSV_TAG} {command}", ",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
         Path(out).write_text(text)
+
+
+def _emit_csv(command: str, header: list[str], rows: list[list[str]], out: str | None) -> None:
+    lines = [f"# {CSV_TAG} {command}", ",".join(header)]
+    lines.extend(",".join(row) for row in rows)
+    _write("\n".join(lines) + "\n", out)
 
 
 def _load_network(cfg_case: str):
@@ -120,10 +123,11 @@ def _load_network(cfg_case: str):
     return case, to_network(case)
 
 
-def _study(args: argparse.Namespace, need_reference: bool):
+def _study(args: argparse.Namespace):
     """Resolve a study command's inputs: flags, then the config file, then the
     built-in defaults. Each flag's dest is its config key. Returns the Study
-    with the command's levels, reference level and output path."""
+    with the command's levels, reference level (None but for uq-convergence)
+    and output path."""
     config = {}
     if args.config is not None:
         config = parse_config_text(Path(args.config).read_text())
@@ -146,7 +150,7 @@ def _study(args: argparse.Namespace, need_reference: bool):
     if case_path is None:
         raise UqflowError("a case is required (--case or config key 'case')")
     rule = _grid_rule(pick("rule", "smolyak", str), pick("family", "cc", str))
-    reference = pick("ref_level", 5, int) if need_reference else None
+    reference = pick("ref_level", 5, int) if args.command == "uq-convergence" else None
     qoi = _parse_qoi(pick("qoi", "voltage:22", str))
     levels = pick("levels", (1, 2, 3), _levels_argument)
     dims = pick("dims", 2, _dims_argument)
@@ -223,41 +227,24 @@ def cmd_grid_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_uq_moments(args: argparse.Namespace) -> int:
-    study, levels, _, output = _study(args, need_reference=False)
+def cmd_study(args: argparse.Namespace) -> int:
+    """uq-moments; uq-convergence adds each level's errors against the reference."""
+    study, levels, reference_level, output = _study(args)
+    convergence = reference_level is not None
+    header = ["w", "knots", "mean", "var"]
+    if convergence:
+        # The reference level runs first: with nested node families every lower
+        # level then reuses its solves through the memo.
+        reference = study.level(reference_level)
+        header += ["err_mean", "err_var"]
     rows = []
     for w in levels:
         r = study.level(w)
-        rows.append([str(r.w), str(r.knots), _fmt(r.mean), _fmt(r.variance), f"{r.wall_ms:.3f}"])
-    _emit_csv("uq-moments", ["w", "knots", "mean", "var", "wall_ms"], rows, output)
-    return 0
-
-
-def cmd_uq_convergence(args: argparse.Namespace) -> int:
-    study, levels, reference_level, output = _study(args, need_reference=True)
-    # The reference level runs first: with nested node families every lower
-    # level then reuses its solves through the memo.
-    reference = study.level(reference_level)
-    rows = []
-    for w in levels:
-        r = study.level(w)
-        rows.append(
-            [
-                str(r.w),
-                str(r.knots),
-                _fmt(r.mean),
-                _fmt(r.variance),
-                _fmt(abs(r.mean - reference.mean)),
-                _fmt(abs(r.variance - reference.variance)),
-                f"{r.wall_ms:.3f}",
-            ]
-        )
-    _emit_csv(
-        "uq-convergence",
-        ["w", "knots", "mean", "var", "err_mean", "err_var", "wall_ms"],
-        rows,
-        output,
-    )
+        row = [str(r.w), str(r.knots), _fmt(r.mean), _fmt(r.variance)]
+        if convergence:
+            row += [_fmt(abs(r.mean - reference.mean)), _fmt(abs(r.variance - reference.variance))]
+        rows.append(row + [f"{r.wall_ms:.3f}"])
+    _emit_csv(args.command, header + ["wall_ms"], rows, output)
     return 0
 
 
@@ -383,11 +370,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         lines.append("t_star_e: unavailable (h_e > 1)")
     lines.extend(_bound_schedule_lines(region, m_tilde, rule, args.levels, dims))
 
-    text = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -512,12 +495,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mom = sub.add_parser("uq-moments", help="surrogate moments per level")
     _add_common_study_arguments(p_mom)
-    p_mom.set_defaults(func=cmd_uq_moments)
+    p_mom.set_defaults(func=cmd_study)
 
     p_conv = sub.add_parser("uq-convergence", help="moment errors against a reference level")
     _add_common_study_arguments(p_conv)
     p_conv.add_argument("--ref-level", dest="ref_level", type=int, help="reference level (default 5)")
-    p_conv.set_defaults(func=cmd_uq_convergence)
+    p_conv.set_defaults(func=cmd_study)
 
     p_cert = sub.add_parser("certify", help="Kantorovich certificate + analyticity report")
     p_cert.add_argument("--case", help="case path or bundled:<name>")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -101,6 +102,56 @@ def test_serialization_is_a_fixed_point_of_every_valid_case(case):
     assert serialize_case(parse_matpower(text)) == text
 
 
+@st.composite
+def _relaid(draw, text: str) -> str:
+    """The text with every matrix block laid out again: rows joined by ';' onto
+    fewer lines, tabs, spaces or commas between values, '[' and ']' on data
+    lines or on their own lines, '%' comments and blank lines."""
+
+    def comment() -> str:
+        return draw(st.sampled_from(["", " % note", "\t%% ] ; [ 1 2", "  %"]))
+
+    def gap() -> list[str]:
+        return draw(st.lists(st.sampled_from(["", " \t", "% own-line note", "  % ];"]), max_size=2))
+
+    def block(m: re.Match) -> str:
+        sep = draw(st.sampled_from(["\t", " ", "  ", ",", ", ", " ,\t"]))
+        rows = [sep.join(row.split("\t")) for row in m.group(2).split("\n")]
+        groups = []
+        while rows:
+            take = draw(st.integers(1, len(rows)))
+            groups.append(";".join(rows[:take]) + draw(st.sampled_from(["", ";", " ;"])))
+            rows = rows[take:]
+        lines = [f"mpc.{m.group(1)} = ["]
+        if draw(st.booleans()):
+            lines[0] += draw(st.sampled_from(["", " ", "\t"])) + groups.pop(0)
+        lines += [draw(st.sampled_from(["", " ", "\t"])) + g for g in groups]
+        if draw(st.booleans()):
+            lines[-1] += draw(st.sampled_from(["]", "];", " ] ;"]))
+        else:
+            lines.append(draw(st.sampled_from(["]", "];", "  ];"])))
+        out = []
+        for line in lines:
+            out += gap() + [line + comment()]
+        return "\n".join(out) + "\n"
+
+    return re.sub(r"mpc\.(\w+) = \[\n(.*?)\n\];\n", block, text, flags=re.S)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_valid_cases(), st.data())
+def test_every_block_layout_parses_like_the_canonical_text(case, data):
+    text = serialize_case(case)
+    canonical = parse_matpower(text)
+    relaid = parse_matpower(data.draw(_relaid(text)))
+    for fld in ("bus", "gen", "branch"):
+        a, b = getattr(relaid, fld), getattr(canonical, fld)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (relaid.name, relaid.base_mva, relaid.warnings) == (
+        canonical.name, canonical.base_mva, canonical.warnings,
+    )
+
+
 def test_parse_accepts_comments_and_semicolons():
     case = load_case("bundled:demo-3bus")
     text = serialize_case(case)
@@ -159,8 +210,14 @@ def _demo_text() -> str:
             6,
             "ragged mpc.bus row: 14 columns where earlier rows have 13",
         ),
+        (lambda t: t.replace("\n3\t1\t", "\nnan\t1\t"), 7, "bus id nan is not an integer"),
+        (lambda t: t.replace("\n3\t1\t", "\ninf\t1\t"), 7, "bus id inf is not an integer"),
+        (lambda t: t.replace("\n3\t1\t", "\n3.5\t1\t"), 7, "bus id 3.5 is not an integer"),
     ],
-    ids=["statement", "unclosed", "no-base", "bad-base", "no-table", "wide-row"],
+    ids=[
+        "statement", "unclosed", "no-base", "bad-base", "no-table", "wide-row", "nan-id",
+        "inf-id", "fractional-id",
+    ],
 )
 def test_parse_errors_are_line_numbered(edit, line, message):
     with pytest.raises(CaseFormatError) as err:
@@ -202,10 +259,22 @@ def _extra_gen_on_bus(bus_id: int):
         (_edited("bus", 2, 0, 2), "duplicate bus ids"),
         (_edited("bus", 1, 1, 3), "need exactly one slack bus, found 2"),
         (_edited("branch", 0, 1, 9), "branch 1-9 references an unknown bus"),
+        (_edited("bus", 2, 0, math.nan), "bus row 3 column 1 (id): nan is not an integer"),
+        (_edited("bus", 2, 0, math.inf), "bus row 3 column 1 (id): inf is not an integer"),
+        (_edited("bus", 2, 0, 3.5), "bus row 3 column 1 (id): 3.5 is not an integer"),
+        (_edited("bus", 1, 1, 2.5), "bus row 2 column 2 (type): 2.5 is not an integer"),
+        (_edited("gen", 1, 0, 2.5), "gen row 2 column 1 (bus): 2.5 is not an integer"),
+        (_edited("branch", 1, 1, 3.5), "branch row 2 column 2 (to): 3.5 is not an integer"),
+        (_edited("branch", 2, 2, math.nan), "branch row 3 column 3 (r): nan is not finite"),
+        (_edited("branch", 2, 3, math.inf), "branch row 3 column 4 (x): inf is not finite"),
+        (_edited("bus", 2, 2, -math.inf), "bus row 3 column 3 (Pd): -inf is not finite"),
+        (_edited("gen", 0, 7, math.nan), "gen row 1 column 8 (status): nan is not finite"),
     ],
     ids=[
         "base", "type-code", "pv-no-gen", "gen-bus", "zero-impedance", "duplicate-ids",
-        "two-slacks", "branch-bus",
+        "two-slacks", "branch-bus", "nan-id", "inf-id", "fractional-id", "fractional-type",
+        "fractional-gen-bus", "fractional-branch-bus", "nan-r", "inf-x", "inf-load",
+        "nan-status",
     ],
 )
 def test_invalid_tables_are_rejected(edit, message):
@@ -214,6 +283,13 @@ def test_invalid_tables_are_rejected(edit, message):
     with pytest.raises(CaseValidationError) as err:
         to_network(case)
     assert str(err.value) == message
+
+
+def test_inf_in_a_column_to_network_does_not_read_is_accepted():
+    case = load_case("bundled:demo3")
+    case.bus[:, 11] = math.inf  # Vmax
+    case.branch[:, 5] = math.inf  # rateA
+    assert to_network(case).n == 3
 
 
 def test_serialize_rejects_a_short_table():

@@ -62,6 +62,29 @@ def test_solve_missing_case(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("command", "table", "row", "col", "value", "message"),
+    [
+        ("solve", "branch", 2, 2, math.nan, "branch row 3 column 3 (r): nan is not finite"),
+        ("solve", "branch", 2, 3, math.inf, "branch row 3 column 4 (x): inf is not finite"),
+        ("parse-case", "bus", 2, 0, math.nan, "line 7: bus id nan is not an integer"),
+        ("parse-case", "bus", 2, 0, 3.5, "line 7: bus id 3.5 is not an integer"),
+    ],
+    ids=["solve-nan-r", "solve-inf-x", "parse-nan-id", "parse-fractional-id"],
+)
+def test_a_bad_case_value_is_one_error_line(
+    tmp_path, capsys, command, table, row, col, value, message
+):
+    case = load_case("bundled:demo3")
+    getattr(case, table)[row, col] = value
+    path = tmp_path / "bad.m"
+    path.write_text(serialize_case(case))
+    assert main([command, "--case", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
