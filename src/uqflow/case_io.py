@@ -8,14 +8,16 @@ recorded warning. Parse failures raise CaseFormatError carrying the 1-based
 line number.
 
 What is rejected, and where:
-  parse_matpower, by line (CaseFormatError): a bad number, a row shorter than
-    the columns used or wider than the table's first row, and a bus id that
-    is not an integer or repeats one defined earlier;
-  to_network, by table, 1-based row and column (CaseValidationError): an id
-    or type code that is not an integer (bus id and type, gen bus, branch
-    from and to) and a non-finite value in another column it reads (bus Pd
-    Qd Gs Bs Vm Va, gen Pg Qg Vg status, branch r x b ratio angle status).
-    The columns it does not read, such as rateA or Vmax, may hold Inf.
+  load_case and parse_matpower, by line (CaseFormatError): bytes that are not
+    UTF-8 (named with the path), a bad number, a row shorter than the columns
+    used or wider than the table's first row, and a bus id that is not an
+    integer or repeats one defined earlier;
+  to_network (CaseValidationError): a baseMVA that is not finite and positive,
+    a table narrower than the columns it reads, and by table, 1-based row and
+    column, an id or type code that is not an integer (bus id and type, gen
+    bus, branch from and to) and a non-finite value in another column it reads
+    (bus Pd Qd Gs Bs Vm Va, gen Pg Qg Vg status, branch r x b ratio angle
+    status). The columns it does not read, such as rateA or Vmax, may hold Inf.
 
 Column conventions (per-unit conversion happens in to_network):
   bus:    id type Pd Qd Gs Bs area Vm Va baseKV zone Vmax Vmin   (13 used)
@@ -199,12 +201,15 @@ _READ_COLUMNS = {
 def to_network(case: CaseFile) -> PowerNetwork:
     """Validate the tables and build the per-unit network model."""
     base = case.base_mva
-    if base <= 0:
-        raise CaseValidationError(f"baseMVA must be positive, got {base}")
+    if not 0 < base < math.inf:
+        raise CaseValidationError(f"baseMVA must be finite and positive, got {base}")
     for fld, (integer, real) in _READ_COLUMNS.items():
         names = {**integer, **real}
         cols = list(names)
-        block = getattr(case, fld)[:, cols]
+        table, need = getattr(case, fld), max(cols) + 1
+        if table.shape[1] < need:
+            raise CaseValidationError(f"{fld} table has {table.shape[1]} columns, needs {need}")
+        block = table[:, cols]
         whole = block[:, : len(integer)]
         bad = ~np.isfinite(block)
         bad[:, : len(integer)] |= whole != np.trunc(whole)
@@ -311,7 +316,7 @@ def bundled_case(name: str) -> CaseFile:
         raise CaseValidationError(
             f"unknown bundled case {name!r}; available: {', '.join(bundled_case_names())}"
         )
-    text = resources.files("uqflow.cases").joinpath(_BUNDLED[key]).read_text()
+    text = resources.files("uqflow.cases").joinpath(_BUNDLED[key]).read_text("utf-8")
     return parse_matpower(text, name=_BUNDLED[key].removesuffix(".m"))
 
 
@@ -319,7 +324,12 @@ def load_case(spec: str) -> CaseFile:
     """'bundled:<name>' or a path to a case file."""
     if spec.startswith("bundled:"):
         return bundled_case(spec.removeprefix("bundled:"))
-    with open(spec) as fh:
-        text = fh.read()
+    with open(spec, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise CaseFormatError(line, f"{spec} is not UTF-8") from None
     stem = spec.rsplit("/", 1)[-1].removesuffix(".m")
     return parse_matpower(text, name=stem)

@@ -130,7 +130,13 @@ def _study(args: argparse.Namespace):
     and output path."""
     config = {}
     if args.config is not None:
-        config = parse_config_text(Path(args.config).read_text())
+        raw = Path(args.config).read_bytes()
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise UqflowError(f"config line {line}: {args.config} is not UTF-8") from None
+        config = parse_config_text(text)
     for key in config:
         if key not in _CONFIG_KEYS:
             raise UqflowError(f"{args.config}: unknown config key {key!r}")

@@ -2,17 +2,17 @@
 and Jacobian, Newton solves, and stochastic perturbations of loads and branch
 admittances.
 
-The mismatch and Jacobian kernels work on the branch pattern of the bus
-admittance matrix, not on dense n x n arrays: G and B are carried as value
-vectors over the E row-sorted edges of ``PowerNetwork.pattern`` (every bus
-diagonal and both ends of every branch), the flow terms take cos/sin of the E
-angle differences only, per-bus injections are segment sums over each bus's
-row of edges, and the Jacobian is scattered from the edge values into the
-m x m matrix of the unknowns through flat indices cached per network. The
-per-bus state is one stacked vector [theta; V] and the injections one stacked
-[P; Q], so each kernel step is one NumPy call for both halves. Every kernel
-also takes a stack of points along leading axes, in the same NumPy calls,
-and gives each point the bits it gets alone.
+The assembly and the mismatch and Jacobian kernels work on the branch pattern
+of the bus admittance matrix, not on dense n x n arrays: G and B are built and
+carried as value vectors over the E row-sorted edges of
+``PowerNetwork.pattern`` (every bus diagonal and both ends of every branch),
+the flow terms take cos/sin of the E angle differences only, per-bus injections
+are segment sums over each bus's row of edges, and the Jacobian is scattered
+from the edge values into the m x m matrix of the unknowns through flat indices
+cached per network. The per-bus state is one stacked vector [theta; V] and the
+injections one stacked [P; Q], so each kernel step is one NumPy call for both
+halves. Every kernel also takes a stack of points along leading axes, in the
+same NumPy calls, and gives each point the bits it gets alone.
 
 All evaluation kernels are dtype-generic: called with complex angles,
 magnitudes, or parameters they compute the analytic extension of the real
@@ -74,14 +74,6 @@ class Branch:
     tap: float = 1.0
     phase: float = 0.0  # radians
 
-    def series_gb(self) -> tuple[float, float]:
-        z2 = self.r * self.r + self.x * self.x
-        if z2 == 0.0:
-            raise CaseValidationError(
-                f"branch {self.from_bus}-{self.to_bus} has zero impedance"
-            )
-        return self.r / z2, -self.x / z2
-
 
 @dataclass(frozen=True)
 class PowerNetwork:
@@ -92,19 +84,17 @@ class PowerNetwork:
     out_of_service_rows: tuple[int, ...] = ()  # case-table rows left out of branches
 
     def __post_init__(self):
-        ids = [b.id for b in self.buses]
-        if len(set(ids)) != len(ids):
+        if len(self.position) != len(self.buses):
             raise CaseValidationError("duplicate bus ids")
         slacks = [b for b in self.buses if b.kind == "slack"]
         if len(slacks) != 1:
             raise CaseValidationError(f"need exactly one slack bus, found {len(slacks)}")
-        pos = {b.id: k for k, b in enumerate(self.buses)}
         for br in self.branches:
-            if br.from_bus not in pos or br.to_bus not in pos:
+            if br.from_bus not in self.position or br.to_bus not in self.position:
                 raise CaseValidationError(
                     f"branch {br.from_bus}-{br.to_bus} references an unknown bus"
                 )
-            br.series_gb()  # zero-impedance check at construction time
+        self.branch_constants  # a zero-impedance branch raises here, at construction
 
     @cached_property
     def n(self) -> int:
@@ -141,12 +131,34 @@ class PowerNetwork:
         """Row-sorted (row, col) of the admittance pattern: every bus diagonal
         and both ends of every branch, each position once. Built from the
         topology, so a value that cancels to zero keeps its edge."""
-        edges = {(k, k) for k in range(self.n)}
+        return np.divmod(self.stamps[0], self.n)
+
+    @cached_property
+    def stamps(self) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, target): one np.unique over the flat positions row * n + col
+        of each branch's [ff, tt, ft, tf] entries, branch by branch, then of
+        every bus diagonal, gives the pattern sorted and where each lands."""
+        n, pos = self.n, self.position
+        ends = [(pos[br.from_bus], pos[br.to_bus]) for br in self.branches]
+        f, t = np.array(ends, dtype=int).reshape(-1, 2).T
+        entries = np.stack([f * (n + 1), t * (n + 1), f * n + t, t * n + f], axis=-1)
+        flat = np.concatenate([entries.ravel(), np.arange(n) * (n + 1)])
+        return np.unique(flat, return_inverse=True)
+
+    @cached_property
+    def branch_constants(self) -> np.ndarray:
+        """Per-branch rows [g, b, b_charge / 2, tap, tap**2, cos phase, sin
+        phase] of the series admittance g + jb = 1 / (r + jx) and the pi
+        model, by the scalar formulas of one branch; a tap of 0 reads as 1."""
+        rows = []
         for br in self.branches:
-            f, t = self.position[br.from_bus], self.position[br.to_bus]
-            edges |= {(f, t), (t, f)}
-        rows, cols = zip(*sorted(edges))
-        return np.array(rows), np.array(cols)
+            z2 = br.r * br.r + br.x * br.x
+            if z2 == 0.0:
+                raise CaseValidationError(f"branch {br.from_bus}-{br.to_bus} has zero impedance")
+            tap = br.tap if br.tap else 1.0
+            shift = math.cos(br.phase), math.sin(br.phase)
+            rows.append((br.r / z2, -br.x / z2, br.b_charge / 2.0, tap, tap**2, *shift))
+        return np.array(rows, dtype=float).reshape(-1, 7).T
 
     @cached_property
     def row_starts(self) -> np.ndarray:
@@ -185,13 +197,6 @@ class PowerNetwork:
         v = self.n + np.arange(self.n)
         r, c = self.n + rows, self.n + cols
         return self.state_source[np.concatenate([rows, cols, r, r, c, c, v, v])]
-
-    @cached_property
-    def gb_nominal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Nominal G and B values on the pattern edges."""
-        rows, cols = self.pattern
-        G, B = gb_matrices(self)
-        return G[rows, cols], B[rows, cols]
 
     @cached_property
     def setpoints(self) -> np.ndarray:
@@ -239,43 +244,28 @@ class PowerNetwork:
 
 def gb_matrices(
     net: PowerNetwork,
-    g_scale: np.ndarray | None = None,
-    b_scale: np.ndarray | None = None,
+    g_scale: np.ndarray | float = 1.0,
+    b_scale: np.ndarray | float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Conductance and susceptance parts of the bus admittance matrix.
+    """Conductance and susceptance parts of the bus admittance matrix, as
+    their values on the E edges of ``net.pattern``; no n x n matrix is built.
 
     g_scale / b_scale multiply each branch's series conductance /
     susceptance (the stochastic admittance perturbation); complex scales
     produce complex G, B. Tap models an off-nominal turns ratio on the from
-    side, phase a shifter; charging and bus shunts stay unscaled.
+    side, phase a shifter; charging and bus shunts stay unscaled. The branch
+    entries add up branch by branch, then the shunts, as in a dense loop.
     """
-    nb = net.n
-    ones = np.ones(len(net.branches))
-    sg = ones if g_scale is None else np.asarray(g_scale)
-    sb = ones if b_scale is None else np.asarray(b_scale)
-    dtype = np.result_type(float, sg.dtype, sb.dtype)
-    G = np.zeros((nb, nb), dtype=dtype)
-    B = np.zeros((nb, nb), dtype=dtype)
-    for k, br in enumerate(net.branches):
-        g0, b0 = br.series_gb()
-        g = g0 * sg[k]
-        b = b0 * sb[k]
-        f = net.position[br.from_bus]
-        t = net.position[br.to_bus]
-        tap = br.tap if br.tap else 1.0
-        c, s = math.cos(br.phase), math.sin(br.phase)
-        G[f, f] += g / tap**2
-        B[f, f] += (b + br.b_charge / 2.0) / tap**2
-        G[t, t] += g
-        B[t, t] += b + br.b_charge / 2.0
-        # -y e^{+j phase}/tap from-to, -y e^{-j phase}/tap to-from
-        G[f, t] += -(g * c - b * s) / tap
-        B[f, t] += -(g * s + b * c) / tap
-        G[t, f] += -(g * c + b * s) / tap
-        B[t, f] += -(b * c - g * s) / tap
-    for k, bus in enumerate(net.buses):
-        G[k, k] += bus.gs
-        B[k, k] += bus.bs
+    g0, b0, half_charge, tap, tap2, c, s = net.branch_constants
+    g, b = g0 * g_scale, b0 * b_scale
+    bc = b + half_charge
+    # ff, tt, then -y e^{+j phase}/tap from-to and -y e^{-j phase}/tap to-from
+    g_terms = [g / tap2, g, -(g * c - b * s) / tap, -(g * c + b * s) / tap]
+    b_terms = [bc / tap2, bc, -(g * s + b * c) / tap, -(b * c - g * s) / tap]
+    shunts = np.array([(bus.gs, bus.bs) for bus in net.buses], dtype=float).T
+    G, B = np.zeros((2, len(net.pattern[0])), dtype=np.result_type(g, b))
+    for values, terms, shunt in ((G, g_terms, shunts[0]), (B, b_terms, shunts[1])):
+        np.add.at(values, net.stamps[1], np.concatenate([np.stack(terms, axis=-1).ravel(), shunt]))
     return G, B
 
 
@@ -384,7 +374,7 @@ def solve_power_flow(
 ) -> PowerFlowResult:
     problem = parametric_problem(net, StochasticPerturbation(dims=0))
     trace = solve(problem, initial_state(net, init), np.zeros(0), tol=tol, max_iter=max_iter)
-    G0, B0 = net.gb_nominal
+    G0, B0 = gb_matrices(net)
     p, q = np.split(_flows(net, np.tile(G0, 2), np.tile(B0, 2), trace.x)[2], 2)
     theta, v = np.split(_expand_state(net, trace.x), 2)
     return PowerFlowResult(theta=theta, v=v, p_injection=p, q_injection=q, trace=trace)
@@ -500,21 +490,16 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     carry no stack axes of q. q (..., dims) may be complex and stacked.
     """
     pert.validate(net)
-    G0, B0 = net.gb_nominal
-    rows, cols = net.pattern
-    dG = dB = None
-    if pert.admittance_terms:
-        dG = np.zeros((pert.dims, len(rows)))
-        dB = np.zeros((pert.dims, len(rows)))
-        for t in pert.admittance_terms:
-            bumped = np.ones(len(net.branches))
-            bumped[t.branch] = 2.0
-            G1, B1 = gb_matrices(net, g_scale=bumped)
-            dG[t.g_dim] += t.c_g * (G1[rows, cols] - G0)
-            dB[t.g_dim] += t.c_g * (B1[rows, cols] - B0)
-            G1, B1 = gb_matrices(net, b_scale=bumped)
-            dG[t.b_dim] += t.c_b * (G1[rows, cols] - G0)
-            dB[t.b_dim] += t.c_b * (B1[rows, cols] - B0)
+    G0, B0 = gb_matrices(net)
+    dG, dB = np.zeros((2, pert.dims, len(G0)))
+    for t in pert.admittance_terms:
+        bumped = np.ones(len(net.branches))
+        bumped[t.branch] = 2.0
+        bumps = ((t.g_dim, t.c_g, {"g_scale": bumped}), (t.b_dim, t.c_b, {"b_scale": bumped}))
+        for dim, coef, scale in bumps:
+            G1, B1 = gb_matrices(net, **scale)
+            dG[dim] += coef * (G1 - G0)
+            dB[dim] += coef * (B1 - B0)
     coefficients = np.zeros((2 * net.n, pert.dims))
     for t in pert.load_terms:
         k = net.position[t.bus]
@@ -528,7 +513,7 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     def parts(q):
         q = np.atleast_1d(np.asarray(q))
         G, B = G2, B2
-        if dG is not None:
+        if pert.admittance_terms:
             # one vector-matrix product per row of a stack, so that every
             # row gets the bits that it gets alone
             row = q[..., None, :]

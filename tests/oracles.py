@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -55,3 +56,37 @@ def monte_carlo_oracle(
         se_variance=np.sqrt(np.maximum(m4 - var * var, 0.0) / count),
         count=count,
     )
+
+
+def dense_gb_matrices(net, g_scale=None, b_scale=None) -> tuple[np.ndarray, np.ndarray]:
+    """Dense n x n G and B of the bus admittance matrix, assembled branch by
+    branch in a loop: the reference for ``powerflow.gb_matrices``, which
+    gives their values on the network's pattern."""
+    nb = net.n
+    ones = np.ones(len(net.branches))
+    sg = ones if g_scale is None else np.asarray(g_scale)
+    sb = ones if b_scale is None else np.asarray(b_scale)
+    dtype = np.result_type(float, sg.dtype, sb.dtype)
+    G = np.zeros((nb, nb), dtype=dtype)
+    B = np.zeros((nb, nb), dtype=dtype)
+    for k, br in enumerate(net.branches):
+        z2 = br.r * br.r + br.x * br.x
+        g = br.r / z2 * sg[k]
+        b = -br.x / z2 * sb[k]
+        f = net.position[br.from_bus]
+        t = net.position[br.to_bus]
+        tap = br.tap if br.tap else 1.0
+        c, s = math.cos(br.phase), math.sin(br.phase)
+        G[f, f] += g / tap**2
+        B[f, f] += (b + br.b_charge / 2.0) / tap**2
+        G[t, t] += g
+        B[t, t] += b + br.b_charge / 2.0
+        # -y e^{+j phase}/tap from-to, -y e^{-j phase}/tap to-from
+        G[f, t] += -(g * c - b * s) / tap
+        B[f, t] += -(g * s + b * c) / tap
+        G[t, f] += -(g * c + b * s) / tap
+        B[t, f] += -(b * c - g * s) / tap
+    for k, bus in enumerate(net.buses):
+        G[k, k] += bus.gs
+        B[k, k] += bus.bs
+    return G, B

@@ -248,10 +248,21 @@ def _extra_gen_on_bus(bus_id: int):
     return edit
 
 
+def _based(value: float):
+    return lambda case: setattr(case, "base_mva", value)
+
+
+def _narrowed(table: str, width: int):
+    def edit(case: CaseFile) -> None:
+        setattr(case, table, getattr(case, table)[:, :width])
+
+    return edit
+
+
 @pytest.mark.parametrize(
     ("edit", "message"),
     [
-        (lambda case: setattr(case, "base_mva", 0.0), "baseMVA must be positive, got 0.0"),
+        (_based(0.0), "baseMVA must be finite and positive, got 0.0"),
         (_edited("bus", 2, 1, 4), "bus 3: unsupported type code 4"),
         (_edited("gen", 1, 7, 0), "bus 2 is pv but has no in-service generator"),
         (_extra_gen_on_bus(9), "generator references unknown bus 9"),
@@ -269,12 +280,17 @@ def _extra_gen_on_bus(bus_id: int):
         (_edited("branch", 2, 3, math.inf), "branch row 3 column 4 (x): inf is not finite"),
         (_edited("bus", 2, 2, -math.inf), "bus row 3 column 3 (Pd): -inf is not finite"),
         (_edited("gen", 0, 7, math.nan), "gen row 1 column 8 (status): nan is not finite"),
+        (_based(math.inf), "baseMVA must be finite and positive, got inf"),
+        (_based(math.nan), "baseMVA must be finite and positive, got nan"),
+        (_narrowed("bus", 8), "bus table has 8 columns, needs 9"),
+        (_narrowed("gen", 7), "gen table has 7 columns, needs 8"),
+        (_narrowed("branch", 10), "branch table has 10 columns, needs 11"),
     ],
     ids=[
         "base", "type-code", "pv-no-gen", "gen-bus", "zero-impedance", "duplicate-ids",
         "two-slacks", "branch-bus", "nan-id", "inf-id", "fractional-id", "fractional-type",
         "fractional-gen-bus", "fractional-branch-bus", "nan-r", "inf-x", "inf-load",
-        "nan-status",
+        "nan-status", "inf-base", "nan-base", "narrow-bus", "narrow-gen", "narrow-branch",
     ],
 )
 def test_invalid_tables_are_rejected(edit, message):

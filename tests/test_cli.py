@@ -85,6 +85,34 @@ def test_a_bad_case_value_is_one_error_line(
     assert captured.err == f"error: {message}\n"
 
 
+_NOT_UTF8 = {  # the bytes, and the line of the first one that is not UTF-8
+    "random": (np.random.default_rng(0).bytes(300), 1),
+    "latin-1": ("function mpc = demo\n% café\nmpc.baseMVA = 100;\n".encode("latin-1"), 2),
+}
+
+
+@pytest.mark.parametrize("content", list(_NOT_UTF8))
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (["parse-case", "--case", "{path}"], "line {line}: {path} is not UTF-8"),
+        (
+            ["uq-moments", "--case", "bundled:demo3", "--config", "{path}"],
+            "config line {line}: {path} is not UTF-8",
+        ),
+    ],
+    ids=["case", "config"],
+)
+def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, argv, message, content):
+    data, line = _NOT_UTF8[content]
+    path = tmp_path / "input.m"
+    path.write_bytes(data)
+    assert main([arg.format(path=path) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(line=line, path=path)}\n"
+
+
 def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import dense_gb_matrices
 
 import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
@@ -20,7 +21,10 @@ from uqflow.errors import (
 from uqflow.newton import parameter_slopes, solve, taylor_predictor
 from uqflow.powerflow import (
     AdmittanceTerm,
+    Branch,
+    Bus,
     LoadTerm,
+    PowerNetwork,
     QuantityOfInterest,
     StochasticPerturbation,
     _affine_parts,
@@ -259,7 +263,7 @@ def _direct_parts(net, pert, q):
     for t in pert.admittance_terms:
         sg[t.branch] = 1.0 + t.c_g * q[t.g_dim]
         sb[t.branch] = 1.0 + t.c_b * q[t.b_dim]
-    G, B = gb_matrices(net, sg, sb)
+    G, B = dense_gb_matrices(net, sg, sb)
     ps = np.array([b.p_gen - b.p_load for b in net.buses], dtype=q.dtype)
     qs = np.array([b.q_gen - b.q_load for b in net.buses], dtype=q.dtype)
     for t in pert.load_terms:
@@ -299,8 +303,66 @@ def test_pattern_is_row_sorted_with_every_diagonal(case39):
     flat = rows * case39.n + cols
     assert np.all(np.diff(flat) > 0)  # row-sorted, each position once
     assert np.array_equal(rows[rows == cols], np.arange(case39.n))  # one diagonal per bus
-    G, B = gb_matrices(case39)
+    G, B = dense_gb_matrices(case39)
     assert len(rows) == np.count_nonzero((G != 0.0) | (B != 0.0)) == 131
+
+
+@st.composite
+def _network_and_scales(draw):
+    """A small network whose branches include parallel pairs (the same bus
+    pair, either way round) and may join a bus to itself, with off-nominal
+    and zero taps, phase shifts, charging and bus shunts; and no scales, or
+    real or complex scales of every branch's series g and b."""
+    n = draw(st.integers(2, 6))
+    value = st.floats(-0.5, 0.5, allow_subnormal=False)
+    buses = tuple(
+        Bus(id=k + 1, kind="slack" if k == 0 else "pq", gs=draw(value), bs=draw(value))
+        for k in range(n)
+    )
+    bus_id = st.integers(1, n)
+
+    def branch(from_bus, to_bus):
+        return Branch(
+            from_bus=from_bus,
+            to_bus=to_bus,
+            r=draw(st.floats(0.001, 0.1)),
+            x=draw(st.floats(0.01, 0.5)),
+            b_charge=draw(st.floats(0.0, 0.5)),
+            tap=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.9, 1.1)),
+            phase=draw(st.sampled_from([0.0]) | st.floats(-0.5, 0.5)),
+        )
+
+    branches = [branch(draw(bus_id), draw(bus_id)) for _ in range(draw(st.integers(1, 8)))]
+    for k in draw(st.lists(st.integers(0, len(branches) - 1), min_size=1, max_size=4)):
+        ends = (branches[k].from_bus, branches[k].to_bus)
+        branches.append(branch(*(ends[::-1] if draw(st.booleans()) else ends)))
+    net = PowerNetwork(name="drawn", base_mva=100.0, buses=buses, branches=tuple(branches))
+
+    def scale():
+        s = np.array([draw(st.floats(0.5, 1.5)) for _ in branches])
+        if draw(st.booleans()):
+            s = s + 1j * np.array([draw(st.floats(-0.5, 0.5)) for _ in branches])
+        return s
+
+    if draw(st.booleans()):
+        return net, {}
+    return net, {"g_scale": scale(), "b_scale": scale()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(_network_and_scales())
+def test_pattern_assembly_equals_the_dense_oracle_bitwise(drawn):
+    """G and B on the pattern hold the bits of the dense branch-by-branch
+    assembly, which is zero off the pattern: parallel branches add up in
+    branch order."""
+    net, scales = drawn
+    rows, cols = net.pattern
+    off_pattern = np.ones((net.n, net.n), dtype=bool)
+    off_pattern[rows, cols] = False
+    for got, dense in zip(gb_matrices(net, **scales), dense_gb_matrices(net, **scales)):
+        assert got.dtype == dense.dtype and got.shape == rows.shape
+        assert got.tobytes() == dense[rows, cols].tobytes()
+        assert not np.any(dense[off_pattern])
 
 
 def test_load_study_keeps_nominal_admittances(case39):
@@ -311,7 +373,7 @@ def test_load_study_keeps_nominal_admittances(case39):
     G, B, _ = parts(np.array([0.3 + 0.2j]))
     G_other, B_other, _ = parts(np.array([-0.7]))
     assert G is G_other and B is B_other  # built once, not per q
-    G0, B0 = case39.gb_nominal
+    G0, B0 = gb_matrices(case39)
     assert G0.shape == B0.shape == case39.pattern[0].shape
     assert np.array_equal(G, np.concatenate([G0, G0]))
     assert np.array_equal(B, np.concatenate([B0, B0]))
