@@ -327,9 +327,9 @@ def load_case(spec: str) -> CaseFile:
     with open(spec, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise CaseFormatError(line, f"{spec} is not UTF-8") from None
     stem = spec.rsplit("/", 1)[-1].removesuffix(".m")
     return parse_matpower(text, name=stem)

@@ -132,9 +132,9 @@ def _study(args: argparse.Namespace):
     if args.config is not None:
         raw = Path(args.config).read_bytes()
         try:
-            text = raw.decode("utf-8")
+            text = raw.decode("utf-8-sig")
         except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
+            line = exc.object.count(b"\n", 0, exc.start) + 1
             raise UqflowError(f"config line {line}: {args.config} is not UTF-8") from None
         config = parse_config_text(text)
     for key in config:

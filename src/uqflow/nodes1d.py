@@ -208,17 +208,17 @@ def barycentric_basis(
 ) -> np.ndarray:
     """Lagrange basis values l_j(x) as a (len(x), len(nodes)) matrix.
 
-    Rows sum to 1; a query that hits a node exactly gets the exact unit row,
-    so stored values are reproduced bitwise at knots.
+    Rows sum to 1; a query on a node, or a subnormal distance from one, gets
+    the exact unit row, so stored values are reproduced bitwise at knots.
     """
     xq = np.atleast_1d(np.asarray(x, dtype=float))
     if nodes.size == 1:
         return np.ones((xq.size, 1))
     d = xq[:, None] - nodes[None, :]
-    hit_rows, hit_cols = np.nonzero(d == 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = weights[None, :] / d
         basis = t / t.sum(axis=1, keepdims=True)
+    hit_rows, hit_cols = np.nonzero(np.isinf(t))
     if hit_rows.size:
         basis[hit_rows, :] = 0.0
         basis[hit_rows, hit_cols] = 1.0

@@ -242,30 +242,27 @@ class PowerNetwork:
 # --- admittance assembly -------------------------------------------------------
 
 
-def gb_matrices(
-    net: PowerNetwork,
-    g_scale: np.ndarray | float = 1.0,
-    b_scale: np.ndarray | float = 1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conductance and susceptance parts of the bus admittance matrix, as
-    their values on the E edges of ``net.pattern``; no n x n matrix is built.
-
-    g_scale / b_scale multiply each branch's series conductance /
-    susceptance (the stochastic admittance perturbation); complex scales
-    produce complex G, B. Tap models an off-nominal turns ratio on the from
-    side, phase a shifter; charging and bus shunts stay unscaled. The branch
-    entries add up branch by branch, then the shunts, as in a dense loop.
-    """
-    g0, b0, half_charge, tap, tap2, c, s = net.branch_constants
-    g, b = g0 * g_scale, b0 * b_scale
+def _branch_entries(g, b, half_charge, tap, tap2, c, s):
+    """[ff, tt, ft, tf] entries (..., 4) of G and of B of the pi model with
+    the rows of ``PowerNetwork.branch_constants``; linear in g, b and
+    half_charge. Tap is an off-nominal ratio on the from side, phase a shift."""
     bc = b + half_charge
     # ff, tt, then -y e^{+j phase}/tap from-to and -y e^{-j phase}/tap to-from
     g_terms = [g / tap2, g, -(g * c - b * s) / tap, -(g * c + b * s) / tap]
     b_terms = [bc / tap2, bc, -(g * s + b * c) / tap, -(b * c - g * s) / tap]
+    return np.stack(g_terms, axis=-1), np.stack(b_terms, axis=-1)
+
+
+def gb_matrices(net: PowerNetwork) -> tuple[np.ndarray, np.ndarray]:
+    """Conductance and susceptance parts of the bus admittance matrix, as
+    their values on the E edges of ``net.pattern``; no n x n matrix is built.
+    Branch entries add up branch by branch, then the shunts, as in a dense loop.
+    """
+    entries = _branch_entries(*net.branch_constants)
     shunts = np.array([(bus.gs, bus.bs) for bus in net.buses], dtype=float).T
-    G, B = np.zeros((2, len(net.pattern[0])), dtype=np.result_type(g, b))
-    for values, terms, shunt in ((G, g_terms, shunts[0]), (B, b_terms, shunts[1])):
-        np.add.at(values, net.stamps[1], np.concatenate([np.stack(terms, axis=-1).ravel(), shunt]))
+    G, B = np.zeros((2, len(net.pattern[0])))
+    for values, terms, shunt in zip((G, B), entries, shunts):
+        np.add.at(values, net.stamps[1], np.concatenate([terms.ravel(), shunt]))
     return G, B
 
 
@@ -372,10 +369,11 @@ def solve_power_flow(
     tol: float = 1e-10,
     max_iter: int = 20,
 ) -> PowerFlowResult:
-    problem = parametric_problem(net, StochasticPerturbation(dims=0))
-    trace = solve(problem, initial_state(net, init), np.zeros(0), tol=tol, max_iter=max_iter)
-    G0, B0 = gb_matrices(net)
-    p, q = np.split(_flows(net, np.tile(G0, 2), np.tile(B0, 2), trace.x)[2], 2)
+    parts = _affine_parts(net, StochasticPerturbation(dims=0))
+    u0 = initial_state(net, init)
+    trace = solve(_problem(net, parts), u0, np.zeros(0), tol=tol, max_iter=max_iter)
+    G, B, _ = parts(np.zeros(0))
+    p, q = np.split(_flows(net, G, B, trace.x)[2], 2)
     theta, v = np.split(_expand_state(net, trace.x), 2)
     return PowerFlowResult(theta=theta, v=v, p_injection=p, q_injection=q, trace=trace)
 
@@ -483,23 +481,21 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     G and B are value vectors on the pattern edges, stacked twice for the two
     halves of the edge terms in _flows. All are affine in q:
     G(q) = G0 + q @ dG (the same for B), with one slope row per dimension,
-    shape (dims, E), taken from gb_matrices differences of the admittance
-    terms, and the stacked schedule is gen - load (1 + S q) with one row of
-    load coefficients per bus and power (P rows, then Q rows). Without
-    admittance terms G and B are the same nominal arrays at every q, so they
-    carry no stack axes of q. q (..., dims) may be complex and stacked.
+    shape (dims, E): a term's branch entries at its share c g (or c b) alone,
+    as they are linear in g and b. The schedule is gen - load (1 + S q) with
+    one row of load coefficients per bus and power (P rows, then Q rows).
+    Without admittance terms G and B are the same nominal arrays at every q,
+    so they carry no stack axes of q. q (..., dims) may be complex and stacked.
     """
     pert.validate(net)
     G0, B0 = gb_matrices(net)
     dG, dB = np.zeros((2, pert.dims, len(G0)))
+    targets = net.stamps[1][: 4 * len(net.branches)].reshape(-1, 4)
     for t in pert.admittance_terms:
-        bumped = np.ones(len(net.branches))
-        bumped[t.branch] = 2.0
-        bumps = ((t.g_dim, t.c_g, {"g_scale": bumped}), (t.b_dim, t.c_b, {"b_scale": bumped}))
-        for dim, coef, scale in bumps:
-            G1, B1 = gb_matrices(net, **scale)
-            dG[dim] += coef * (G1 - G0)
-            dB[dim] += coef * (B1 - B0)
+        g, b, _, *tap_phase = net.branch_constants[:, t.branch]
+        for dim, share in ((t.g_dim, (t.c_g * g, 0.0)), (t.b_dim, (0.0, t.c_b * b))):
+            for slopes, values in zip((dG, dB), _branch_entries(*share, 0.0, *tap_phase)):
+                np.add.at(slopes[dim], targets[t.branch], values)
     coefficients = np.zeros((2 * net.n, pert.dims))
     for t in pert.load_terms:
         k = net.position[t.bus]
@@ -537,7 +533,11 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
     Both are kept for the most recent point only, compared by dtype, shape
     and bytes, so a repeated call at one point reuses them.
     """
-    parts = _affine_parts(net, pert)
+    return _problem(net, _affine_parts(net, pert))
+
+
+def _problem(net: PowerNetwork, parts) -> NewtonProblem:
+    """The NewtonProblem of parametric_problem on the parts of _affine_parts."""
     point_key = q_key = flows = q_parts = None
 
     def point(u, q):

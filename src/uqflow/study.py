@@ -109,7 +109,7 @@ def study_perturbation(
 
 #: Version of the cached knot values; bumped whenever the knot solve changes
 #: them, so entries written by an older solve are misses.
-_CACHE_TAG = "uqflow-cache/3"
+_CACHE_TAG = "uqflow-cache/4"
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,27 @@ def test_c1_interpolation_exact_on_polynomial_space():
     print(f"PASS criterion 1: polynomial exactness (worst defect {worst:.1e}, {elapsed:.1f}s)")
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(["smolyak", "td", "hc"]),
+    family=st.sampled_from(["clenshaw_curtis", "gauss_legendre"]),
+    dims=st.integers(1, 3),
+    w=st.integers(0, 3),
+    data=st.data(),
+)
+def test_c1_every_rule_and_family_reproduces_its_polynomial_space(kind, family, dims, w, data):
+    """Criterion 1 as a property: a monomial of the drawn rule's polynomial
+    space, at drawn points of [-1, 1]^dims, for either node family."""
+    rule = GridRule(kind, family)
+    space = polynomial_space(rule, w, dims)
+    powers = space[data.draw(st.integers(0, len(space) - 1), label="degree")]
+    point = st.lists(st.floats(-1.0, 1.0), min_size=dims, max_size=dims)
+    pts = np.array(data.draw(st.lists(point, min_size=1, max_size=5), label="points"))
+    surrogate = build_surrogate(build_plan(rule, w, dims), lambda q: np.prod(np.asarray(q) ** powers))
+    defect = np.max(np.abs(evaluate_surrogate(surrogate, pts) - np.prod(pts**powers, axis=1)))
+    assert defect <= 1e-10, f"defect {defect:.2e} of degree {powers.tolist()}"
+
+
 def test_c2_univariate_rate_matches_ellipse_radius():
     """1/(y-3): coefficient decay and interpolation error track the pole."""
     u = lambda y: 1.0 / (y - 3.0)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import json
 import math
 import os
@@ -88,6 +89,7 @@ def test_a_bad_case_value_is_one_error_line(
 _NOT_UTF8 = {  # the bytes, and the line of the first one that is not UTF-8
     "random": (np.random.default_rng(0).bytes(300), 1),
     "latin-1": ("function mpc = demo\n% café\nmpc.baseMVA = 100;\n".encode("latin-1"), 2),
+    "bom, then latin-1": (codecs.BOM_UTF8 + "function mpc = demo\n%é\n".encode("latin-1"), 2),
 }
 
 
@@ -111,6 +113,36 @@ def test_a_file_that_is_not_utf8_is_one_error_line(tmp_path, capsys, argv, messa
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message.format(line=line, path=path)}\n"
+
+
+def _with_and_without_bom(tmp_path, data: bytes) -> list[Path]:
+    """The same file written twice under one name, the second time after a
+    UTF-8 byte-order mark."""
+    paths = []
+    for name, content in (("plain", data), ("bom", codecs.BOM_UTF8 + data)):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "demo_3bus.m")
+        paths[-1].write_bytes(content)
+    return paths
+
+
+def test_a_case_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
+    demo3 = Path(uqflow.cli.__file__).parent / "cases" / "demo_3bus.m"
+    stdout = []
+    for path in _with_and_without_bom(tmp_path, demo3.read_bytes()):
+        assert main(["parse-case", "--case", str(path)]) == 0
+        stdout.append(capsys.readouterr().out)
+    assert stdout[0] == stdout[1] and "name: demo_3bus" in stdout[0]
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
+    config = b"case = bundled:demo3\ndims = 1\nqoi = voltage:3\n"
+    rows = []
+    for path in _with_and_without_bom(tmp_path, config):
+        out = path.with_suffix(".csv")
+        assert main(["uq-moments", "--levels", "1", "--config", str(path), "--out", str(out)]) == 0
+        rows.append(_without_wall_ms(out))
+    assert rows[0] == rows[1] and len(rows[0]) == 3
 
 
 def test_usage_error_exits_two():

@@ -154,6 +154,13 @@ def test_barycentric_basis_at_nodes_is_identity():
     np.testing.assert_allclose(basis, np.eye(5), atol=1e-14)
 
 
+def test_barycentric_basis_a_subnormal_distance_from_a_node_is_its_unit_row():
+    # 1 / 2.2e-311 overflows: the quotient formula alone gives inf / inf = nan
+    nodes = clenshaw_curtis_nodes(5)
+    basis = barycentric_basis(nodes, barycentric_weights(nodes), np.array([2.2e-311, -5e-324]))
+    assert np.array_equal(basis, np.eye(5)[[2, 2]])
+
+
 def test_closed_form_cc_weights_match_the_product():
     for count in (1, 2, 3, 5, 9, 17, 33, 65):
         np.testing.assert_allclose(

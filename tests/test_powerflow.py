@@ -232,12 +232,17 @@ _BRANCHES = (0, 1, 4, 9, 13, 20, 30, 45)
 
 
 @st.composite
-def _perturbation_and_point(draw):
+def _perturbation_and_point(draw, load_buses=_LOAD_BUSES, branches=_BRANCHES):
+    """Load terms on up to three of load_buses and admittance terms on one to
+    three of branches, drawn dims of which two terms may share, and a real
+    or complex point q."""
     dims = draw(st.integers(1, 4))
     dim = st.integers(0, dims - 1)
     coef = st.floats(-0.8, 0.8)
-    buses = draw(st.lists(st.sampled_from(_LOAD_BUSES), max_size=3, unique=True))
-    rows = draw(st.lists(st.sampled_from(_BRANCHES), min_size=1, max_size=3, unique=True))
+    buses = []
+    if load_buses:
+        buses = draw(st.lists(st.sampled_from(load_buses), max_size=3, unique=True))
+    rows = draw(st.lists(st.sampled_from(branches), min_size=1, max_size=3, unique=True))
     pert = StochasticPerturbation(
         dims=dims,
         load_terms=tuple(
@@ -274,13 +279,11 @@ def _direct_parts(net, pert, q):
     return G, B, ps, qs
 
 
-@settings(max_examples=60, deadline=None)
-@given(_perturbation_and_point())
-def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
+def _assert_affine_parts_match(net, pert, q, scale=0.0):
     """The affine edge values of G, B and the schedules equal a per-point
-    assembly of the scaled branches and loads, for real and complex q, and
-    the assembled matrices are exactly zero off the pattern."""
-    net, (pert, q) = case39_shifted, drawn
+    assembly of the scaled branches and loads within 1e-13 relative to the
+    larger of their largest value and scale, and the assembled matrices are
+    exactly zero off the pattern."""
     G2, B2, sched = _affine_parts(net, pert)(q)
     G_ref, B_ref, ps_ref, qs_ref = _direct_parts(net, pert, q)
     rows, cols = net.pattern
@@ -295,7 +298,14 @@ def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
     pairs = ((G, G_ref[rows, cols]), (B, B_ref[rows, cols]), (ps, ps_ref), (qs, qs_ref))
     for got, ref in pairs:
         assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbation_and_point())
+def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
+    """On case39, for real and complex q."""
+    _assert_affine_parts_match(case39_shifted, *drawn)
 
 
 def test_pattern_is_row_sorted_with_every_diagonal(case39):
@@ -308,11 +318,10 @@ def test_pattern_is_row_sorted_with_every_diagonal(case39):
 
 
 @st.composite
-def _network_and_scales(draw):
+def _drawn_network(draw):
     """A small network whose branches include parallel pairs (the same bus
     pair, either way round) and may join a bus to itself, with off-nominal
-    and zero taps, phase shifts, charging and bus shunts; and no scales, or
-    real or complex scales of every branch's series g and b."""
+    and zero taps, phase shifts, charging and bus shunts."""
     n = draw(st.integers(2, 6))
     value = st.floats(-0.5, 0.5, allow_subnormal=False)
     buses = tuple(
@@ -336,33 +345,41 @@ def _network_and_scales(draw):
     for k in draw(st.lists(st.integers(0, len(branches) - 1), min_size=1, max_size=4)):
         ends = (branches[k].from_bus, branches[k].to_bus)
         branches.append(branch(*(ends[::-1] if draw(st.booleans()) else ends)))
-    net = PowerNetwork(name="drawn", base_mva=100.0, buses=buses, branches=tuple(branches))
-
-    def scale():
-        s = np.array([draw(st.floats(0.5, 1.5)) for _ in branches])
-        if draw(st.booleans()):
-            s = s + 1j * np.array([draw(st.floats(-0.5, 0.5)) for _ in branches])
-        return s
-
-    if draw(st.booleans()):
-        return net, {}
-    return net, {"g_scale": scale(), "b_scale": scale()}
+    return PowerNetwork(name="drawn", base_mva=100.0, buses=buses, branches=tuple(branches))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_network_and_scales())
-def test_pattern_assembly_equals_the_dense_oracle_bitwise(drawn):
+@given(_drawn_network())
+def test_pattern_assembly_equals_the_dense_oracle_bitwise(net):
     """G and B on the pattern hold the bits of the dense branch-by-branch
     assembly, which is zero off the pattern: parallel branches add up in
     branch order."""
-    net, scales = drawn
     rows, cols = net.pattern
     off_pattern = np.ones((net.n, net.n), dtype=bool)
     off_pattern[rows, cols] = False
-    for got, dense in zip(gb_matrices(net, **scales), dense_gb_matrices(net, **scales)):
+    for got, dense in zip(gb_matrices(net), dense_gb_matrices(net)):
         assert got.dtype == dense.dtype and got.shape == rows.shape
         assert got.tobytes() == dense[rows, cols].tobytes()
         assert not np.any(dense[off_pattern])
+
+
+@st.composite
+def _drawn_network_terms_and_point(draw):
+    net = draw(_drawn_network())
+    pert, q = draw(_perturbation_and_point(load_buses=(), branches=range(len(net.branches))))
+    return net, pert, q
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_network_terms_and_point())
+def test_affine_model_matches_direct_assembly_on_drawn_networks(drawn):
+    """On the networks of the bitwise test above, with admittance terms on
+    drawn branches (self-loops, parallel branches, zero taps, shifters),
+    for real and complex q. A self-loop's four entries cancel on its bus
+    diagonal, so the error is taken relative to the branch admittances that
+    are summed, not to the sum."""
+    net, pert, q = drawn
+    _assert_affine_parts_match(net, pert, q, scale=np.max(np.abs(net.branch_constants[:3])))
 
 
 def test_load_study_keeps_nominal_admittances(case39):
