@@ -68,7 +68,6 @@ from .nodes1d import (
     chebyshev_coefficients,
     clenshaw_curtis_nodes,
     gauss_nodes,
-    level_to_count,
 )
 from .powerflow import (
     AdmittanceTerm,
@@ -153,7 +152,6 @@ __all__ = [
     "gauss_nodes",
     "initial_state",
     "kantorovich_certificate",
-    "level_to_count",
     "load_case",
     "moment_estimates",
     "mtilde_bound",

@@ -59,15 +59,15 @@ def quadrature_plan(orders: list[int]) -> QuadraturePlan:
 def default_orders(rule: GridRule, w: int, dims: int) -> list[int]:
     """Per-dimension Gauss order that integrates the surrogate itself exactly.
 
-    The largest 1D degree the plan can carry is 2^w (doubling) or w (linear),
+    The largest 1D degree the plan can carry is 2^w (smolyak) or w (td, hc),
     and ceil(maxdeg / 2) + 1 Gauss points are exact to degree
     2 ceil(maxdeg / 2) + 1 >= maxdeg, so surrogate means are quadrature-exact.
     The surrogate's square (degree 2 maxdeg) is not integrated exactly once
-    maxdeg >= 2 (doubling w >= 1, linear w >= 2): the variance carries
+    maxdeg >= 2 (smolyak w >= 1, td and hc w >= 2): the variance carries
     quadrature error, e.g. a 1D w=1 smolyak surrogate of q^2 gets variance 0
     against the exact 4/45.
     """
-    max_degree = 2**w if rule.growth == "doubling" else w
+    max_degree = 2**w if rule.kind == "smolyak" else w
     return [max_degree // 2 + (max_degree % 2) + 1] * dims
 
 

@@ -14,73 +14,36 @@ values.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .errors import NonconvergenceError
 
-GrowthRule = Literal["doubling", "linear"]
-
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
-
-
-def level_to_count(level: int, growth: GrowthRule = "doubling") -> int:
-    """Number of nodes at a 1-based level; level 0 means the empty rule."""
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    if level == 0:
-        return 0
-    if growth == "doubling":
-        return 1 if level == 1 else 2 ** (level - 1) + 1
-    if growth == "linear":
-        return level
-    raise ValueError(f"unknown growth rule {growth!r}")
 
 
 # --- cosine-spaced (Clenshaw-Curtis) nodes ---------------------------------
 
 
-def cc_node_keys(count: int) -> list[tuple[int, int]]:
-    """Reduced fractions (j-1)/(count-1) of the cosine-spaced nodes at a
-    given count.
+def clenshaw_curtis_nodes(count: int) -> np.ndarray:
+    """Cosine-spaced nodes -cos(pi (j-1)/(count-1)), ordered increasing.
 
-    clenshaw_curtis_nodes computes each node from its fraction, so equal
-    fractions give bitwise-equal node values across counts, which is what
-    makes the nested doubling family dedupe exactly by value. The
-    single-node rule {0} gets the fraction 1/2 (whose cosine vanishes).
+    Each node comes from its reduced fraction p/q = (j-1)/(count-1) as
+    cos(pi min(p, q-p) / q) with the sign of p/q - 1/2, so equal fractions
+    give bitwise-equal nodes across counts (the nested doubling family
+    dedupes exactly by value), the set is exactly symmetric and p/q = 1/2 is
+    exactly 0. count == 1 returns the midpoint {0}.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if count == 1:
-        return [(1, 2)]
-    keys = []
-    for j in range(count):
-        g = math.gcd(j, count - 1)
-        keys.append((j // g, (count - 1) // g))
-    return keys
-
-
-@lru_cache(maxsize=None)
-def _cc_value(p: int, q: int) -> float:
-    # -cos(pi p/q) for the reduced fraction p/q, evaluated so the symmetric
-    # partner q-p yields the exact negation and p/q = 1/2 yields exactly 0.
-    if 2 * p == q:
-        return 0.0
-    if 2 * p < q:
-        return -math.cos(math.pi * p / q)
-    return math.cos(math.pi * (q - p) / q)
-
-
-def clenshaw_curtis_nodes(count: int) -> np.ndarray:
-    """Cosine-spaced nodes -cos(pi (j-1)/(count-1)), ordered increasing.
-
-    count == 1 returns the midpoint {0}, keeping the family symmetric and
-    nested under count doubling.
-    """
-    return np.array([_cc_value(p, q) for p, q in cc_node_keys(count)])
+        return np.zeros(1)
+    j = np.arange(count)
+    g = np.gcd(j, count - 1)
+    p, q = j // g, (count - 1) // g
+    return np.sign(2 * p - q) * np.cos(np.pi * np.minimum(p, q - p) / q)
 
 
 # --- Gauss rules -----------------------------------------------------------

@@ -27,13 +27,10 @@ from .nodes1d import (
     cc_barycentric_weights,
     clenshaw_curtis_nodes,
     gauss_nodes,
-    level_to_count,
 )
 
 RuleKind = Literal["smolyak", "td", "hc"]
 FamilyKind = Literal["clenshaw_curtis", "gauss_legendre"]
-
-_RULE_GROWTH = {"smolyak": "doubling", "td": "linear", "hc": "linear"}
 
 #: Most multiply-adds in one BLAS product of a contraction. The bundled
 #: OpenBLAS 0.3.31 on a 2-core host runs a dgemm on the calling thread up to
@@ -62,17 +59,18 @@ class GridRule:
     family: FamilyKind = "clenshaw_curtis"
 
     def __post_init__(self):
-        if self.kind not in _RULE_GROWTH:
+        if self.kind not in ("smolyak", "td", "hc"):
             raise ValueError(f"unknown rule kind {self.kind!r}")
         if self.family not in ("clenshaw_curtis", "gauss_legendre"):
             raise ValueError(f"unknown node family {self.family!r}")
 
-    @property
-    def growth(self) -> str:
-        return _RULE_GROWTH[self.kind]
-
     def count(self, level: int) -> int:
-        return level_to_count(level, self.growth)  # type: ignore[arg-type]
+        """Nodes at a 1-based level; level 0 is the empty rule."""
+        if level < 0:
+            raise ValueError(f"level must be >= 0, got {level}")
+        if self.kind != "smolyak" or level < 2:
+            return level
+        return 2 ** (level - 1) + 1
 
     def admissible(self, index: tuple[int, ...], w: int) -> bool:
         """Whether g(i) <= w: g(i) = prod(i) - 1 for hc, sum(i_n - 1) otherwise."""

@@ -90,3 +90,22 @@ def dense_gb_matrices(net, g_scale=None, b_scale=None) -> tuple[np.ndarray, np.n
         G[k, k] += bus.gs
         B[k, k] += bus.bs
     return G, B
+
+
+def cc_fractions(count: int) -> list[tuple[int, int]]:
+    """Reduced fractions p/q = (j-1)/(count-1) of the count cosine-spaced
+    nodes, j = 1..count; the single-node rule {0} gets 1/2."""
+    if count == 1:
+        return [(1, 2)]
+    return [(j // math.gcd(j, count - 1), (count - 1) // math.gcd(j, count - 1)) for j in range(count)]
+
+
+def cc_node(p: int, q: int) -> float:
+    """-cos(pi p/q) for the reduced fraction p/q, one node at a time: the
+    reference for ``nodes1d.clenshaw_curtis_nodes``. The symmetric partner
+    q-p gives the exact negation, and p/q = 1/2 gives exactly 0."""
+    if 2 * p == q:
+        return 0.0
+    if 2 * p < q:
+        return -math.cos(math.pi * p / q)
+    return math.cos(math.pi * (q - p) / q)

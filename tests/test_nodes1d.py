@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import cc_fractions, cc_node
 
 from uqflow.cli import main
 from uqflow.nodes1d import (
@@ -12,26 +13,28 @@ from uqflow.nodes1d import (
     barycentric_basis,
     barycentric_weights,
     cc_barycentric_weights,
-    cc_node_keys,
     chebyshev_coefficients,
     clenshaw_curtis_nodes,
     gauss_nodes,
-    level_to_count,
 )
 from uqflow.sparse_grid import GridRule, build_plan
 
 
-def test_level_to_count_doubling():
-    assert [level_to_count(i, "doubling") for i in (0, 1, 2, 3, 4, 5)] == [0, 1, 3, 5, 9, 17]
+def test_grid_rule_count_smolyak_doubles():
+    rule = GridRule("smolyak")
+    assert [rule.count(i) for i in (0, 1, 2, 3, 4, 5)] == [0, 1, 3, 5, 9, 17]
 
 
-def test_level_to_count_linear():
-    assert [level_to_count(i, "linear") for i in (0, 1, 2, 3, 4, 5)] == [0, 1, 2, 3, 4, 5]
+def test_grid_rule_count_td_and_hc_add_one_node_per_level():
+    for kind in ("td", "hc"):
+        rule = GridRule(kind, "gauss_legendre")
+        assert [rule.count(i) for i in (0, 1, 2, 3, 4, 5)] == [0, 1, 2, 3, 4, 5]
 
 
-def test_level_to_count_unknown_growth():
-    with pytest.raises(Exception):
-        level_to_count(2, "cubic")
+def test_grid_rule_count_rejects_a_negative_level():
+    for kind in ("smolyak", "td", "hc"):
+        with pytest.raises(ValueError, match="level must be >= 0"):
+            GridRule(kind).count(-1)
 
 
 def test_cc_nodes_small_counts():
@@ -60,13 +63,24 @@ def test_cc_nodes_nested_exactly():
             assert x in fine
 
 
-def test_cc_node_keys_identify_shared_nodes():
-    vals5 = dict(zip(cc_node_keys(5), clenshaw_curtis_nodes(5).tolist()))
-    vals9 = dict(zip(cc_node_keys(9), clenshaw_curtis_nodes(9).tolist()))
+def test_cc_shared_fractions_give_equal_nodes():
+    vals5 = dict(zip(cc_fractions(5), clenshaw_curtis_nodes(5).tolist()))
+    vals9 = dict(zip(cc_fractions(9), clenshaw_curtis_nodes(9).tolist()))
     shared = set(vals5) & set(vals9)
     assert len(shared) == 5
     for key in shared:
         assert vals5[key] == vals9[key]
+
+
+@pytest.mark.parametrize(
+    "counts", [range(1, 1101), [2**k + 1 for k in range(11, 15)]], ids=["to-1100", "2^k+1"]
+)
+def test_cc_nodes_equal_the_scalar_fraction_formula_bitwise(counts):
+    # the one-pass form must keep the bits of the per-node formula on any
+    # NumPy build or CPU: nesting and symmetry are exact only through them
+    for count in counts:
+        ref = np.array([cc_node(p, q) for p, q in cc_fractions(count)])
+        assert clenshaw_curtis_nodes(count).tobytes() == ref.tobytes(), count
 
 
 def test_gauss_nodes_match_legendre_rule():

@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from oracles import cc_fractions
 
 from uqflow import sparse_grid
 from uqflow.errors import CacheMismatchError
 from uqflow.moments import quadrature_plan
-from uqflow.nodes1d import cc_node_keys, clenshaw_curtis_nodes, gauss_nodes
+from uqflow.nodes1d import clenshaw_curtis_nodes, gauss_nodes
 from uqflow.sparse_grid import (
     GridRule,
     Surrogate,
@@ -413,7 +414,7 @@ def _oracle_union(plan):
 
     def key_values(count):
         if plan.rule.family == "clenshaw_curtis":
-            keys = [("cc", p, q) for p, q in cc_node_keys(count)]
+            keys = [("cc", p, q) for p, q in cc_fractions(count)]
             return list(zip(keys, clenshaw_curtis_nodes(count).tolist()))
         keys = [
             ("gl0",) if count % 2 == 1 and j == count // 2 else ("gl", count, j)

@@ -8,9 +8,10 @@ from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cc_fractions
 
 from uqflow.case_io import load_case, to_network
-from uqflow.nodes1d import cc_node_keys, clenshaw_curtis_nodes
+from uqflow.nodes1d import clenshaw_curtis_nodes
 from uqflow.powerflow import QuantityOfInterest
 from uqflow.sparse_grid import GridRule, build_plan
 from uqflow.study import Study, _write_atomically, study_perturbation
@@ -86,7 +87,7 @@ def test_an_entry_with_knot_key_text_is_still_a_hit(tmp_path):
     plan = build_plan(rule, w, 2)
     text = {}
     for count in plan.node_sets:
-        keys = (f"{p}/{q}" for p, q in cc_node_keys(count))
+        keys = (f"{p}/{q}" for p, q in cc_fractions(count))
         text.update(zip(clenshaw_curtis_nodes(count).tolist(), keys))
     payload["keys"] = [[text[x] for x in knot] for knot in payload["knots"]]
     old = json.dumps(payload)
