@@ -179,6 +179,8 @@ class Study:
 
     def level(self, w: int) -> LevelResult:
         start = time.perf_counter()
+        # first, so that a tensor rule too big to hold fails before any solve
+        q_plan = quadrature_plan(default_orders(self.rule, w, self.dims))
         plan = build_plan(self.rule, w, self.dims)
         surrogate = cache_path = None
         if self.key is not None:
@@ -192,7 +194,6 @@ class Study:
             surrogate = build_surrogate(plan, self.sample)
             if cache_path is not None:
                 _write_atomically(cache_path, surrogate_to_json(surrogate))
-        q_plan = quadrature_plan(default_orders(self.rule, w, self.dims))
         # by name: perfbench/tracing.py reads the plan at position 2 or as `plan`
         est = moment_estimates(surrogate, plan=q_plan)
         wall_ms = (time.perf_counter() - start) * 1e3

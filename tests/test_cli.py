@@ -232,6 +232,18 @@ def test_sigma_hat_count_must_match_dims(capsys):
     assert "sigma_hat: 0.3, 0.4\n" in capsys.readouterr().out
 
 
+def test_a_tensor_rule_too_big_to_hold_is_an_error_before_any_solve(capsys):
+    # 3^19 Gauss points at w = 2. build_plan fails if it is reached, so a
+    # missing guard cannot go on to solve 761 knots and allocate the rule.
+    argv = ["uq-moments", "--case", "bundled:case39", "--dims", "19", "--levels", "2"]
+    reached = AssertionError("planned before the tensor-rule guard")
+    with mock.patch.object(uqflow.study, "build_plan", side_effect=reached):
+        assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tensor Gauss rule over 19 dims")
+    assert "has 1162261467 points, above the limit of 67108864" in err
+
+
 def test_bad_qoi_is_reported_not_raised(capsys):
     args = ["uq-moments", "--case", "bundled:demo3", "--dims", "1", "--levels", "0"]
     for qoi in ("angle:1e9", "squirrel:3"):

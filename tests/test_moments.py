@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import uqflow
 from oracles import monte_carlo_oracle
+from uqflow.errors import UqflowError
 from uqflow.moments import (
     QuadraturePlan,
     default_orders,
@@ -184,6 +185,15 @@ def test_default_orders_track_level():
     assert default_orders(rule, 1, 2) == [2, 2]
     assert default_orders(rule, 2, 2) == [3, 3]
     assert default_orders(rule, 3, 2) == [5, 5]
+
+
+def test_tensor_rules_above_two_to_the_26_points_are_refused():
+    # plans hold per-dimension rules only, so the largest allowed ones are cheap
+    assert quadrature_plan([3] * 16).n_points == 3**16
+    assert quadrature_plan([9] * 8).n_points == 9**8
+    message = r"17 dims with orders \[3, 3, .* 129140163 points, above the limit of 67108864"
+    with pytest.raises(UqflowError, match=message):
+        quadrature_plan([3] * 17)
 
 
 def test_monte_carlo_oracle_seeded():

@@ -6,11 +6,13 @@ import tempfile
 import threading
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import cc_fractions
 
 from uqflow.case_io import load_case, to_network
+from uqflow.errors import UqflowError
 from uqflow.nodes1d import clenshaw_curtis_nodes
 from uqflow.powerflow import QuantityOfInterest
 from uqflow.sparse_grid import GridRule, build_plan
@@ -104,3 +106,18 @@ def test_an_entry_with_knot_key_text_is_still_a_hit(tmp_path):
     assert calls == []
     assert (result.knots, result.mean, result.variance) == (cold.knots, cold.mean, cold.variance)
     assert entry.read_text() == old
+
+
+def test_a_tensor_rule_too_big_to_hold_fails_before_any_knot_is_solved():
+    net = to_network(load_case("bundled:case39"))
+    pert = study_perturbation(net, "load", 19, 0.5)
+    study = Study.open(net, pert, GridRule("smolyak"), QuantityOfInterest.parse("voltage:22"), 1e-12)
+    calls = []
+
+    def sample(q):
+        calls.append(q)
+        raise AssertionError("a knot was solved before the tensor-rule guard")
+
+    with pytest.raises(UqflowError, match="over 19 dims .* above the limit of 67108864"):
+        dataclasses.replace(study, sample=sample).level(2)
+    assert calls == []
