@@ -303,11 +303,15 @@ _BUNDLED = {
     "demo_3bus": "demo_3bus.m",
     "demo3bus": "demo_3bus.m",
     "demo3": "demo_3bus.m",
+    "demo-2bus": "demo_2bus.m",
+    "demo_2bus": "demo_2bus.m",
+    "demo2bus": "demo_2bus.m",
+    "demo2": "demo_2bus.m",
 }
 
 
 def bundled_case_names() -> list[str]:
-    return ["new-england-39", "demo-3bus"]
+    return ["new-england-39", "demo-3bus", "demo-2bus"]
 
 
 def bundled_case(name: str) -> CaseFile:

@@ -6,6 +6,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
+import mpmath
 import numpy as np
 
 #: Central-difference step of cauchy_riemann_residual.
@@ -109,3 +110,41 @@ def cc_node(p: int, q: int) -> float:
     if 2 * p < q:
         return -math.cos(math.pi * p / q)
     return math.cos(math.pi * (q - p) / q)
+
+
+# --- the bundled 2-bus case (bundled:demo2) in closed form -------------------
+#
+# A slack bus at V = 1 feeds one PQ load P (Q = 0) over a lossless line of
+# reactance X, so V^2 = (1 + sqrt(1 - 4 P^2 X^2)) / 2. A 1-dim load study
+# scales the load as P = P0 (1 + c q), q uniform on [-1, 1].
+
+#: Nominal load (50 MW on 100 MVA) and line reactance of bundled:demo2.
+TWO_BUS_P0 = 0.5
+TWO_BUS_X = 0.5
+
+
+def two_bus_voltage(q, c: float):
+    """Load-bus voltage magnitude at parameter q (float or mpmath number)."""
+    p = TWO_BUS_P0 * (1 + c * q)
+    return mpmath.sqrt((1 + mpmath.sqrt(1 - 4 * p * p * TWO_BUS_X**2)) / 2)
+
+
+def two_bus_singularity(c: float) -> float:
+    """q* = (1/(2 X P0) - 1)/c: the nose of the PV curve, where P = 1/(2X)
+    and the voltage stops being analytic in q."""
+    return (1.0 / (2.0 * TWO_BUS_X * TWO_BUS_P0) - 1.0) / c
+
+
+def two_bus_radius(c: float) -> float:
+    """sigma* = acosh q*: the largest Bernstein-ellipse parameter of [-1, 1]
+    on which the voltage is analytic."""
+    return math.acosh(two_bus_singularity(c))
+
+
+def two_bus_moments(c: float, digits: int = 30) -> tuple[float, float]:
+    """Exact mean and variance of the voltage under the uniform density, by
+    mpmath.quad at the given working precision, rounded to floats."""
+    with mpmath.workdps(digits):
+        mean = mpmath.quad(lambda q: two_bus_voltage(q, c), [-1, 1]) / 2
+        var = mpmath.quad(lambda q: (two_bus_voltage(q, c) - mean) ** 2, [-1, 1]) / 2
+    return float(mean), float(var)

@@ -46,6 +46,13 @@ def test_bundled_aliases_resolve():
     np.testing.assert_array_equal(a.bus, b.bus)
 
 
+def test_the_two_bus_case_loads_under_each_alias():
+    assert "demo-2bus" in bundled_case_names()
+    cases = [load_case(f"bundled:{name}") for name in ("demo-2bus", "demo_2bus", "demo2bus", "demo2")]
+    assert {serialize_case(case) for case in cases} == {serialize_case(cases[0])}
+    assert (cases[0].bus.shape[0], cases[0].gen.shape[0], cases[0].branch.shape[0]) == (2, 1, 1)
+
+
 def test_unknown_bundled_case():
     with pytest.raises(CaseValidationError):
         load_case("bundled:case9000")

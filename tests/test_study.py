@@ -6,10 +6,11 @@ import tempfile
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cc_fractions
+from oracles import cc_fractions, two_bus_moments, two_bus_voltage
 
 from uqflow.case_io import load_case, to_network
 from uqflow.errors import UqflowError
@@ -20,6 +21,8 @@ from uqflow.study import Study, _write_atomically, study_perturbation
 
 DEMO = to_network(load_case("bundled:demo-3bus"))
 V3 = QuantityOfInterest.parse("voltage:3")
+DEMO2 = to_network(load_case("bundled:demo2"))
+V2 = QuantityOfInterest.parse("voltage:2")
 
 
 @settings(max_examples=25, deadline=None)
@@ -121,3 +124,22 @@ def test_a_tensor_rule_too_big_to_hold_fails_before_any_knot_is_solved():
     with pytest.raises(UqflowError, match="over 19 dims .* above the limit of 67108864"):
         dataclasses.replace(study, sample=sample).level(2)
     assert calls == []
+
+
+def test_the_two_bus_knots_are_the_closed_form_voltage():
+    pert = study_perturbation(DEMO2, "load", 1, 0.5)
+    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    for q in (-1.0, -0.5, 0.0, 0.5, 1.0):  # each solved to mismatch 1e-12
+        assert abs(study.sample(np.array([q])) - float(two_bus_voltage(q, 0.5))) <= 1e-13
+
+
+def test_the_two_bus_load_study_converges_to_the_exact_moments():
+    # closed-form ground truth: a lossless line to one load, V^2 = (1 +
+    # sqrt(1 - 4 P^2 X^2)) / 2, with the exact moments by mpmath.quad
+    mean, var = two_bus_moments(0.5)
+    pert = study_perturbation(DEMO2, "load", 1, 0.5)
+    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    errors = [(abs(r.mean - mean), abs(r.variance - var)) for r in map(study.level, (1, 2, 3, 4))]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine[0] < coarse[0] and fine[1] < coarse[1], errors
+    assert errors[-1][0] <= 1e-13 and errors[-1][1] <= 1e-12, errors
