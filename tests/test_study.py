@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import tempfile
 import threading
 from pathlib import Path
@@ -10,11 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cc_fractions, two_bus_moments, two_bus_voltage
+from oracles import (
+    cc_fractions,
+    two_bus_moments,
+    two_bus_radius,
+    two_bus_singularity,
+    two_bus_voltage,
+)
 
 from uqflow.case_io import load_case, to_network
 from uqflow.errors import UqflowError
-from uqflow.nodes1d import clenshaw_curtis_nodes
+from uqflow.nodes1d import chebyshev_coefficients, clenshaw_curtis_nodes
 from uqflow.powerflow import QuantityOfInterest
 from uqflow.sparse_grid import GridRule, build_plan
 from uqflow.study import Study, _write_atomically, study_perturbation
@@ -131,6 +138,30 @@ def test_the_two_bus_knots_are_the_closed_form_voltage():
     study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
     for q in (-1.0, -0.5, 0.0, 0.5, 1.0):  # each solved to mismatch 1e-12
         assert abs(study.sample(np.array([q])) - float(two_bus_voltage(q, 0.5))) <= 1e-13
+
+
+def test_the_two_bus_knots_solve_up_to_the_nose_and_fail_past_it():
+    pert = study_perturbation(DEMO2, "load", 1, 0.5)
+    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    q_star = two_bus_singularity(0.5)
+    # the Jacobian turns singular at the nose, so the voltage error grows
+    # there past the 1e-12 mismatch tolerance
+    inside = 0.99 * q_star
+    assert abs(study.sample(np.array([inside])) - float(two_bus_voltage(inside, 0.5))) <= 1e-10
+    with pytest.raises(UqflowError, match=r"at q=\[2\.02\]"):
+        study.sample(np.array([1.01 * q_star]))
+
+
+def test_the_two_bus_voltage_has_the_closed_form_analyticity_radius():
+    # A square-root branch point at q* gives Chebyshev coefficients
+    # a_k ~ C k^(-3/2) exp(-sigma* k), so the corrected ratio of neighbours
+    # reads sigma* where the a_k are still well above roundoff.
+    pert = study_perturbation(DEMO2, "load", 1, 0.5)
+    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    a = chebyshev_coefficients(lambda y: np.array([study.sample(np.array([v])) for v in y]), 14)
+    for k in range(8, 14):
+        rate = -math.log(abs(a[k + 1] / a[k])) - 1.5 * math.log((k + 1) / k)
+        assert abs(rate - two_bus_radius(0.5)) <= 0.01, (k, rate)
 
 
 def test_the_two_bus_load_study_converges_to_the_exact_moments():
