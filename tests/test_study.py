@@ -133,16 +133,20 @@ def test_a_tensor_rule_too_big_to_hold_fails_before_any_knot_is_solved():
     assert calls == []
 
 
-def test_the_two_bus_knots_are_the_closed_form_voltage():
+def _two_bus_study() -> Study:
+    """The 1-dim load study of bundled:demo2 at c = 0.5, knots solved to 1e-12."""
     pert = study_perturbation(DEMO2, "load", 1, 0.5)
-    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
-    for q in (-1.0, -0.5, 0.0, 0.5, 1.0):  # each solved to mismatch 1e-12
+    return Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+
+
+def test_the_two_bus_knots_are_the_closed_form_voltage():
+    study = _two_bus_study()
+    for q in (-1.0, -0.5, 0.0, 0.5, 1.0):
         assert abs(study.sample(np.array([q])) - float(two_bus_voltage(q, 0.5))) <= 1e-13
 
 
 def test_the_two_bus_knots_solve_up_to_the_nose_and_fail_past_it():
-    pert = study_perturbation(DEMO2, "load", 1, 0.5)
-    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    study = _two_bus_study()
     q_star = two_bus_singularity(0.5)
     # the Jacobian turns singular at the nose, so the voltage error grows
     # there past the 1e-12 mismatch tolerance
@@ -156,8 +160,7 @@ def test_the_two_bus_voltage_has_the_closed_form_analyticity_radius():
     # A square-root branch point at q* gives Chebyshev coefficients
     # a_k ~ C k^(-3/2) exp(-sigma* k), so the corrected ratio of neighbours
     # reads sigma* where the a_k are still well above roundoff.
-    pert = study_perturbation(DEMO2, "load", 1, 0.5)
-    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    study = _two_bus_study()
     a = chebyshev_coefficients(lambda y: np.array([study.sample(np.array([v])) for v in y]), 14)
     for k in range(8, 14):
         rate = -math.log(abs(a[k + 1] / a[k])) - 1.5 * math.log((k + 1) / k)
@@ -168,8 +171,7 @@ def test_the_two_bus_load_study_converges_to_the_exact_moments():
     # closed-form ground truth: a lossless line to one load, V^2 = (1 +
     # sqrt(1 - 4 P^2 X^2)) / 2, with the exact moments by mpmath.quad
     mean, var = two_bus_moments(0.5)
-    pert = study_perturbation(DEMO2, "load", 1, 0.5)
-    study = Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    study = _two_bus_study()
     errors = [(abs(r.mean - mean), abs(r.variance - var)) for r in map(study.level, (1, 2, 3, 4))]
     for coarse, fine in zip(errors, errors[1:]):
         assert fine[0] < coarse[0] and fine[1] < coarse[1], errors
