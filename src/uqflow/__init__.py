@@ -70,10 +70,8 @@ from .nodes1d import (
     gauss_nodes,
 )
 from .powerflow import (
-    AdmittanceTerm,
     Branch,
     Bus,
-    LoadTerm,
     PowerFlowResult,
     PowerNetwork,
     QuantityOfInterest,
@@ -102,7 +100,6 @@ from .sparse_grid import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmittanceTerm",
     "BoundConstants",
     "BoundUnavailableError",
     "Branch",
@@ -116,7 +113,6 @@ __all__ = [
     "GridRule",
     "InfeasibleRegionError",
     "KantorovichCertificate",
-    "LoadTerm",
     "MomentEstimate",
     "NewtonProblem",
     "NewtonTrace",

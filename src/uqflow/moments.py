@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import UqflowError
-from .nodes1d import gauss_nodes
+from .nodes1d import _check_node_count, gauss_nodes
 from .sparse_grid import GridRule, Surrogate, evaluate_on_grid
 
 
@@ -55,14 +55,15 @@ _MAX_TENSOR_POINTS = 2**26
 
 
 def quadrature_plan(orders: list[int]) -> QuadraturePlan:
-    """Tensor Gauss rule with orders[d] points along dimension d; a rule of
-    more than 2^26 points is a UqflowError, raised before any allocation."""
+    """Tensor Gauss rule with orders[d] points along dimension d; one of more
+    than 2^26 points or 4,097 per axis is a UqflowError before any allocation."""
     points = math.prod(orders)
     if points > _MAX_TENSOR_POINTS:
         raise UqflowError(
             f"tensor Gauss rule over {len(orders)} dims with orders {orders} has "
             f"{points} points, above the limit of {_MAX_TENSOR_POINTS}"
         )
+    _check_node_count("gauss_legendre", max(orders, default=0))
     rules = {o: gauss_nodes(o) for o in set(orders)}
     pairs = [rules[o] for o in orders]
     return QuadraturePlan(

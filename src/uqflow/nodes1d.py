@@ -18,10 +18,22 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonconvergenceError
+from .errors import NonconvergenceError, UqflowError
 
 _NEWTON_TOL = 1e-15
 _NEWTON_MAX_ITER = 100
+
+#: Most nodes of one rule per family, checked before a plan or a tensor rule
+#: builds any. Clenshaw-Curtis nodes cost O(count) (2^20 + 1 is smolyak w = 20
+#: in 1-D); the Gauss eigvalsh seed holds a dense count x count matrix, 134 MB
+#: and 4.5 s at 4,097 nodes on a 2-core Xeon host.
+_MAX_NODES = {"clenshaw_curtis": 2**20 + 1, "gauss_legendre": 2**12 + 1}
+
+
+def _check_node_count(family: str, count: int) -> None:
+    if count > _MAX_NODES[family]:
+        limit = _MAX_NODES[family]
+        raise UqflowError(f"{family} rule of {count} nodes is above the limit of {limit}")
 
 
 # --- cosine-spaced (Clenshaw-Curtis) nodes ---------------------------------

@@ -1,6 +1,6 @@
 """AC power-flow network model: pi-model admittance assembly, polar mismatch
 and Jacobian, Newton solves, and stochastic perturbations of loads and branch
-admittances.
+admittances, each given by its affine coefficients.
 
 The assembly and the mismatch and Jacobian kernels work on the branch pattern
 of the bus admittance matrix, not on dense n x n arrays: G and B are built and
@@ -410,68 +410,52 @@ class QuantityOfInterest:
 
 
 @dataclass(frozen=True)
-class LoadTerm:
-    """Scale bus loads: P -> P (1 + c_p q[p_dim]), Q -> Q (1 + c_q q[q_dim])."""
-
-    bus: int
-    c_p: float
-    c_q: float
-    p_dim: int
-    q_dim: int
-
-
-@dataclass(frozen=True)
-class AdmittanceTerm:
-    """Scale one branch's series conductance/susceptance the same way."""
-
-    branch: int  # position in network.branches
-    c_g: float
-    c_b: float
-    g_dim: int
-    b_dim: int
-
-
-@dataclass(frozen=True)
 class StochasticPerturbation:
+    """How the problem depends on q in [-1, 1]^dims: row r of coefficients
+    scales its quantity by 1 + row_r @ q. ``load`` has a row per bus's P
+    load, then per bus's Q load, in network order; ``admittance`` a row per
+    in-service branch's series g, then per its series b. An empty tuple means
+    no dependence. Rows convert to tuples of floats, so a perturbation is
+    hashable and its repr, which keys study cache entries, is exact.
+    """
+
     dims: int
-    load_terms: tuple[LoadTerm, ...] = ()
-    admittance_terms: tuple[AdmittanceTerm, ...] = ()
+    load: tuple[tuple[float, ...], ...] = ()
+    admittance: tuple[tuple[float, ...], ...] = ()
+
+    def __post_init__(self):
+        for name in ("load", "admittance"):
+            rows = tuple(tuple(map(float, row)) for row in getattr(self, name))
+            object.__setattr__(self, name, rows)
 
     def validate(self, net: PowerNetwork) -> None:
-        """Reject terms on unknown buses or branches, dims out of range, two
-        terms on one bus or branch (their scalings would add up), and load
-        terms that cannot move the solution: on the slack bus, whose
-        injection is not scheduled, or on a bus with zero P and Q load.
-        Errors name a branch by its 1-based table row and its end buses, and
-        an out-of-range branch by its 0-based in-service position."""
-        buses: set[int] = set()
-        for t in self.load_terms:
-            if t.bus not in net.position:
-                raise CaseValidationError(f"load term references unknown bus {t.bus}")
-            bus = net.buses[net.position[t.bus]]
-            if bus.kind == "slack":
-                raise CaseValidationError(f"load term on bus {t.bus} is the slack bus")
-            if bus.p_load == 0.0 and bus.q_load == 0.0:
-                raise CaseValidationError(f"load term on bus {t.bus} carries no load")
-            if not (0 <= t.p_dim < self.dims and 0 <= t.q_dim < self.dims):
-                raise CaseValidationError(f"load term on bus {t.bus} uses a dim out of range")
-            if t.bus in buses:
-                raise CaseValidationError(f"two load terms target bus {t.bus}")
-            buses.add(t.bus)
-        branches: set[int] = set()
-        for t in self.admittance_terms:
-            if not (0 <= t.branch < len(net.branches)):
-                raise CaseValidationError(
-                    f"admittance term references in-service branch position {t.branch} "
-                    f"(the case has {len(net.branches)} in-service branches, from position 0)"
-                )
-            br = net.branches[t.branch]
-            target = f"branch row {net.branch_rows[t.branch]} ({br.from_bus}-{br.to_bus})"
-            if not (0 <= t.g_dim < self.dims and 0 <= t.b_dim < self.dims):
-                raise CaseValidationError(f"admittance term on {target} uses a dim out of range")
-            if t.branch in branches:
-                raise CaseValidationError(f"two admittance terms target {target}")
-            branches.add(t.branch)
+        """Reject coefficients of the wrong shape or not finite, and a
+        nonzero load row that cannot move the solution (_check_load_bus)."""
+        for name, rows, count in (
+            ("load", self.load, 2 * net.n),
+            ("admittance", self.admittance, 2 * len(net.branches)),
+        ):
+            if rows and (len(rows) != count or {len(row) for row in rows} != {self.dims}):
+                raise CaseValidationError(f"{name} coefficients need {count} rows of {self.dims}")
+            if not np.isfinite(np.array(rows)).all():
+                raise CaseValidationError(f"{name} coefficients must be finite")
+        moving = _coefficients(self.load, 2 * net.n, self.dims).reshape(2, net.n, self.dims)
+        for k in np.flatnonzero(moving.any(axis=(0, 2))):
+            _check_load_bus(net.buses[k])
+
+
+def _check_load_bus(bus: Bus) -> None:
+    """Refuse a load that depends on q but cannot move the solution: on the
+    slack bus, whose injection is not scheduled, or on a bus without load."""
+    if bus.kind == "slack":
+        raise CaseValidationError(f"load term on bus {bus.id} is the slack bus")
+    if bus.p_load == 0.0 and bus.q_load == 0.0:
+        raise CaseValidationError(f"load term on bus {bus.id} carries no load")
+
+
+def _coefficients(rows: tuple[tuple[float, ...], ...], count: int, dims: int) -> np.ndarray:
+    """The (count, dims) coefficient matrix of rows; zeros for no rows."""
+    return np.array(rows).reshape(count, dims) if rows else np.zeros((count, dims))
 
 
 def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
@@ -481,26 +465,25 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     G and B are value vectors on the pattern edges, stacked twice for the two
     halves of the edge terms in _flows. All are affine in q:
     G(q) = G0 + q @ dG (the same for B), with one slope row per dimension,
-    shape (dims, E): a term's branch entries at its share c g (or c b) alone,
-    as they are linear in g and b. The schedule is gen - load (1 + S q) with
-    one row of load coefficients per bus and power (P rows, then Q rows).
-    Without admittance terms G and B are the same nominal arrays at every q,
-    so they carry no stack axes of q. q (..., dims) may be complex and stacked.
+    shape (dims, E): each admittance coefficient c adds its branch's entries
+    at the share c g (or c b) alone, as they are linear in g and b, branch
+    by branch, g before b. The schedule is gen - load (1 + S q), S the load
+    matrix. Without admittance rows G and B are the same nominal arrays at
+    every q, so they carry no stack axes of q. q (..., dims) may be complex and stacked.
     """
     pert.validate(net)
     G0, B0 = gb_matrices(net)
     dG, dB = np.zeros((2, pert.dims, len(G0)))
     targets = net.stamps[1][: 4 * len(net.branches)].reshape(-1, 4)
-    for t in pert.admittance_terms:
-        g, b, _, *tap_phase = net.branch_constants[:, t.branch]
-        for dim, share in ((t.g_dim, (t.c_g * g, 0.0)), (t.b_dim, (0.0, t.c_b * b))):
-            for slopes, values in zip((dG, dB), _branch_entries(*share, 0.0, *tap_phase)):
-                np.add.at(slopes[dim], targets[t.branch], values)
-    coefficients = np.zeros((2 * net.n, pert.dims))
-    for t in pert.load_terms:
-        k = net.position[t.bus]
-        coefficients[k, t.p_dim] = t.c_p
-        coefficients[net.n + k, t.q_dim] = t.c_q
+    scales = _coefficients(pert.admittance, 2 * len(net.branches), pert.dims)
+    scales = scales.reshape(2, len(net.branches), pert.dims).swapaxes(0, 1)  # (branch, g or b, dim)
+    for branch, half, dim in np.argwhere(scales):
+        g, b, _, *tap_phase = net.branch_constants[:, branch]
+        c = scales[branch, half, dim]
+        share = (c * g, 0.0) if half == 0 else (0.0, c * b)
+        for slopes, values in zip((dG, dB), _branch_entries(*share, 0.0, *tap_phase)):
+            np.add.at(slopes[dim], targets[branch], values)
+    coefficients = _coefficients(pert.load, 2 * net.n, pert.dims)
     gen = np.array([b.p_gen for b in net.buses] + [b.q_gen for b in net.buses])
     load = np.array([b.p_load for b in net.buses] + [b.q_load for b in net.buses])
 
@@ -509,7 +492,7 @@ def _affine_parts(net: PowerNetwork, pert: StochasticPerturbation):
     def parts(q):
         q = np.atleast_1d(np.asarray(q))
         G, B = G2, B2
-        if pert.admittance_terms:
+        if pert.admittance:
             # one vector-matrix product per row of a stack, so that every
             # row gets the bits that it gets alone
             row = q[..., None, :]
@@ -526,7 +509,7 @@ def parametric_problem(net: PowerNetwork, pert: StochasticPerturbation) -> Newto
     Complex q (or complex state) evaluates the analytic extension, which is
     what the Newton solve at a complex parameter point runs on. States
     (..., m) and parameter rows (..., dims) broadcast as NewtonProblem says;
-    without admittance terms the Jacobian does not depend on q and keeps the
+    without admittance rows the Jacobian does not depend on q and keeps the
     stack shape of the state alone. The
     q-dependent parts are built once per q, and the flow terms once per
     (state, q): the residual and the Jacobian of one Newton step share them.

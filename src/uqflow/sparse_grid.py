@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import CacheMismatchError
 from .nodes1d import (
+    _check_node_count,
     barycentric_basis,
     barycentric_weights,
     cc_barycentric_weights,
@@ -183,10 +184,9 @@ class SparseGridPlan:
 def build_plan(rule: GridRule, w: int, dims: int) -> SparseGridPlan:
     coeffs = combination_coefficients(rule, w, dims)
     indices = [(i, c, tuple(rule.count(l) for l in i)) for i, c in coeffs.items() if c != 0]
-    node_sets = {
-        count: _family_nodes(rule.family, count)
-        for count in sorted({c for _, _, counts in indices for c in counts})
-    }
+    distinct = sorted({c for _, _, counts in indices for c in counts})
+    _check_node_count(rule.family, distinct[-1])  # before any node set is built
+    node_sets = {count: _family_nodes(rule.family, count) for count in distinct}
     # A node's id is its place among the distinct node values, in order.
     node_values = np.unique(np.concatenate([nodes for nodes, _ in node_sets.values()]))
     count_ids = {c: np.searchsorted(node_values, nodes) for c, (nodes, _) in node_sets.items()}

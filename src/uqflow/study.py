@@ -1,7 +1,8 @@
 """One study: one network, one perturbation, one rule and one QoI, solved
 level by level. A level is Newton solves at the plan's knots (memoized
 across levels), the combination-form surrogate over them and its moments;
-with a cache directory each level's surrogate is stored as JSON."""
+with a cache directory each level's surrogate is stored as JSON. The
+perturbation of a CLI study comes from study_perturbation."""
 
 from __future__ import annotations
 
@@ -19,11 +20,10 @@ import numpy as np
 from .errors import CacheMismatchError, CaseValidationError, UqflowError
 from .moments import default_orders, moment_estimates, quadrature_plan
 from .powerflow import (
-    AdmittanceTerm,
-    LoadTerm,
     PowerNetwork,
     QuantityOfInterest,
     StochasticPerturbation,
+    _check_load_bus,
     qoi_sampler,
 )
 from .sparse_grid import (
@@ -39,20 +39,17 @@ def study_perturbation(
     load_buses: tuple[int, ...] | None = None,
     branches: tuple[int, ...] | None = None,
 ) -> StochasticPerturbation:
-    """Build the perturbation model of a study.
-
-    Load study: each parameter dimension scales one load bus's P and Q
-    together (explicit ``load_buses`` list, or the first ``dims`` PQ buses
-    carrying nonzero load — perturbing a zero load would leave the dimension
-    inert).  Admittance study: each dimension scales one branch's series
-    conductance and susceptance together (explicit ``branches`` list of
-    1-based case-table rows, which must be in service, or the first ``dims``
-    in-service branches). A list the chosen study does not read is an error,
-    not a silent no-op.
+    """The coefficient matrices of a study: dimension k scales both rows of
+    target k by 1 + c q_k. Load study: the P and Q of a load bus (explicit
+    ``load_buses`` list of bus ids, or the first ``dims`` PQ buses carrying
+    nonzero load, since a zero load would leave the dimension inert).
+    Admittance study: the series g and b of a branch (explicit ``branches``
+    list of 1-based case-table rows, which must be in service, or the first
+    ``dims`` in-service branches). A target listed twice is an error, as its
+    scalings would add up, and so is a list the chosen study does not read.
     """
     if not math.isfinite(coefficient):
         raise UqflowError(f"coefficient must be finite, got {coefficient}")
-    c = coefficient
     if study == "load":
         if branches is not None:
             raise UqflowError(
@@ -71,10 +68,15 @@ def study_perturbation(
                 f"load study needs {dims} target buses, have {len(buses)} "
                 f"(case offers too few nonzero-load PQ buses?)"
             )
-        terms = tuple(
-            LoadTerm(bus=bus, c_p=c, c_q=c, p_dim=k, q_dim=k) for k, bus in enumerate(buses)
-        )
-        pert = StochasticPerturbation(dims=dims, load_terms=terms)
+        targets = []
+        for bus in buses:
+            if bus not in net.position:
+                raise CaseValidationError(f"load term references unknown bus {bus}")
+            _check_load_bus(net.buses[net.position[bus]])
+            if net.position[bus] in targets:
+                raise CaseValidationError(f"two load terms target bus {bus}")
+            targets.append(net.position[bus])
+        kind, count = "load", net.n
     elif study == "admittance":
         if load_buses is not None:
             raise UqflowError(
@@ -96,13 +98,17 @@ def study_perturbation(
             raise CaseValidationError(
                 f"admittance study needs {dims} branches, have {len(rows)}"
             )
-        terms = tuple(
-            AdmittanceTerm(branch=row, c_g=c, c_b=c, g_dim=k, b_dim=k)
-            for k, row in enumerate(rows)
-        )
-        pert = StochasticPerturbation(dims=dims, admittance_terms=terms)
+        for k, row in enumerate(rows):
+            if row in rows[:k]:
+                br = net.branches[row]
+                target = f"branch row {net.branch_rows[row]} ({br.from_bus}-{br.to_bus})"
+                raise CaseValidationError(f"two admittance terms target {target}")
+        kind, count, targets = "admittance", len(net.branches), rows
     else:
         raise UqflowError(f"unknown study {study!r} (expected load or admittance)")
+    matrix = np.zeros((2, count, dims))  # [P; Q] or [g; b] rows of every bus or branch
+    matrix[:, targets, range(dims)] = coefficient
+    pert = StochasticPerturbation(dims, **{kind: matrix.reshape(2 * count, dims)})
     pert.validate(net)
     return pert
 

@@ -9,6 +9,8 @@ from typing import Callable
 import mpmath
 import numpy as np
 
+from uqflow.powerflow import StochasticPerturbation, _branch_entries, gb_matrices
+
 #: Central-difference step of cauchy_riemann_residual.
 CR_STEP = 1e-4
 
@@ -93,6 +95,65 @@ def dense_gb_matrices(net, g_scale=None, b_scale=None) -> tuple[np.ndarray, np.n
     return G, B
 
 
+# --- the per-term perturbation model ------------------------------------------
+#
+# A load term (bus id, c_p, c_q, p_dim, q_dim) scales one bus's P load by
+# 1 + c_p q[p_dim] and its Q load by 1 + c_q q[q_dim]; an admittance term
+# (branch position, c_g, c_b, g_dim, b_dim) scales one in-service branch's
+# series g and b the same way. Terms were how a perturbation was written
+# before it was its coefficient matrices.
+
+
+def term_perturbation(net, dims: int, load_terms=(), admittance_terms=()) -> StochasticPerturbation:
+    """The perturbation of the terms: each coefficient at its dim in its
+    target's row, and no rows of a kind without terms."""
+    load = np.zeros((2, net.n, dims))
+    for bus, c_p, c_q, p_dim, q_dim in load_terms:
+        k = net.position[bus]
+        load[0, k, p_dim], load[1, k, q_dim] = c_p, c_q
+    admittance = np.zeros((2, len(net.branches), dims))
+    for branch, c_g, c_b, g_dim, b_dim in admittance_terms:
+        admittance[0, branch, g_dim], admittance[1, branch, b_dim] = c_g, c_b
+    return StochasticPerturbation(
+        dims,
+        load=load.reshape(2 * net.n, dims) if load_terms else (),
+        admittance=admittance.reshape(2 * len(net.branches), dims) if admittance_terms else (),
+    )
+
+
+def term_affine_parts(net, dims: int, load_terms=(), admittance_terms=()):
+    """q -> ([G; G], [B; B], [P_sched; Q_sched]) by the term-by-term
+    translation: term after term, the branch entries at its share of g,
+    then of b, are added to the slopes of its dims, and each load term
+    writes its two coefficients into a (2n, dims) matrix."""
+    G0, B0 = gb_matrices(net)
+    dG, dB = np.zeros((2, dims, len(G0)))
+    targets = net.stamps[1][: 4 * len(net.branches)].reshape(-1, 4)
+    for branch, c_g, c_b, g_dim, b_dim in admittance_terms:
+        g, b, _, *tap_phase = net.branch_constants[:, branch]
+        for dim, share in ((g_dim, (c_g * g, 0.0)), (b_dim, (0.0, c_b * b))):
+            for slopes, values in zip((dG, dB), _branch_entries(*share, 0.0, *tap_phase)):
+                np.add.at(slopes[dim], targets[branch], values)
+    coefficients = np.zeros((2 * net.n, dims))
+    for bus, c_p, c_q, p_dim, q_dim in load_terms:
+        k = net.position[bus]
+        coefficients[k, p_dim] = c_p
+        coefficients[net.n + k, q_dim] = c_q
+    gen = np.array([b.p_gen for b in net.buses] + [b.q_gen for b in net.buses])
+    load = np.array([b.p_load for b in net.buses] + [b.q_load for b in net.buses])
+
+    def parts(q):
+        q = np.atleast_1d(np.asarray(q))
+        G, B = G0, B0
+        if admittance_terms:
+            row = q[..., None, :]
+            G, B = G0 + (row @ dG)[..., 0, :], B0 + (row @ dB)[..., 0, :]
+        sched = gen - load * (1.0 + q @ coefficients.T)
+        return np.concatenate([G, G], axis=-1), np.concatenate([B, B], axis=-1), sched
+
+    return parts
+
+
 def cc_fractions(count: int) -> list[tuple[int, int]]:
     """Reduced fractions p/q = (j-1)/(count-1) of the count cosine-spaced
     nodes, j = 1..count; the single-node rule {0} gets 1/2."""
@@ -129,10 +190,23 @@ def two_bus_voltage(q, c: float):
     return mpmath.sqrt((1 + mpmath.sqrt(1 - 4 * p * p * TWO_BUS_X**2)) / 2)
 
 
+def two_bus_angle(q, c: float):
+    """Load-bus voltage angle at parameter q (float or mpmath number): the
+    line carries P = V sin(-theta) / X from the slack bus at angle 0."""
+    p = TWO_BUS_P0 * (1 + c * q)
+    return -mpmath.asin(p * TWO_BUS_X / two_bus_voltage(q, c))
+
+
+def two_bus_critical_coefficient() -> float:
+    """c* = 1/(2 X P0) - 1 = 1.0: the coefficient whose load reaches the nose
+    at q = 1, the edge of the parameter box."""
+    return 1.0 / (2.0 * TWO_BUS_X * TWO_BUS_P0) - 1.0
+
+
 def two_bus_singularity(c: float) -> float:
-    """q* = (1/(2 X P0) - 1)/c: the nose of the PV curve, where P = 1/(2X)
-    and the voltage stops being analytic in q."""
-    return (1.0 / (2.0 * TWO_BUS_X * TWO_BUS_P0) - 1.0) / c
+    """q* = c*/c: the nose of the PV curve, where P = 1/(2X) and the voltage
+    and the angle stop being analytic in q."""
+    return two_bus_critical_coefficient() / c
 
 
 def two_bus_radius(c: float) -> float:
@@ -141,10 +215,11 @@ def two_bus_radius(c: float) -> float:
     return math.acosh(two_bus_singularity(c))
 
 
-def two_bus_moments(c: float, digits: int = 30) -> tuple[float, float]:
-    """Exact mean and variance of the voltage under the uniform density, by
-    mpmath.quad at the given working precision, rounded to floats."""
+def two_bus_moments(c: float, digits: int = 30, quantity=two_bus_voltage) -> tuple[float, float]:
+    """Exact mean and variance of the quantity (two_bus_voltage or
+    two_bus_angle) under the uniform density, by mpmath.quad at the given
+    working precision, rounded to floats."""
     with mpmath.workdps(digits):
-        mean = mpmath.quad(lambda q: two_bus_voltage(q, c), [-1, 1]) / 2
-        var = mpmath.quad(lambda q: (two_bus_voltage(q, c) - mean) ** 2, [-1, 1]) / 2
+        mean = mpmath.quad(lambda q: quantity(q, c), [-1, 1]) / 2
+        var = mpmath.quad(lambda q: (quantity(q, c) - mean) ** 2, [-1, 1]) / 2
     return float(mean), float(var)

@@ -32,8 +32,6 @@ from uqflow.nodes1d import (
     clenshaw_curtis_nodes,
 )
 from uqflow.powerflow import (
-    AdmittanceTerm,
-    LoadTerm,
     QuantityOfInterest,
     StochasticPerturbation,
     _expand_state,
@@ -48,7 +46,7 @@ from uqflow.sparse_grid import (
     evaluate_surrogate,
     polynomial_space,
 )
-from uqflow.study import Study
+from uqflow.study import Study, study_perturbation
 
 SMOLYAK = GridRule("smolyak", "clenshaw_curtis")
 
@@ -201,20 +199,8 @@ def test_c5_moment_convergence_studies():
     """Both two-parameter studies sharpen monotonically toward level 5."""
     start = time.perf_counter()
     net = to_network(load_case("bundled:case39"))
-    load_pert = StochasticPerturbation(
-        dims=2,
-        load_terms=(
-            LoadTerm(bus=1, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),
-            LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=1, q_dim=1),
-        ),
-    )
-    adm_pert = StochasticPerturbation(
-        dims=2,
-        admittance_terms=(
-            AdmittanceTerm(branch=0, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),
-            AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=1, b_dim=1),
-        ),
-    )
+    load_pert = study_perturbation(net, "load", 2, 0.5, load_buses=(1, 3))
+    adm_pert = study_perturbation(net, "admittance", 2, 0.5, branches=(1, 2))
     summaries = []
     for label, pert in (("load", load_pert), ("admittance", adm_pert)):
         rows = _study_errors(net, pert)
@@ -233,9 +219,7 @@ def test_c5_moment_convergence_studies():
 
 
 _DEMO3 = to_network(load_case("bundled:demo-3bus"))
-_DEMO3_LOAD = StochasticPerturbation(
-    dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-)
+_DEMO3_LOAD = study_perturbation(_DEMO3, "load", 1, 0.5, load_buses=(3,))
 
 
 def _demo3_v3(g: complex) -> complex:

@@ -7,7 +7,9 @@ import pytest
 from oracles import cc_fractions, cc_node
 
 from uqflow.cli import main
+from uqflow.errors import UqflowError
 from uqflow.nodes1d import (
+    _check_node_count,
     _monic_eval,
     _uniform_recurrence,
     barycentric_basis,
@@ -232,6 +234,28 @@ def test_level_11_mean_is_finite(tmp_path):
     assert math.isfinite(float(fine[2])) and math.isfinite(float(fine[3]))
     assert float(fine[2]) == pytest.approx(float(coarse[2]), rel=1e-12)
     assert float(fine[3]) == pytest.approx(float(coarse[3]), rel=1e-9)
+
+
+def test_node_count_limits_sit_above_the_counts_in_use():
+    # the largest rules built here are 2,049 Gauss and 4,097 Clenshaw-Curtis nodes
+    for family, limit in (("gauss_legendre", 4097), ("clenshaw_curtis", 2**20 + 1)):
+        _check_node_count(family, limit)
+        message = f"^{family} rule of {limit + 1} nodes is above the limit of {limit}$"
+        with pytest.raises(UqflowError, match=message):
+            _check_node_count(family, limit + 1)
+
+
+def test_a_one_dim_rule_too_big_to_build_is_an_error(capsys):
+    # w = 40 asks for 2^40 + 1 Clenshaw-Curtis nodes, 8 TiB of them
+    message = "clenshaw_curtis rule of 1099511627777 nodes is above the limit of 1048577"
+    with pytest.raises(UqflowError, match=message):
+        build_plan(GridRule("smolyak"), 40, 1)
+    assert main(["grid-info", "--dims", "1", "--levels", "40"]) == 1
+    assert message in capsys.readouterr().err
+    # the w = 20 moments ask for 2^19 + 1 Gauss points: a 2 TiB Jacobi matrix
+    argv = ["uq-moments", "--case", "bundled:demo2", "--dims", "1", "--qoi", "voltage:2"]
+    assert main(argv + ["--levels", "20"]) == 1
+    assert "gauss_legendre rule of 524289 nodes is above the limit of 4097" in capsys.readouterr().err
 
 
 def test_chebyshev_coefficients_geometric_decay():

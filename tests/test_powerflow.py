@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import dense_gb_matrices
+from oracles import dense_gb_matrices, term_affine_parts, term_perturbation
 
 import uqflow.powerflow
 from uqflow.case_io import load_case, to_network
@@ -20,10 +20,8 @@ from uqflow.errors import (
 )
 from uqflow.newton import parameter_slopes, solve, taylor_predictor
 from uqflow.powerflow import (
-    AdmittanceTerm,
     Branch,
     Bus,
-    LoadTerm,
     PowerNetwork,
     QuantityOfInterest,
     StochasticPerturbation,
@@ -144,76 +142,40 @@ def test_initial_state_is_the_packed_per_bus_start(name, init):
 
 
 def test_perturbation_validation(demo):
-    with pytest.raises(Exception):
-        StochasticPerturbation(
-            dims=1, load_terms=(LoadTerm(bus=99, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-        ).validate(demo)
-    with pytest.raises(Exception):
-        StochasticPerturbation(
-            dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=1, q_dim=0),)
-        ).validate(demo)
-    with pytest.raises(Exception):
-        StochasticPerturbation(
-            dims=1,
-            admittance_terms=(AdmittanceTerm(branch=7, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),),
-        ).validate(demo)
-
-
-def test_admittance_errors_name_the_one_based_row(case39):
-    # AdmittanceTerm.branch is a 0-based position; errors name the table row
-    for term, message in (
-        (AdmittanceTerm(branch=46, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),
-         r"references in-service branch position 46 \(the case has 46 in-service branches"),
-        (AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=2, b_dim=0),
-         r"on branch row 2 \(1-39\) uses a dim out of range"),
+    # demo has 3 buses (6 load rows) and 3 in-service branches (6 admittance rows)
+    bus3 = np.zeros((6, 1))
+    bus3[[2, 5]] = 0.5
+    for dims, load, admittance, message in (
+        (1, bus3[:5], (), "^load coefficients need 6 rows of 1$"),
+        (2, bus3, (), "^load coefficients need 6 rows of 2$"),
+        (1, (), np.ones((7, 1)), "^admittance coefficients need 6 rows of 1$"),
+        (1, np.where(bus3, math.inf, 0.0), (), "load coefficients must be finite"),
+        (1, (), np.full((6, 1), math.nan), "admittance coefficients must be finite"),
     ):
         with pytest.raises(CaseValidationError, match=message):
-            StochasticPerturbation(dims=2, admittance_terms=(term,)).validate(case39)
-
-
-@pytest.mark.parametrize("position", [3, -1])
-def test_out_of_range_admittance_term_is_named_by_its_position(position):
-    # demo3 with an out-of-service copy of 1-2 inserted as table row 1: table
-    # row 4 is the in-service branch 2-3, so a row number would name it
-    case = load_case("bundled:demo3")
-    shadow = case.branch[:1].copy()
-    shadow[0, 10] = 0.0
-    net = to_network(dataclasses.replace(case, branch=np.vstack([shadow, case.branch])))
-    term = AdmittanceTerm(branch=position, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0)
-    with pytest.raises(CaseValidationError) as info:
-        StochasticPerturbation(dims=1, admittance_terms=(term,)).validate(net)
-    assert str(info.value) == (
-        f"admittance term references in-service branch position {position} "
-        "(the case has 3 in-service branches, from position 0)"
-    )
+            StochasticPerturbation(dims, load, admittance).validate(demo)
+    # an array converts to rows of floats, so the perturbation is hashable
+    pert = StochasticPerturbation(dims=1, load=bus3)
+    assert pert.load == ((0.0,), (0.0,), (0.5,), (0.0,), (0.0,), (0.5,))
+    assert hash(pert) == hash(StochasticPerturbation(dims=1, load=pert.load))
+    assert pert == study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
 
 
 def test_perturbation_rejects_inert_load_terms(demo):
-    # demo bus 1 is the slack bus; bus 2 is a PV bus without load
-    for bus, why in ((1, "is the slack bus"), (2, "carries no load")):
-        with pytest.raises(CaseValidationError, match=f"load term on bus {bus} {why}"):
-            StochasticPerturbation(
-                dims=1, load_terms=(LoadTerm(bus=bus, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-            ).validate(demo)
+    # demo bus 1 is the slack bus; bus 2 is a PV bus without load. One
+    # nonzero entry, in the P row or in the Q row, is enough.
+    for row, why in ((0, "bus 1 is the slack bus"), (4, "bus 2 carries no load")):
+        load = np.zeros((6, 2))
+        load[row, 1] = 0.5
+        with pytest.raises(CaseValidationError, match=f"load term on {why}"):
+            StochasticPerturbation(dims=2, load=load).validate(demo)
 
 
 def test_perturbation_rejects_duplicate_targets(case39):
     with pytest.raises(CaseValidationError, match="two load terms target bus 3"):
-        StochasticPerturbation(
-            dims=2,
-            load_terms=(
-                LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),
-                LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=1, q_dim=1),
-            ),
-        ).validate(case39)
+        study_perturbation(case39, "load", 2, 0.5, load_buses=(3, 3))
     with pytest.raises(CaseValidationError, match=r"two admittance terms target branch row 2 \(1-39\)"):
-        StochasticPerturbation(
-            dims=2,
-            admittance_terms=(
-                AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=0, b_dim=0),
-                AdmittanceTerm(branch=1, c_g=0.5, c_b=0.5, g_dim=1, b_dim=1),
-            ),
-        ).validate(case39)
+        study_perturbation(case39, "admittance", 2, 0.5, branches=(2, 2))
 
 
 @pytest.fixture(scope="module")
@@ -232,10 +194,10 @@ _BRANCHES = (0, 1, 4, 9, 13, 20, 30, 45)
 
 
 @st.composite
-def _perturbation_and_point(draw, load_buses=_LOAD_BUSES, branches=_BRANCHES):
-    """Load terms on up to three of load_buses and admittance terms on one to
-    three of branches, drawn dims of which two terms may share, and a real
-    or complex point q."""
+def _terms_and_point(draw, load_buses=_LOAD_BUSES, branches=_BRANCHES):
+    """(dims, load terms, admittance terms, q): load terms on up to three of
+    load_buses and admittance terms on one to three of branches, drawn dims
+    of which two terms may share, and a real or complex point q."""
     dims = draw(st.integers(1, 4))
     dim = st.integers(0, dims - 1)
     coef = st.floats(-0.8, 0.8)
@@ -243,39 +205,29 @@ def _perturbation_and_point(draw, load_buses=_LOAD_BUSES, branches=_BRANCHES):
     if load_buses:
         buses = draw(st.lists(st.sampled_from(load_buses), max_size=3, unique=True))
     rows = draw(st.lists(st.sampled_from(branches), min_size=1, max_size=3, unique=True))
-    pert = StochasticPerturbation(
-        dims=dims,
-        load_terms=tuple(
-            LoadTerm(bus=b, c_p=draw(coef), c_q=draw(coef), p_dim=draw(dim), q_dim=draw(dim))
-            for b in buses
-        ),
-        admittance_terms=tuple(
-            AdmittanceTerm(branch=r, c_g=draw(coef), c_b=draw(coef), g_dim=draw(dim), b_dim=draw(dim))
-            for r in rows
-        ),
-    )
+    load_terms = tuple((b, draw(coef), draw(coef), draw(dim), draw(dim)) for b in buses)
+    admittance_terms = tuple((r, draw(coef), draw(coef), draw(dim), draw(dim)) for r in rows)
     part = st.floats(-1.0, 1.0)
     q = np.array([draw(part) for _ in range(dims)])
     if draw(st.booleans()):
         q = q + 1j * np.array([draw(part) for _ in range(dims)])
-    return pert, q
+    return dims, load_terms, admittance_terms, q
 
 
 def _direct_parts(net, pert, q):
-    """Dense G, B and the schedules assembled directly at one point q."""
-    sg = np.ones(len(net.branches), dtype=q.dtype)
-    sb = np.ones(len(net.branches), dtype=q.dtype)
-    for t in pert.admittance_terms:
-        sg[t.branch] = 1.0 + t.c_g * q[t.g_dim]
-        sb[t.branch] = 1.0 + t.c_b * q[t.b_dim]
+    """Dense G, B and the schedules assembled directly at one point q: every
+    branch's series g and b, and every bus's P and Q load, times 1 + row @ q
+    of its coefficient row."""
+
+    def scales(rows, count):
+        matrix = np.array(rows).reshape(count, pert.dims) if rows else np.zeros((count, pert.dims))
+        return np.split(1.0 + matrix @ q, 2)
+
+    sg, sb = scales(pert.admittance, 2 * len(net.branches))
     G, B = dense_gb_matrices(net, sg, sb)
-    ps = np.array([b.p_gen - b.p_load for b in net.buses], dtype=q.dtype)
-    qs = np.array([b.q_gen - b.q_load for b in net.buses], dtype=q.dtype)
-    for t in pert.load_terms:
-        k = net.position[t.bus]
-        bus = net.buses[k]
-        ps[k] = bus.p_gen - bus.p_load * (1.0 + t.c_p * q[t.p_dim])
-        qs[k] = bus.q_gen - bus.q_load * (1.0 + t.c_q * q[t.q_dim])
+    sp, sq = scales(pert.load, 2 * net.n)
+    ps = np.array([b.p_gen - b.p_load * s for b, s in zip(net.buses, sp)])
+    qs = np.array([b.q_gen - b.q_load * s for b, s in zip(net.buses, sq)])
     return G, B, ps, qs
 
 
@@ -301,11 +253,32 @@ def _assert_affine_parts_match(net, pert, q, scale=0.0):
         assert np.max(np.abs(got - ref)) <= 1e-13 * max(np.max(np.abs(ref)), scale)
 
 
+def _assert_terms_translate_bitwise(net, dims, load_terms, admittance_terms, q):
+    """The coefficient matrices of the terms give G, B and the schedules
+    with the bits of the term-by-term translation of the admittance terms
+    in branch order: a matrix has no term order, and the slopes that two
+    terms add on one edge and dim are summed in order."""
+    pert = term_perturbation(net, dims, load_terms, admittance_terms)
+    got = _affine_parts(net, pert)(q)
+    ref = term_affine_parts(net, dims, load_terms, sorted(admittance_terms))(q)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_terms_and_point())
+def test_coefficient_matrices_equal_the_term_translation_bitwise(case39_shifted, drawn):
+    """On case39, with load and admittance terms, for real and complex q."""
+    _assert_terms_translate_bitwise(case39_shifted, *drawn)
+
+
 @settings(max_examples=60, deadline=None)
-@given(_perturbation_and_point())
+@given(_terms_and_point())
 def test_affine_model_matches_direct_assembly(case39_shifted, drawn):
     """On case39, for real and complex q."""
-    _assert_affine_parts_match(case39_shifted, *drawn)
+    dims, load_terms, admittance_terms, q = drawn
+    pert = term_perturbation(case39_shifted, dims, load_terms, admittance_terms)
+    _assert_affine_parts_match(case39_shifted, pert, q)
 
 
 def test_pattern_is_row_sorted_with_every_diagonal(case39):
@@ -366,8 +339,16 @@ def test_pattern_assembly_equals_the_dense_oracle_bitwise(net):
 @st.composite
 def _drawn_network_terms_and_point(draw):
     net = draw(_drawn_network())
-    pert, q = draw(_perturbation_and_point(load_buses=(), branches=range(len(net.branches))))
-    return net, pert, q
+    return net, draw(_terms_and_point(load_buses=(), branches=range(len(net.branches))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_drawn_network_terms_and_point())
+def test_coefficient_matrices_equal_the_term_translation_bitwise_on_drawn_networks(drawn):
+    """On the networks of the bitwise test above: the slopes of parallel
+    branches and self-loops add up on shared edges, in branch order."""
+    net, terms = drawn
+    _assert_terms_translate_bitwise(net, *terms)
 
 
 @settings(max_examples=200, deadline=None)
@@ -378,14 +359,13 @@ def test_affine_model_matches_direct_assembly_on_drawn_networks(drawn):
     for real and complex q. A self-loop's four entries cancel on its bus
     diagonal, so the error is taken relative to the branch admittances that
     are summed, not to the sum."""
-    net, pert, q = drawn
+    net, (dims, load_terms, admittance_terms, q) = drawn
+    pert = term_perturbation(net, dims, load_terms, admittance_terms)
     _assert_affine_parts_match(net, pert, q, scale=np.max(np.abs(net.branch_constants[:3])))
 
 
 def test_load_study_keeps_nominal_admittances(case39):
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(case39, "load", 1, 0.5, load_buses=(3,))
     parts = _affine_parts(case39, pert)
     G, B, _ = parts(np.array([0.3 + 0.2j]))
     G_other, B_other, _ = parts(np.array([-0.7]))
@@ -420,12 +400,13 @@ def _dense_oracle(net, pert, u, q):
 
 
 @settings(max_examples=40, deadline=None)
-@given(_perturbation_and_point(), st.integers(0, 2**32 - 1), st.booleans())
+@given(_terms_and_point(), st.integers(0, 2**32 - 1), st.booleans())
 def test_edge_kernels_match_dense_oracle(case39_shifted, drawn, seed, complex_state):
     """Residual and Jacobian on the branch pattern equal the dense n x n
     formulas at real and complex q and states, with mixed load and
     admittance terms."""
-    net, (pert, q) = case39_shifted, drawn
+    net, (dims, load_terms, admittance_terms, q) = case39_shifted, drawn
+    pert = term_perturbation(net, dims, load_terms, admittance_terms)
     rng = np.random.default_rng(seed)
     u = initial_state(net) + rng.uniform(-0.1, 0.1, net.n_unknowns)
     if complex_state:
@@ -532,9 +513,7 @@ def test_problem_reevaluates_when_point_changes(case39_shifted):
 
 
 def test_load_term_shifts_schedule(demo):
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
     pert.validate(demo)
     problem = parametric_problem(demo, pert)
     u = initial_state(demo, "flat")
@@ -552,9 +531,7 @@ def test_load_term_shifts_schedule(demo):
 
 
 def test_qoi_sampler_deterministic(demo):
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
     sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"))
     a = sample(np.array([0.4]))
     b = sample(np.array([-0.7]))
@@ -564,9 +541,7 @@ def test_qoi_sampler_deterministic(demo):
 
 
 def test_qoi_sampler_reports_offending_point(demo):
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=30.0, c_q=30.0, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(demo, "load", 1, 30.0, load_buses=(3,))
     sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"))
     with pytest.raises(NonphysicalStateError, match=r"q=\[1\.0\]"):
         sample(np.array([1.0]))
@@ -576,9 +551,7 @@ def test_qoi_sampler_names_point_of_singular_jacobian(demo, monkeypatch):
     def singular(*args, **kwargs):
         raise SingularJacobianError(2, 0.0, 1.0)
 
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
     sample = qoi_sampler(demo, pert, QuantityOfInterest.parse("voltage:3"))
     monkeypatch.setattr(uqflow.powerflow, "solve", singular)
     with pytest.raises(SingularJacobianError, match=r"iteration 2.* at q=\[0\.25\]") as exc:
@@ -767,9 +740,7 @@ def _complex_flat_start_solve(net, pert, g: complex):
 
 
 def test_complexified_solve_real_limit(demo):
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
     v, trace = _complex_flat_start_solve(demo, pert, 0.0 + 0.0j)
     assert trace.converged
     assert np.max(np.abs(v.imag)) < 1e-10
@@ -777,9 +748,7 @@ def test_complexified_solve_real_limit(demo):
 
 
 def test_complexified_solve_complex_parameter(demo):
-    pert = StochasticPerturbation(
-        dims=1, load_terms=(LoadTerm(bus=3, c_p=0.5, c_q=0.5, p_dim=0, q_dim=0),)
-    )
+    pert = study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
     v, trace = _complex_flat_start_solve(demo, pert, 0.3 + 0.05j)
     assert trace.converged
     assert abs(v[2].imag) > 1e-5  # genuinely complex response
@@ -787,17 +756,11 @@ def test_complexified_solve_complex_parameter(demo):
 
 
 # load terms next to admittance terms on tapped (4, 13) and plain branches
-_MIXED = StochasticPerturbation(
-    dims=3,
-    load_terms=(
-        LoadTerm(bus=3, c_p=0.5, c_q=0.4, p_dim=0, q_dim=1),
-        LoadTerm(bus=20, c_p=0.3, c_q=0.6, p_dim=2, q_dim=2),
-    ),
-    admittance_terms=(
-        AdmittanceTerm(branch=4, c_g=0.5, c_b=0.3, g_dim=1, b_dim=0),
-        AdmittanceTerm(branch=13, c_g=0.2, c_b=0.5, g_dim=2, b_dim=1),
-        AdmittanceTerm(branch=30, c_g=0.4, c_b=0.4, g_dim=0, b_dim=2),
-    ),
+_MIXED = term_perturbation(
+    to_network(load_case("bundled:case39")),
+    3,
+    load_terms=((3, 0.5, 0.4, 0, 1), (20, 0.3, 0.6, 2, 2)),
+    admittance_terms=((4, 0.5, 0.3, 1, 0), (13, 0.2, 0.5, 2, 1), (30, 0.4, 0.4, 0, 2)),
 )
 
 

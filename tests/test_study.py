@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     cc_fractions,
+    two_bus_angle,
+    two_bus_critical_coefficient,
     two_bus_moments,
     two_bus_radius,
     two_bus_singularity,
@@ -20,9 +22,10 @@ from oracles import (
 )
 
 from uqflow.case_io import load_case, to_network
+from uqflow.cli import main
 from uqflow.errors import UqflowError
 from uqflow.nodes1d import chebyshev_coefficients, clenshaw_curtis_nodes
-from uqflow.powerflow import QuantityOfInterest
+from uqflow.powerflow import QuantityOfInterest, StochasticPerturbation
 from uqflow.sparse_grid import GridRule, build_plan
 from uqflow.study import Study, _write_atomically, study_perturbation
 
@@ -30,6 +33,7 @@ DEMO = to_network(load_case("bundled:demo-3bus"))
 V3 = QuantityOfInterest.parse("voltage:3")
 DEMO2 = to_network(load_case("bundled:demo2"))
 V2 = QuantityOfInterest.parse("voltage:2")
+A2 = QuantityOfInterest.parse("angle:2")
 
 
 @settings(max_examples=25, deadline=None)
@@ -133,10 +137,28 @@ def test_a_tensor_rule_too_big_to_hold_fails_before_any_knot_is_solved():
     assert calls == []
 
 
-def _two_bus_study() -> Study:
+def test_cache_keys_hold_every_load_coefficient(tmp_path):
+    # 78 rows (P, then Q of 39 buses) of 19 coefficients: past 1,000 entries
+    # NumPy elides an array's repr, so a key made from the array would not
+    # hold every coefficient. The two matrices differ in row 77 (the Q load
+    # of bus 39), dim 18, only.
+    net = to_network(load_case("bundled:case39"))
+    rule, qoi = GridRule("smolyak"), QuantityOfInterest.parse("voltage:22")
+    loads = [np.array(study_perturbation(net, "load", 19, 0.5).load) for _ in range(2)]
+    loads[0][77, 18], loads[1][77, 18] = 0.25, 0.5
+    assert "..." in repr(loads[0])
+    keys = []
+    for load in loads:
+        pert = StochasticPerturbation(19, load=load)
+        pert.validate(net)
+        keys.append(Study.open(net, pert, rule, qoi, 1e-12, str(tmp_path)).key)
+    assert keys[0] != keys[1]
+
+
+def _two_bus_study(qoi: QuantityOfInterest = V2) -> Study:
     """The 1-dim load study of bundled:demo2 at c = 0.5, knots solved to 1e-12."""
     pert = study_perturbation(DEMO2, "load", 1, 0.5)
-    return Study.open(DEMO2, pert, GridRule("smolyak"), V2, 1e-12)
+    return Study.open(DEMO2, pert, GridRule("smolyak"), qoi, 1e-12)
 
 
 def test_the_two_bus_knots_are_the_closed_form_voltage():
@@ -176,3 +198,29 @@ def test_the_two_bus_load_study_converges_to_the_exact_moments():
     for coarse, fine in zip(errors, errors[1:]):
         assert fine[0] < coarse[0] and fine[1] < coarse[1], errors
     assert errors[-1][0] <= 1e-13 and errors[-1][1] <= 1e-12, errors
+
+
+def test_the_two_bus_angle_knots_are_the_closed_form_angle():
+    study = _two_bus_study(A2)
+    for knot in build_plan(GridRule("smolyak"), 4, 1).knots:
+        assert abs(study.sample(knot) - float(two_bus_angle(knot[0], 0.5))) <= 1e-13, knot
+
+
+def test_the_two_bus_angle_study_converges_to_the_exact_moments():
+    mean, var = two_bus_moments(0.5, quantity=two_bus_angle)
+    study = _two_bus_study(A2)
+    errors = [(abs(r.mean - mean), abs(r.variance - var)) for r in map(study.level, (1, 2, 3, 4))]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert fine[0] < coarse[0] and fine[1] < coarse[1], errors
+    assert errors[-1][0] <= 1e-13 and errors[-1][1] <= 1e-12, errors
+
+
+def test_the_two_bus_angle_study_runs_below_the_critical_coefficient_only(capsys):
+    # at c* = 1/(2 X P0) - 1 the load at q = 1 reaches the nose of the PV curve
+    argv = ["uq-moments", "--case", "bundled:demo2", "--dims", "1", "--qoi", "angle:2"]
+    argv += ["--levels", "1", "--coefficient"]
+    c_star = two_bus_critical_coefficient()
+    assert c_star == 1.0
+    assert main(argv + [str(0.99 * c_star)]) == 0
+    assert main(argv + [str(1.01 * c_star)]) == 1
+    assert "q=[1.0]" in capsys.readouterr().err
