@@ -415,8 +415,9 @@ class StochasticPerturbation:
     scales its quantity by 1 + row_r @ q. ``load`` has a row per bus's P
     load, then per bus's Q load, in network order; ``admittance`` a row per
     in-service branch's series g, then per its series b. An empty tuple means
-    no dependence. Rows convert to tuples of floats, so a perturbation is
-    hashable and its repr, which keys study cache entries, is exact.
+    no dependence, and a matrix without a nonzero entry becomes one. Rows
+    convert to tuples of floats, so a perturbation is hashable and its repr,
+    which keys study cache entries, is exact.
     """
 
     dims: int
@@ -426,7 +427,7 @@ class StochasticPerturbation:
     def __post_init__(self):
         for name in ("load", "admittance"):
             rows = tuple(tuple(map(float, row)) for row in getattr(self, name))
-            object.__setattr__(self, name, rows)
+            object.__setattr__(self, name, rows if any(map(any, rows)) else ())
 
     def validate(self, net: PowerNetwork) -> None:
         """Reject coefficients of the wrong shape or not finite, and a

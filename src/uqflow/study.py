@@ -47,6 +47,8 @@ def study_perturbation(
     list of 1-based case-table rows, which must be in service, or the first
     ``dims`` in-service branches). A target listed twice is an error, as its
     scalings would add up, and so is a list the chosen study does not read.
+    A listed load bus is checked even at coefficient 0, where the matrix
+    no longer names it; the matrices are valid by construction.
     """
     if not math.isfinite(coefficient):
         raise UqflowError(f"coefficient must be finite, got {coefficient}")
@@ -108,9 +110,7 @@ def study_perturbation(
         raise UqflowError(f"unknown study {study!r} (expected load or admittance)")
     matrix = np.zeros((2, count, dims))  # [P; Q] or [g; b] rows of every bus or branch
     matrix[:, targets, range(dims)] = coefficient
-    pert = StochasticPerturbation(dims, **{kind: matrix.reshape(2 * count, dims)})
-    pert.validate(net)
-    return pert
+    return StochasticPerturbation(dims, **{kind: matrix.reshape(2 * count, dims)})
 
 
 #: Version of the cached knot values; bumped whenever the knot solve changes

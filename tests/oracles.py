@@ -106,7 +106,7 @@ def dense_gb_matrices(net, g_scale=None, b_scale=None) -> tuple[np.ndarray, np.n
 
 def term_perturbation(net, dims: int, load_terms=(), admittance_terms=()) -> StochasticPerturbation:
     """The perturbation of the terms: each coefficient at its dim in its
-    target's row, and no rows of a kind without terms."""
+    target's row."""
     load = np.zeros((2, net.n, dims))
     for bus, c_p, c_q, p_dim, q_dim in load_terms:
         k = net.position[bus]
@@ -115,9 +115,7 @@ def term_perturbation(net, dims: int, load_terms=(), admittance_terms=()) -> Sto
     for branch, c_g, c_b, g_dim, b_dim in admittance_terms:
         admittance[0, branch, g_dim], admittance[1, branch, b_dim] = c_g, c_b
     return StochasticPerturbation(
-        dims,
-        load=load.reshape(2 * net.n, dims) if load_terms else (),
-        admittance=admittance.reshape(2 * len(net.branches), dims) if admittance_terms else (),
+        dims, load.reshape(2 * net.n, dims), admittance.reshape(2 * len(net.branches), dims)
     )
 
 
@@ -125,7 +123,8 @@ def term_affine_parts(net, dims: int, load_terms=(), admittance_terms=()):
     """q -> ([G; G], [B; B], [P_sched; Q_sched]) by the term-by-term
     translation: term after term, the branch entries at its share of g,
     then of b, are added to the slopes of its dims, and each load term
-    writes its two coefficients into a (2n, dims) matrix."""
+    writes its two coefficients into a (2n, dims) matrix. Admittance terms
+    with no nonzero coefficient leave G and B nominal."""
     G0, B0 = gb_matrices(net)
     dG, dB = np.zeros((2, dims, len(G0)))
     targets = net.stamps[1][: 4 * len(net.branches)].reshape(-1, 4)
@@ -145,7 +144,7 @@ def term_affine_parts(net, dims: int, load_terms=(), admittance_terms=()):
     def parts(q):
         q = np.atleast_1d(np.asarray(q))
         G, B = G0, B0
-        if admittance_terms:
+        if any(c_g or c_b for _, c_g, c_b, _, _ in admittance_terms):
             row = q[..., None, :]
             G, B = G0 + (row @ dG)[..., 0, :], B0 + (row @ dB)[..., 0, :]
         sched = gen - load * (1.0 + q @ coefficients.T)

@@ -9,7 +9,6 @@ from oracles import cc_fractions, cc_node
 from uqflow.cli import main
 from uqflow.errors import UqflowError
 from uqflow.nodes1d import (
-    _check_node_count,
     _monic_eval,
     _uniform_recurrence,
     barycentric_basis,
@@ -234,15 +233,6 @@ def test_level_11_mean_is_finite(tmp_path):
     assert math.isfinite(float(fine[2])) and math.isfinite(float(fine[3]))
     assert float(fine[2]) == pytest.approx(float(coarse[2]), rel=1e-12)
     assert float(fine[3]) == pytest.approx(float(coarse[3]), rel=1e-9)
-
-
-def test_node_count_limits_sit_above_the_counts_in_use():
-    # the largest rules built here are 2,049 Gauss and 4,097 Clenshaw-Curtis nodes
-    for family, limit in (("gauss_legendre", 4097), ("clenshaw_curtis", 2**20 + 1)):
-        _check_node_count(family, limit)
-        message = f"^{family} rule of {limit + 1} nodes is above the limit of {limit}$"
-        with pytest.raises(UqflowError, match=message):
-            _check_node_count(family, limit + 1)
 
 
 def test_a_one_dim_rule_too_big_to_build_is_an_error(capsys):

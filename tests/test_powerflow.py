@@ -154,11 +154,19 @@ def test_perturbation_validation(demo):
     ):
         with pytest.raises(CaseValidationError, match=message):
             StochasticPerturbation(dims, load, admittance).validate(demo)
+    with pytest.raises(CaseValidationError, match="^load term references unknown bus 99$"):
+        study_perturbation(demo, "load", 1, 0.5, load_buses=(99,))
     # an array converts to rows of floats, so the perturbation is hashable
     pert = StochasticPerturbation(dims=1, load=bus3)
     assert pert.load == ((0.0,), (0.0,), (0.5,), (0.0,), (0.0,), (0.5,))
     assert hash(pert) == hash(StochasticPerturbation(dims=1, load=pert.load))
     assert pert == study_perturbation(demo, "load", 1, 0.5, load_buses=(3,))
+    # a matrix without a nonzero entry is no dependence, spelt one way
+    zeros = np.zeros((6, 1))
+    assert StochasticPerturbation(1, zeros, zeros) == StochasticPerturbation(1)
+    # a listed bus is checked even where a zero coefficient leaves no row naming it
+    with pytest.raises(CaseValidationError, match="^load term on bus 1 is the slack bus$"):
+        study_perturbation(demo, "load", 1, 0.0, load_buses=(1,))
 
 
 def test_perturbation_rejects_inert_load_terms(demo):
@@ -217,13 +225,15 @@ def _terms_and_point(draw, load_buses=_LOAD_BUSES, branches=_BRANCHES):
 def _direct_parts(net, pert, q):
     """Dense G, B and the schedules assembled directly at one point q: every
     branch's series g and b, and every bus's P and Q load, times 1 + row @ q
-    of its coefficient row."""
+    of its coefficient row; without admittance rows, the real nominal G, B."""
 
     def scales(rows, count):
         matrix = np.array(rows).reshape(count, pert.dims) if rows else np.zeros((count, pert.dims))
         return np.split(1.0 + matrix @ q, 2)
 
-    sg, sb = scales(pert.admittance, 2 * len(net.branches))
+    sg, sb = np.ones((2, len(net.branches)))
+    if pert.admittance:
+        sg, sb = scales(pert.admittance, 2 * len(net.branches))
     G, B = dense_gb_matrices(net, sg, sb)
     sp, sq = scales(pert.load, 2 * net.n)
     ps = np.array([b.p_gen - b.p_load * s for b, s in zip(net.buses, sp)])
@@ -380,7 +390,7 @@ def _dense_oracle(net, pert, u, q):
     """Residual and Jacobian by the dense n x n formulas on directly
     assembled G(q), B(q)."""
     G, B, ps, qs = _direct_parts(net, pert, q)
-    dtype = np.result_type(u, q)
+    dtype = np.result_type(u, G)
     theta, v = np.split(net.setpoints.astype(dtype), 2)
     nn = len(net.non_slack)
     theta[net.non_slack] = u[:nn]
